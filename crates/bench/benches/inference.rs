@@ -27,7 +27,7 @@ use fewner_corpus::{split_types, DatasetProfile};
 use fewner_episode::EpisodeSampler;
 use fewner_eval::Throughput;
 use fewner_models::{encode_task, Conditioning, LabeledSentence, TokenEncoder};
-use fewner_tensor::{Exec, Graph, Infer, KernelBackend, ParamId, ParamStore, WeightFormat};
+use fewner_tensor::{Exec, Graph, Infer, ParamId, ParamStore, WeightFormat};
 use fewner_text::TagSet;
 use fewner_util::Rng;
 
@@ -165,21 +165,6 @@ fn bench_decode_per_task(c: &mut Criterion) {
             ))
         });
     });
-    // Pin each kernel backend explicitly (decode_task follows FEWNER_KERNELS)
-    // so the scalar-vs-blocked serving gap shows up in one report.
-    for backend in [KernelBackend::Scalar, KernelBackend::Blocked] {
-        group.bench_function(&format!("infer_decode_task/{}", backend.name()), |b| {
-            b.iter(|| {
-                black_box(f.learner.backbone.decode_task_with(
-                    backend,
-                    &f.learner.theta,
-                    Some((&f.phi_store, f.phi_id)),
-                    f.query.iter().map(|(s, _)| s),
-                    &f.tags,
-                ))
-            });
-        });
-    }
     // Quantized serving (`--weights i8`): same decode over a dequantized-i8
     // copy of θ — the F1 contract lives in tests/quantized_serving.rs, this
     // pins that the quantized path costs the same as f32 (it is plain f32
@@ -219,28 +204,6 @@ fn report_tokens_per_sec(_c: &mut Criterion) {
         infer_t.merge(&t);
     }
 
-    // Per-backend split of the same sweep: the blocked kernels are the
-    // serving default, the scalar numbers are the tape-parity baseline.
-    let mut backend_t = Vec::new();
-    for backend in [KernelBackend::Scalar, KernelBackend::Blocked] {
-        let mut total = Throughput::default();
-        for _ in 0..REPS {
-            let (paths, t) = fewner_eval::measure_predictions(|| {
-                Ok(f.learner.backbone.decode_task_with(
-                    backend,
-                    &f.learner.theta,
-                    Some((&f.phi_store, f.phi_id)),
-                    f.query.iter().map(|(s, _)| s),
-                    &f.tags,
-                ))
-            })
-            .unwrap();
-            black_box(paths);
-            total.merge(&t);
-        }
-        backend_t.push((backend.name(), total));
-    }
-
     let mut tape_t = Throughput::default();
     for _ in 0..REPS {
         let (hs, t) = fewner_eval::measure_predictions(|| {
@@ -267,9 +230,6 @@ fn report_tokens_per_sec(_c: &mut Criterion) {
         "tokens_per_sec/infer_decode_task        {}",
         infer_t.render()
     );
-    for (name, t) in &backend_t {
-        println!("tokens_per_sec/infer_decode_task.{name:<7} {}", t.render());
-    }
     println!(
         "tokens_per_sec/tape_hidden_sweep        {}",
         tape_t.render()

@@ -8,13 +8,12 @@ use std::hint::black_box;
 
 use fewner_corpus::{split_types, DatasetProfile};
 use fewner_episode::EpisodeSampler;
-use fewner_models::{encode_task, viterbi, viterbi_with, TokenEncoder};
+use fewner_models::{encode_task, viterbi, TokenEncoder};
+use fewner_tensor::array::matmul_into;
 use fewner_tensor::nn::BiGru;
-use fewner_tensor::{Array, Graph, KernelBackend, ParamStore};
+use fewner_tensor::{kernels, Array, Graph, ParamStore};
 use fewner_text::TagSet;
 use fewner_util::Rng;
-
-const BACKENDS: [KernelBackend; 2] = [KernelBackend::Scalar, KernelBackend::Blocked];
 
 fn bench_matmul(c: &mut Criterion) {
     let mut rng = Rng::new(1);
@@ -23,41 +22,30 @@ fn bench_matmul(c: &mut Criterion) {
     c.bench_function("matmul_64x64", |bench| {
         bench.iter(|| black_box(a.matmul(&b).unwrap()));
     });
-    // Scalar-vs-blocked head-to-head on the dispatcher itself; the 128×128
-    // shape is past the L1-friendly sizes where the two converge, so this
-    // is where the ≥2× blocked-kernel target is held.
+    // The allocation-free kernel at a square shape, a shape past the
+    // L1-friendly sizes, and a BiGRU-sized one (14 tokens, 96 → 48).
     for (m, k, n) in [(64, 64, 64), (128, 128, 128), (14, 96, 48)] {
         let a = Array::uniform(m, k, -1.0, 1.0, &mut rng);
         let b = Array::uniform(k, n, -1.0, 1.0, &mut rng);
-        for backend in BACKENDS {
-            let mut out = Array::zeros(m, n);
-            c.bench_function(&format!("matmul_{m}x{k}x{n}/{}", backend.name()), |bench| {
-                bench.iter(|| {
-                    backend.matmul_into(&a, &b, &mut out, false);
-                    black_box(out.at(0, 0))
-                });
+        let mut out = Array::zeros(m, n);
+        c.bench_function(&format!("matmul_{m}x{k}x{n}"), |bench| {
+            bench.iter(|| {
+                matmul_into(&a, &b, &mut out, false);
+                black_box(out.at(0, 0))
             });
-        }
+        });
     }
 }
 
 fn bench_pointwise_kernels(c: &mut Criterion) {
     let mut rng = Rng::new(6);
     let scores = Array::uniform(128, 32, -4.0, 4.0, &mut rng);
-    for backend in BACKENDS {
-        c.bench_function(
-            &format!("logsumexp_cols_128x32/{}", backend.name()),
-            |bench| {
-                bench.iter(|| black_box(backend.logsumexp_cols(&scores)));
-            },
-        );
-        c.bench_function(
-            &format!("log_softmax_rows_128x32/{}", backend.name()),
-            |bench| {
-                bench.iter(|| black_box(backend.log_softmax_rows(&scores)));
-            },
-        );
-    }
+    c.bench_function("logsumexp_cols_128x32", |bench| {
+        bench.iter(|| black_box(kernels::logsumexp_cols(&scores)));
+    });
+    c.bench_function("log_softmax_rows_128x32", |bench| {
+        bench.iter(|| black_box(kernels::log_softmax_rows(&scores)));
+    });
 }
 
 fn bench_bigru(c: &mut Criterion) {
@@ -107,17 +95,6 @@ fn bench_crf(c: &mut Criterion) {
     c.bench_function("viterbi_L14_T11", |bench| {
         bench.iter(|| black_box(viterbi(&emissions, &trans, &start, &tags)));
     });
-    for backend in BACKENDS {
-        c.bench_function(
-            &format!("crf_forward_lattice_L14_T11/{}", backend.name()),
-            |bench| {
-                bench.iter(|| black_box(backend.crf_forward_lattice(&emissions, &trans, &start)));
-            },
-        );
-        c.bench_function(&format!("viterbi_L14_T11/{}", backend.name()), |bench| {
-            bench.iter(|| black_box(viterbi_with(backend, &emissions, &trans, &start, &tags)));
-        });
-    }
 }
 
 fn bench_inner_loop(c: &mut Criterion) {

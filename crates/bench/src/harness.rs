@@ -272,7 +272,7 @@ pub fn train_learner(
 ) -> Result<()> {
     // threads(0) = all available cores; meta-gradients reduce in fixed
     // task-index order, so table numbers are identical at any thread count
-    // (pin with FEWNER_THREADS=1 to verify).
+    // (crates/core/tests/parallel_determinism.rs pins this).
     let cfg = TrainConfig::new(cell.n_ways, cell.k_shots)
         .iterations(scale.iterations)
         .query_size(scale.query_size)

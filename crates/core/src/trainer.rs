@@ -13,8 +13,7 @@
 //! the canonical task-index tree ([`crate::reduce::GradReduce`]).
 //! Randomness is pinned per task by [`crate::task_rng`], so the parallel
 //! loop is bitwise-identical to the serial one for a fixed seed, at any
-//! thread count. Configure with [`TrainConfig::threads`] or the
-//! `FEWNER_THREADS` environment variable.
+//! thread count. Configure with [`TrainConfig::threads`].
 //!
 //! The same plan scales past one process: with [`TrainConfig::shards`]
 //! ≥ 2 every worker process runs this loop in lockstep, computes only its
@@ -56,13 +55,16 @@ use crate::snapshot::{
 /// How many trailing finite losses [`Error::Diverged`] carries.
 const DIVERGED_TAIL: usize = 8;
 
-/// Thread count read from the `FEWNER_THREADS` environment variable, if
-/// set to a positive integer.
-fn env_threads() -> Option<usize> {
-    std::env::var("FEWNER_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
+/// A requested worker count with `0` resolved to the machine's available
+/// parallelism.
+fn resolve_threads(requested: usize) -> usize {
+    if requested == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    } else {
+        requested
+    }
 }
 
 /// Outer-loop training schedule.
@@ -80,8 +82,7 @@ pub struct TrainConfig {
     pub seed: u64,
     /// Worker threads for the per-task meta-gradient fan-out: `1` trains
     /// serially (the default), `0` uses the machine's available
-    /// parallelism, `n > 1` uses exactly `n` threads. The `FEWNER_THREADS`
-    /// environment variable overrides this at run time.
+    /// parallelism, `n > 1` uses exactly `n` threads.
     pub threads: usize,
     /// Write a [`TrainingSnapshot`] after every this-many completed
     /// iterations (`0`, the default, disables checkpointing). Requires
@@ -203,18 +204,10 @@ impl TrainConfig {
         }
     }
 
-    /// The effective thread count: the `FEWNER_THREADS` environment
-    /// variable if set, else the `threads` field, with `0` resolved to the
-    /// machine's available parallelism.
+    /// The effective thread count: the `threads` field with `0` resolved
+    /// to the machine's available parallelism.
     pub fn resolved_threads(&self) -> usize {
-        let requested = env_threads().unwrap_or(self.threads);
-        if requested == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            requested
-        }
+        resolve_threads(self.threads)
     }
 }
 
@@ -273,18 +266,11 @@ pub struct ParallelTrainer {
 }
 
 impl ParallelTrainer {
-    /// A trainer over `threads` workers (`0` = available parallelism; both
-    /// overridden by `FEWNER_THREADS`).
+    /// A trainer over `threads` workers (`0` = available parallelism).
     pub fn new(threads: usize) -> ParallelTrainer {
-        let requested = env_threads().unwrap_or(threads);
-        let threads = if requested == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            requested
-        };
-        ParallelTrainer { threads }
+        ParallelTrainer {
+            threads: resolve_threads(threads),
+        }
     }
 
     /// The resolved worker count.

@@ -17,7 +17,7 @@
 //! model-agnostic made concrete.
 
 use fewner_tensor::nn::{BiGru, BiLstm, Conv1d, Embedding, Linear};
-use fewner_tensor::{Exec, Infer, KernelBackend, ParamId, ParamStore, Var};
+use fewner_tensor::{Exec, Infer, ParamId, ParamStore, Var};
 use fewner_text::TagSet;
 use fewner_util::{Error, Result, Rng};
 
@@ -514,26 +514,7 @@ impl Backbone {
     where
         I: IntoIterator<Item = &'a EncodedSentence>,
     {
-        self.decode_task_with(KernelBackend::from_env(), theta, phi_store, sents, tags)
-    }
-
-    /// [`Backbone::decode_task`] with an explicit [`KernelBackend`].
-    ///
-    /// Both the executor's forward kernels and the Viterbi sweep run on the
-    /// chosen backend; Scalar and Blocked produce bitwise-identical paths
-    /// (the kernel-equivalence contract, see `fewner_tensor::backend`).
-    pub fn decode_task_with<'a, I>(
-        &self,
-        backend: KernelBackend,
-        theta: &ParamStore,
-        phi_store: Option<(&ParamStore, ParamId)>,
-        sents: I,
-        tags: &TagSet,
-    ) -> Vec<Vec<usize>>
-    where
-        I: IntoIterator<Item = &'a EncodedSentence>,
-    {
-        let ex = Infer::with_backend(backend);
+        let ex = Infer::new();
         let phi = phi_store.map(|(s, id)| ex.param(s, id));
         let ctx = self.task_ctx(&ex, theta, phi, tags);
         let (trans, start) = self.head_transitions(&ex, theta, tags);
@@ -544,13 +525,7 @@ impl Backbone {
         for sent in sents {
             let h = self.hidden_ctx(&ex, theta, &ctx, sent, &mut rng);
             let e = self.emissions_ctx(&ex, theta, &ctx, h, tags);
-            paths.push(crate::crf::viterbi_with(
-                backend,
-                &ex.value(e),
-                &trans,
-                &start,
-                tags,
-            ));
+            paths.push(crate::crf::viterbi(&ex.value(e), &trans, &start, tags));
             ex.reset_to(mark);
         }
         paths

@@ -17,7 +17,7 @@
 //!   (Table 5) requires exactly this property.
 
 use fewner_tensor::nn::Linear;
-use fewner_tensor::{Array, Exec, KernelBackend, ParamId, ParamStore, Var};
+use fewner_tensor::{Array, Exec, ParamId, ParamStore, Var};
 use fewner_text::{Tag, TagSet};
 use fewner_util::Rng;
 
@@ -127,90 +127,6 @@ pub fn viterbi(emissions: &Array, trans: &Array, start: &Array, tags: &TagSet) -
                 }
             }
             next[j] += emissions.at(t, j);
-        }
-        score = next;
-        back.push(ptr);
-    }
-
-    let mut best = 0usize;
-    for j in 1..n_tags {
-        if score[j] > score[best] {
-            best = j;
-        }
-    }
-    let mut path = vec![best; len];
-    for t in (1..len).rev() {
-        path[t - 1] = back[t - 1][path[t]];
-    }
-    path
-}
-
-/// [`viterbi`] with an explicit kernel backend.
-///
-/// The blocked variant walks the transition matrix row-major (i-outer) with
-/// the BIO constraint pre-resolved into a boolean mask, but keeps the
-/// scalar path's bracketing — `(score[i] + trans[i, j]) + FORBIDDEN` — and
-/// its first-max-wins tie rule (strict `>`, candidates visited in ascending
-/// `i`), so both backends return the identical path, bitwise. Pinned by the
-/// cross-backend decode tests.
-pub fn viterbi_with(
-    backend: KernelBackend,
-    emissions: &Array,
-    trans: &Array,
-    start: &Array,
-    tags: &TagSet,
-) -> Vec<usize> {
-    match backend {
-        KernelBackend::Scalar => viterbi(emissions, trans, start, tags),
-        KernelBackend::Blocked => viterbi_blocked(emissions, trans, start, tags),
-    }
-}
-
-#[allow(clippy::needless_range_loop)]
-fn viterbi_blocked(emissions: &Array, trans: &Array, start: &Array, tags: &TagSet) -> Vec<usize> {
-    let (len, n_tags) = emissions.shape();
-    assert_eq!(trans.shape(), (n_tags, n_tags));
-    assert!(len > 0);
-
-    // Resolve the tag-pair constraint once instead of per (t, i, j).
-    let allowed: Vec<bool> = (0..n_tags)
-        .flat_map(|i| (0..n_tags).map(move |j| tags.allowed(tags.tag(i), tags.tag(j))))
-        .collect();
-    let mut score: Vec<f32> = (0..n_tags)
-        .map(|j| {
-            let base = emissions.at(0, j) + start.at(0, j);
-            if tags.allowed_at_start(tags.tag(j)) {
-                base
-            } else {
-                base + FORBIDDEN
-            }
-        })
-        .collect();
-    let mut back: Vec<Vec<usize>> = Vec::with_capacity(len);
-
-    for t in 1..len {
-        let mut next = vec![f32::NEG_INFINITY; n_tags];
-        let mut ptr = vec![0usize; n_tags];
-        // i-outer keeps `trans` reads contiguous; updates still happen in
-        // ascending i for every j, which is what first-max-wins needs.
-        for i in 0..n_tags {
-            let si = score[i];
-            let tr = trans.row(i);
-            let mask = &allowed[i * n_tags..(i + 1) * n_tags];
-            for j in 0..n_tags {
-                let mut s = si + tr[j];
-                if !mask[j] {
-                    s += FORBIDDEN;
-                }
-                if s > next[j] {
-                    next[j] = s;
-                    ptr[j] = i;
-                }
-            }
-        }
-        let em = emissions.row(t);
-        for j in 0..n_tags {
-            next[j] += em[j];
         }
         score = next;
         back.push(ptr);
@@ -588,38 +504,15 @@ mod tests {
     }
 
     #[test]
-    fn viterbi_backends_agree_including_exact_score_ties() {
+    fn viterbi_breaks_exact_score_ties_to_the_first_candidate() {
+        // An all-zero lattice ties every valid path: strict `>` over
+        // ascending candidates keeps the lowest tag index at every step,
+        // so the decode is all `O`.
         let tags = TagSet::new(2).unwrap();
-        let mut rng = Rng::new(17);
-        for trial in 0..40 {
-            let emissions = Array::uniform(7, 5, -2.0, 2.0, &mut rng);
-            // Constant transitions/starts create massive score ties between
-            // label paths: the decoded path is then decided purely by the
-            // first-max-wins rule, which both backends must share.
-            let (trans, start) = if trial % 2 == 0 {
-                (
-                    Array::uniform(5, 5, -1.0, 1.0, &mut rng),
-                    Array::uniform(1, 5, -1.0, 1.0, &mut rng),
-                )
-            } else {
-                (Array::zeros(5, 5), Array::zeros(1, 5))
-            };
-            let scalar = viterbi_with(KernelBackend::Scalar, &emissions, &trans, &start, &tags);
-            let blocked = viterbi_with(KernelBackend::Blocked, &emissions, &trans, &start, &tags);
-            assert_eq!(scalar, blocked, "trial {trial}");
-            assert_eq!(
-                scalar,
-                viterbi(&emissions, &trans, &start, &tags),
-                "viterbi_with(Scalar) must be the plain scalar path"
-            );
-        }
-        // Fully tied emissions as well: every valid path scores identically.
         let emissions = Array::zeros(5, 5);
         let trans = Array::zeros(5, 5);
         let start = Array::zeros(1, 5);
-        let scalar = viterbi_with(KernelBackend::Scalar, &emissions, &trans, &start, &tags);
-        let blocked = viterbi_with(KernelBackend::Blocked, &emissions, &trans, &start, &tags);
-        assert_eq!(scalar, blocked, "all-tied lattice");
+        assert_eq!(viterbi(&emissions, &trans, &start, &tags), vec![0; 5]);
     }
 
     #[test]

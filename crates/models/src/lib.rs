@@ -26,7 +26,7 @@ pub mod protonet;
 pub mod snail;
 
 pub use backbone::{Backbone, BackboneConfig, Conditioning, EncoderKind, HeadKind};
-pub use crf::{crf_nll, viterbi, viterbi_with, CrfHead, DenseCrf, SlotSharedCrf};
+pub use crf::{crf_nll, viterbi, CrfHead, DenseCrf, SlotSharedCrf};
 pub use encoding::{EncodedSentence, TokenEncoder};
 pub use frozenlm::{FrozenLm, LmFlavor};
 pub use prep::{encode_batch, encode_task, LabeledSentence};

@@ -1,6 +1,7 @@
 //! Property-based tests on the CRF layers: information inequalities that
-//! must hold for any parameters, and consistency between the dense and
-//! slot-shared heads.
+//! must hold for any parameters, consistency between the dense and
+//! slot-shared heads, and `crf_nll` against brute-force enumeration of every
+//! label path in `f64`.
 
 use fewner_models::{crf_nll, viterbi, CrfHead, DenseCrf, SlotSharedCrf};
 use fewner_tensor::{Array, Graph, ParamStore};
@@ -170,6 +171,118 @@ proptest! {
             prop_assert!((e.at(r, 1) - e2.at(r, 3)).abs() < 1e-5); // B-0 <-> B-1
             prop_assert!((e.at(r, 2) - e2.at(r, 4)).abs() < 1e-5); // I-0 <-> I-1
             prop_assert!((e.at(r, 5) - e2.at(r, 5)).abs() < 1e-6); // B-2 fixed
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// crf_nll against brute-force path enumeration
+// ---------------------------------------------------------------------------
+
+/// Every label sequence of length `len` over `labels` labels.
+fn all_paths(len: usize, labels: usize) -> Vec<Vec<usize>> {
+    (0..labels.pow(len as u32))
+        .map(|mut code| {
+            (0..len)
+                .map(|_| {
+                    let y = code % labels;
+                    code /= labels;
+                    y
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// log Z by enumeration: the log-sum-exp of every path's score, in f64.
+fn brute_log_z(emissions: &Array, trans: &Array, start: &Array, paths: &[Vec<usize>]) -> f64 {
+    let scores: Vec<f64> = paths
+        .iter()
+        .map(|p| path_score(emissions, trans, start, p))
+        .collect();
+    let max = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    max + scores.iter().map(|s| (s - max).exp()).sum::<f64>().ln()
+}
+
+/// `crf_nll` on a fresh tape, with the potentials bound as parameters so the
+/// gradients can be inspected too.
+fn tape_nll(emissions: &Array, trans: &Array, start: &Array, gold: &[usize]) -> (f32, bool) {
+    let mut store = ParamStore::new();
+    let ids = [
+        store.add("e", emissions.clone()),
+        store.add("t", trans.clone()),
+        store.add("s", start.clone()),
+    ];
+    let g = Graph::new();
+    let [e, t, s] = ids.map(|id| g.param(&store, id));
+    let nll = crf_nll(&g, e, t, s, gold);
+    let grads = g.backward(nll).unwrap().for_store(&store);
+    // A one-token sentence never reads `trans`, so it gets no gradient.
+    let grads_finite = ids
+        .iter()
+        .all(|&id| grads.get(id).is_none_or(Array::all_finite));
+    (g.value(nll).scalar_value(), grads_finite)
+}
+
+const LOG_Z_TOL: f64 = 2e-4;
+
+/// With ≤ 4 labels and ≤ 6 tokens every path can be enumerated: for each
+/// gold path, `nll + score(gold)` is log Z, and the path probabilities
+/// `exp(−nll)` sum to one.
+#[test]
+fn crf_nll_matches_brute_force_enumeration() {
+    let mut seed = 0;
+    for len in 1..=6usize {
+        for labels in 1..=4usize {
+            seed += 1;
+            let emissions = Array::uniform(len, labels, -2.0, 2.0, &mut Rng::new(seed));
+            let trans = Array::uniform(labels, labels, -2.0, 2.0, &mut Rng::new(seed ^ 1));
+            let start = Array::uniform(1, labels, -2.0, 2.0, &mut Rng::new(seed ^ 2));
+            let paths = all_paths(len, labels);
+            let log_z = brute_log_z(&emissions, &trans, &start, &paths);
+            let mut total_p = 0.0f64;
+            for path in &paths {
+                let (nll, _) = tape_nll(&emissions, &trans, &start, path);
+                let got = nll as f64 + path_score(&emissions, &trans, &start, path);
+                assert!(
+                    (got - log_z).abs() < LOG_Z_TOL,
+                    "log Z via {path:?} (len {len}, {labels} labels): {got} vs brute {log_z}"
+                );
+                total_p += (-(nll as f64)).exp();
+            }
+            assert!(
+                (total_p - 1.0).abs() < 1e-3,
+                "path probabilities sum to {total_p} (len {len}, {labels} labels)"
+            );
+        }
+    }
+}
+
+/// Forbidden-strength potentials (the CRF heads add −1e4 to banned
+/// transitions) must not destabilise the loss: every path's NLL and
+/// gradients stay finite, and allowed paths still recover log Z.
+#[test]
+fn crf_nll_stays_finite_under_forbidden_potentials() {
+    let (len, labels) = (5, 4);
+    let emissions = Array::uniform(len, labels, -2.0, 2.0, &mut Rng::new(42));
+    let mut trans = Array::uniform(labels, labels, -2.0, 2.0, &mut Rng::new(43));
+    let mut start = Array::uniform(1, labels, -2.0, 2.0, &mut Rng::new(44));
+    *trans.at_mut(0, 1) += -1.0e4;
+    *trans.at_mut(3, 3) += -1.0e4;
+    *start.at_mut(0, 2) += -1.0e4;
+    let paths = all_paths(len, labels);
+    let log_z = brute_log_z(&emissions, &trans, &start, &paths);
+    for path in &paths {
+        let (nll, grads_finite) = tape_nll(&emissions, &trans, &start, path);
+        assert!(nll.is_finite(), "NLL of {path:?} is {nll}");
+        assert!(grads_finite, "non-finite gradient for {path:?}");
+        let score = path_score(&emissions, &trans, &start, path);
+        if score > -1.0e3 {
+            let got = nll as f64 + score;
+            assert!(
+                (got - log_z).abs() < LOG_Z_TOL,
+                "log Z via allowed {path:?}: {got} vs brute {log_z}"
+            );
         }
     }
 }

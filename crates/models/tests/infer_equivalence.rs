@@ -13,7 +13,7 @@ use fewner_models::{
     encode_task, Backbone, BackboneConfig, Conditioning, FrozenLm, HeadKind, LabeledSentence,
     ProtoNet, Snail, SnailConfig, TokenEncoder,
 };
-use fewner_tensor::{Array, Exec, Graph, Infer, KernelBackend, ParamStore};
+use fewner_tensor::{Array, Exec, Graph, Infer, ParamStore};
 use fewner_text::embed::EmbeddingSpec;
 use fewner_text::TagSet;
 use fewner_util::Rng;
@@ -168,44 +168,6 @@ proptest! {
                     "{conditioning:?} head {head:?}"
                 );
             }
-        }
-    }
-
-    /// Scalar and Blocked kernel backends decode identical paths for the
-    /// whole task — the end-to-end face of the kernel-equivalence contract
-    /// (`fewner_tensor::backend`): every forward kernel is bitwise-equal
-    /// across backends and Viterbi tie-breaking is pinned, so the decoded
-    /// label sequences cannot differ either.
-    #[test]
-    fn decode_task_identical_across_kernel_backends(seed in 0u64..500, head_ix in 0usize..2) {
-        let slot_shared = head_ix == 1;
-        let f = fixture(4);
-        let head = if slot_shared {
-            HeadKind::SlotShared { slot_dim: 6, max_slots: 8 }
-        } else {
-            HeadKind::Dense { n_ways: 3 }
-        };
-        for conditioning in CONDITIONINGS {
-            let mut store = ParamStore::new();
-            let mut rng = Rng::new(seed);
-            let bb = Backbone::new(
-                config(conditioning, EncoderKind::BiGru, head),
-                &f.enc,
-                &mut store,
-                &mut rng,
-            )
-            .unwrap();
-            let phi_ctx = (conditioning != Conditioning::None)
-                .then(|| random_phi(&bb, seed ^ 0x7A2B));
-            let phi = phi_ctx.as_ref().map(|(s, id)| (s, *id));
-            let sents: Vec<_> = f.query.iter().map(|(s, _)| s).collect();
-            let scalar = bb.decode_task_with(
-                KernelBackend::Scalar, &store, phi, sents.iter().copied(), &f.tags,
-            );
-            let blocked = bb.decode_task_with(
-                KernelBackend::Blocked, &store, phi, sents.iter().copied(), &f.tags,
-            );
-            prop_assert_eq!(scalar, blocked);
         }
     }
 

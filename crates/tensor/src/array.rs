@@ -280,31 +280,171 @@ impl Array {
     }
 }
 
-/// `out += a · b` (or `out = a · b` when `overwrite` is false means accumulate).
+/// Output tile width: the slice of an `out` row that one k-group updates
+/// stays resident in L1 across the unrolled loop.
+const J_TILE: usize = 128;
+
+/// `out += a · b` (`out = a · b` when `accumulate` is false).
 ///
-/// i–k–j loop order so the inner loop streams contiguously over both `b` and
-/// `out`, which the compiler auto-vectorises; at the matrix sizes used by the
-/// models here this is within a small factor of a tuned BLAS and avoids any
-/// unsafe code.
-pub(crate) fn matmul_into(a: &Array, b: &Array, out: &mut Array, accumulate: bool) {
+/// The one matmul behind [`Array::matmul`], the tape and the inference
+/// executor. It is i–k–j ordered, so the inner loop streams contiguously
+/// over `b` and `out`, and it is blocked three ways: row pairs share each
+/// streamed b-row, k is unrolled by 4 (pairs) or 8 (odd last row), and j
+/// is tiled by `J_TILE` columns. There is no `unsafe`: the lanes are
+/// pre-sliced so the compiler proves the bounds and auto-vectorises.
+///
+/// Every output element still sees the plain scalar loop's exact f32
+/// sequence, `((o + a₀b₀) + a₁b₁) + …` over ascending k, and an
+/// `a[i][k] == 0.0` coefficient is skipped, not added as `0.0 · b` (the two
+/// differ on a `-0.0` accumulator). `crates/tensor/tests/kernel_props.rs`
+/// checks it bitwise against that scalar loop.
+pub fn matmul_into(a: &Array, b: &Array, out: &mut Array, accumulate: bool) {
     debug_assert_eq!(a.cols, b.rows);
     debug_assert_eq!((out.rows, out.cols), (a.rows, b.cols));
     if !accumulate {
         out.fill_zero();
     }
     let n = b.cols;
-    for i in 0..a.rows {
-        let a_row = a.row(i);
-        let out_row = &mut out.data[i * n..(i + 1) * n];
-        for (k, &aik) in a_row.iter().enumerate() {
-            if aik == 0.0 {
-                continue;
+    let bd = &b.data;
+    let rows = a.rows;
+    let od = &mut out.data;
+    // Row pairs share the streamed b-rows and interleave two independent
+    // accumulation chains; each row's own f32 sequence is untouched.
+    let mut i = 0;
+    while i + 2 <= rows {
+        let (row0, row1) = od[i * n..(i + 2) * n].split_at_mut(n);
+        let (ar0, ar1) = (a.row(i), a.row(i + 1));
+        let dense_pair = !ar0.iter().chain(ar1).any(|&v| v == 0.0);
+        let mut j0 = 0;
+        while j0 < n {
+            let j1 = (j0 + J_TILE).min(n);
+            let ot0 = &mut row0[j0..j1];
+            let ot1 = &mut row1[j0..j1];
+            let mut c0 = ar0.chunks_exact(4);
+            let mut c1 = ar1.chunks_exact(4);
+            let mut k = 0;
+            if dense_pair {
+                // No zero anywhere in either a-row (the common case for
+                // trained dense weights): the per-group zero test is dead,
+                // so run the fused tile back-to-back.
+                for (q0, q1) in c0.by_ref().zip(c1.by_ref()) {
+                    mac_tile4_x2(ot0, ot1, q0, q1, bd, k, n, j0);
+                    k += 4;
+                }
+            } else {
+                for (q0, q1) in c0.by_ref().zip(c1.by_ref()) {
+                    if q0.iter().chain(q1).any(|&v| v == 0.0) {
+                        mac_tile_skip(ot0, q0, bd, k, n, j0);
+                        mac_tile_skip(ot1, q1, bd, k, n, j0);
+                    } else {
+                        mac_tile4_x2(ot0, ot1, q0, q1, bd, k, n, j0);
+                    }
+                    k += 4;
+                }
             }
-            let b_row = &b.data[k * n..(k + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += aik * bv;
-            }
+            mac_tile_skip(ot0, c0.remainder(), bd, k, n, j0);
+            mac_tile_skip(ot1, c1.remainder(), bd, k, n, j0);
+            j0 = j1;
         }
+        i += 2;
+    }
+    if i < rows {
+        let a_row = a.row(i);
+        let out_row = &mut od[i * n..(i + 1) * n];
+        let mut j0 = 0;
+        while j0 < n {
+            let j1 = (j0 + J_TILE).min(n);
+            let ot = &mut out_row[j0..j1];
+            let mut chunks = a_row.chunks_exact(8);
+            let mut k = 0;
+            for q in chunks.by_ref() {
+                // `contains` compares with `==`, so `-0.0` also takes the
+                // skip path, as in the scalar loop.
+                if q.contains(&0.0) {
+                    mac_tile_skip(ot, q, bd, k, n, j0);
+                } else {
+                    mac_tile8(ot, q, bd, k, n, j0);
+                }
+                k += 8;
+            }
+            mac_tile_skip(ot, chunks.remainder(), bd, k, n, j0);
+            j0 = j1;
+        }
+    }
+}
+
+/// One k-group of coefficients against one output tile, one k at a time,
+/// skipping zero coefficients (a skipped k contributes *nothing*, which is
+/// not the same as `+= 0.0 * b` when the running value is `-0.0`).
+fn mac_tile_skip(ot: &mut [f32], q: &[f32], bd: &[f32], k: usize, n: usize, j0: usize) {
+    let len = ot.len();
+    for (dk, &aik) in q.iter().enumerate() {
+        if aik == 0.0 {
+            continue;
+        }
+        let br = &bd[(k + dk) * n + j0..][..len];
+        for (o, &bv) in ot.iter_mut().zip(br) {
+            *o += aik * bv;
+        }
+    }
+}
+
+/// One zero-free k-group of exactly 8 coefficients against one output
+/// tile, left-associated: the same bracketing as eight successive `+=`
+/// passes over ascending k. Every operand is pre-sliced to `len`, so the
+/// inner loop is provably in bounds and vectorises.
+#[allow(clippy::needless_range_loop)]
+fn mac_tile8(ot: &mut [f32], q: &[f32], bd: &[f32], k: usize, n: usize, j0: usize) {
+    let len = ot.len();
+    let (a0, a1, a2, a3) = (q[0], q[1], q[2], q[3]);
+    let (a4, a5, a6, a7) = (q[4], q[5], q[6], q[7]);
+    let b0 = &bd[k * n + j0..][..len];
+    let b1 = &bd[(k + 1) * n + j0..][..len];
+    let b2 = &bd[(k + 2) * n + j0..][..len];
+    let b3 = &bd[(k + 3) * n + j0..][..len];
+    let b4 = &bd[(k + 4) * n + j0..][..len];
+    let b5 = &bd[(k + 5) * n + j0..][..len];
+    let b6 = &bd[(k + 6) * n + j0..][..len];
+    let b7 = &bd[(k + 7) * n + j0..][..len];
+    for j in 0..len {
+        ot[j] = (((((((ot[j] + a0 * b0[j]) + a1 * b1[j]) + a2 * b2[j]) + a3 * b3[j])
+            + a4 * b4[j])
+            + a5 * b5[j])
+            + a6 * b6[j])
+            + a7 * b7[j];
+    }
+}
+
+/// A zero-free k-group of exactly 4 coefficients fused over two output
+/// rows. The two accumulation chains are independent, which doubles the
+/// instruction-level parallelism of the dependent-add chain, and the four
+/// b-rows are loaded once for both. The group is 4 wide so the working set
+/// (8 coefficient splats, 4 b vectors, 2 accumulators) fits the 16 AVX
+/// registers. Each row's k-chain stays one left-associated sequence of
+/// `+=`s however it is cut, so the grouping does not change the result.
+#[inline(always)]
+#[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
+fn mac_tile4_x2(
+    ot0: &mut [f32],
+    ot1: &mut [f32],
+    q0: &[f32],
+    q1: &[f32],
+    bd: &[f32],
+    k: usize,
+    n: usize,
+    j0: usize,
+) {
+    let len = ot0.len();
+    let ot1 = &mut ot1[..len];
+    let (a00, a01, a02, a03) = (q0[0], q0[1], q0[2], q0[3]);
+    let (a10, a11, a12, a13) = (q1[0], q1[1], q1[2], q1[3]);
+    let b0 = &bd[k * n + j0..][..len];
+    let b1 = &bd[(k + 1) * n + j0..][..len];
+    let b2 = &bd[(k + 2) * n + j0..][..len];
+    let b3 = &bd[(k + 3) * n + j0..][..len];
+    for j in 0..len {
+        ot0[j] = (((ot0[j] + a00 * b0[j]) + a01 * b1[j]) + a02 * b2[j]) + a03 * b3[j];
+        ot1[j] = (((ot1[j] + a10 * b0[j]) + a11 * b1[j]) + a12 * b2[j]) + a13 * b3[j];
     }
 }
 

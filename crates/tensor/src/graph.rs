@@ -24,11 +24,9 @@ use std::sync::Arc;
 
 use fewner_util::{Error, Result, Rng};
 
-// The tape is deliberately pinned to the scalar kernels (never the blocked
-// backend): its forward *and* backward passes define the bit-exact tape
-// semantics that training, checkpointing and the sharded byte-compare all
-// depend on. The inference arena opts into the fast path instead; see
-// `crate::backend` for the equivalence contract.
+// The forward kernels are the ones `Infer` runs too, so both executors'
+// values are bitwise identical; the backward pass adds the transposed
+// matmuls and the broadcast reductions.
 use crate::array::{matmul_a_bt, matmul_at_b, matmul_into, Array};
 use crate::exec::{Exec, ExecMode};
 use crate::kernels;

@@ -14,12 +14,9 @@
 //! inference performs no per-sentence heap allocation for arena slots.
 //!
 //! Values are **bitwise identical** to the tape's forward pass: both
-//! executors evaluate the same op vocabulary over kernels that
-//! zero-initialise matmul accumulators the same way, and every kernel the
-//! selected [`KernelBackend`] dispatches on this forward path is bitwise
-//! equal to the scalar oracle the tape runs (see [`crate::backend`]).
-//! [`Infer::new`] picks the process default (`FEWNER_KERNELS`, normally
-//! the blocked fast path); [`Infer::with_backend`] pins one explicitly.
+//! executors evaluate the same op vocabulary by calling the same kernels
+//! ([`crate::kernels`] and [`crate::array::matmul_into`]), and both
+//! zero-initialise matmul accumulators the same way.
 //!
 //! `Infer` has no gradient surface — there is no `backward` to call:
 //!
@@ -36,8 +33,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::array::Array;
-use crate::backend::KernelBackend;
+use crate::array::{matmul_into, Array};
 use crate::exec::{Exec, ExecMode, Var};
 use crate::kernels;
 use crate::params::{ParamId, ParamStore};
@@ -104,7 +100,6 @@ pub struct Infer {
     pool: RefCell<Vec<Vec<f32>>>,
     bound: RefCell<HashMap<ParamId, Var>>,
     stats: Cell<InferStats>,
-    backend: KernelBackend,
 }
 
 impl Default for Infer {
@@ -123,26 +118,14 @@ impl Drop for Infer {
 }
 
 impl Infer {
-    /// Creates an empty arena on the process-default kernel backend
-    /// (`FEWNER_KERNELS`, normally the blocked fast path).
+    /// Creates an empty arena.
     pub fn new() -> Infer {
-        Infer::with_backend(KernelBackend::from_env())
-    }
-
-    /// Creates an empty arena pinned to an explicit kernel backend.
-    pub fn with_backend(backend: KernelBackend) -> Infer {
         Infer {
             slots: RefCell::new(Vec::with_capacity(256)),
             pool: RefCell::new(Vec::new()),
             bound: RefCell::new(HashMap::new()),
             stats: Cell::new(InferStats::default()),
-            backend,
         }
-    }
-
-    /// The kernel backend this executor dispatches to.
-    pub fn backend(&self) -> KernelBackend {
-        self.backend
     }
 
     /// This executor's buffer-pool statistics so far.
@@ -238,7 +221,7 @@ impl Infer {
         let (x, y) = (slots[a.0].array(), slots[b.0].array());
         let (r, c) = kernels::broadcast_shape(x.shape(), y.shape(), op);
         let mut out = self.alloc(r, c);
-        self.backend.bcast_zip_into(x, y, &mut out, f);
+        kernels::bcast_zip_into(x, y, &mut out, f);
         out
     }
 }
@@ -322,7 +305,7 @@ impl Exec for Infer {
                 sa.0, sa.1, sb.0, sb.1
             );
             let mut out = self.alloc(sa.0, sb.1);
-            self.backend.matmul_into(x, y, &mut out, true);
+            matmul_into(x, y, &mut out, true);
             out
         };
         self.push(out)
@@ -475,14 +458,12 @@ impl Exec for Infer {
     }
 
     fn col_max(&self, a: Var) -> Var {
-        let (value, _arg) = self.backend.max_cols(self.slots.borrow()[a.0].array());
+        let (value, _arg) = kernels::max_cols(self.slots.borrow()[a.0].array());
         self.push(value)
     }
 
     fn col_lse(&self, a: Var) -> Var {
-        let value = self
-            .backend
-            .logsumexp_cols(self.slots.borrow()[a.0].array());
+        let value = kernels::logsumexp_cols(self.slots.borrow()[a.0].array());
         self.push(value)
     }
 
@@ -494,14 +475,12 @@ impl Exec for Infer {
     }
 
     fn log_softmax_rows(&self, a: Var) -> Var {
-        let value = self
-            .backend
-            .log_softmax_rows(self.slots.borrow()[a.0].array());
+        let value = kernels::log_softmax_rows(self.slots.borrow()[a.0].array());
         self.push(value)
     }
 
     fn softmax_rows(&self, a: Var) -> Var {
-        let value = self.backend.softmax_rows(self.slots.borrow()[a.0].array());
+        let value = kernels::softmax_rows(self.slots.borrow()[a.0].array());
         self.push(value)
     }
 

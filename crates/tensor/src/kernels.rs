@@ -1,8 +1,11 @@
-//! Pure array math used by the graph's forward and backward passes.
+//! Pure array math used by both executors.
 //!
 //! These functions know nothing about autodiff; they implement broadcasting,
-//! reductions and numerically-stable log-space primitives on [`Array`]s. The
-//! graph in [`crate::graph`] composes them into differentiable operations.
+//! reductions and numerically-stable log-space primitives on [`Array`]s.
+//! Each op has exactly one implementation: the tape in [`crate::graph`]
+//! composes them into differentiable operations, and [`crate::infer`] calls
+//! the same functions, so the two executors' forward values are bitwise
+//! identical. (The matmul kernels live in [`crate::array`].)
 
 use crate::array::Array;
 
@@ -188,83 +191,6 @@ pub fn unfold_backward(grad: &Array, k: usize, src_shape: (usize, usize), into: 
             }
         }
     }
-}
-
-/// Log-space CRF forward lattice (the α recursion of the paper's Eq. 4).
-///
-/// `alpha[0][j] = emissions[0][j] + start[0][j]` and
-/// `alpha[t][j] = lse_i(alpha[t-1][i] + trans[i][j]) + emissions[t][j]`;
-/// returns the full `[T, L]` lattice, so `log Z = lse_j(alpha[T-1][j])`.
-///
-/// The floating-point bracketing deliberately mirrors the graph-composed
-/// recursion in `fewner-models` (`col_lse` of `alphaᵀ + trans`, then `+`
-/// the emission row), so the fused kernel is bitwise interchangeable with
-/// the op-by-op tape evaluation.
-pub fn crf_forward_lattice(emissions: &Array, trans: &Array, start: &Array) -> Array {
-    let (len, l) = emissions.shape();
-    assert!(len > 0, "crf_forward_lattice: empty sequence");
-    assert_eq!(trans.shape(), (l, l), "crf_forward_lattice: trans shape");
-    assert_eq!(start.shape(), (1, l), "crf_forward_lattice: start shape");
-    let mut alpha = Array::zeros(len, l);
-    for j in 0..l {
-        *alpha.at_mut(0, j) = emissions.at(0, j) + start.at(0, j);
-    }
-    for t in 1..len {
-        for j in 0..l {
-            let mut max = f32::NEG_INFINITY;
-            for i in 0..l {
-                max = max.max(alpha.at(t - 1, i) + trans.at(i, j));
-            }
-            let lse = if max == f32::NEG_INFINITY {
-                f32::NEG_INFINITY
-            } else {
-                let mut sum = 0.0f32;
-                for i in 0..l {
-                    sum += (alpha.at(t - 1, i) + trans.at(i, j) - max).exp();
-                }
-                max + sum.ln()
-            };
-            *alpha.at_mut(t, j) = lse + emissions.at(t, j);
-        }
-    }
-    alpha
-}
-
-/// Log-space CRF backward lattice: `beta[T-1][j] = 0` and
-/// `beta[t][i] = lse_j(trans[i][j] + (emissions[t+1][j] + beta[t+1][j]))`.
-///
-/// Together with [`crf_forward_lattice`], per-position marginals are
-/// `alpha[t][j] + beta[t][j] − log Z`. The inner bracketing (the emission
-/// and beta terms are combined first, once per step) is part of the kernel
-/// contract: the blocked backend reproduces it exactly.
-pub fn crf_backward_lattice(emissions: &Array, trans: &Array) -> Array {
-    let (len, l) = emissions.shape();
-    assert!(len > 0, "crf_backward_lattice: empty sequence");
-    assert_eq!(trans.shape(), (l, l), "crf_backward_lattice: trans shape");
-    let mut beta = Array::zeros(len, l);
-    let mut eb = vec![0.0f32; l];
-    for t in (0..len.saturating_sub(1)).rev() {
-        for (j, e) in eb.iter_mut().enumerate() {
-            *e = emissions.at(t + 1, j) + beta.at(t + 1, j);
-        }
-        for i in 0..l {
-            let mut max = f32::NEG_INFINITY;
-            for (j, &e) in eb.iter().enumerate() {
-                max = max.max(trans.at(i, j) + e);
-            }
-            let lse = if max == f32::NEG_INFINITY {
-                f32::NEG_INFINITY
-            } else {
-                let mut sum = 0.0f32;
-                for (j, &e) in eb.iter().enumerate() {
-                    sum += (trans.at(i, j) + e - max).exp();
-                }
-                max + sum.ln()
-            };
-            *beta.at_mut(t, i) = lse;
-        }
-    }
-    beta
 }
 
 /// Column-wise max with argmax indices: `[r, c] → ([1, c], argmax rows)`.

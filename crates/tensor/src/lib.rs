@@ -6,7 +6,10 @@
 //! everything the paper's models need and nothing more:
 //!
 //! * [`Array`] — dense row-major matrices with the handful of BLAS-like
-//!   kernels the models are hot on ([`mod@array`]).
+//!   kernels the models are hot on ([`mod@array`]); the cache-blocked
+//!   [`array::matmul_into`] is the one matmul both executors run.
+//! * [`kernels`] — broadcasting, reductions and log-space primitives. Each
+//!   op has one implementation, shared by both executors.
 //! * [`Exec`] — the executor trait: the op vocabulary models are written
 //!   against once, evaluated by two interchangeable executors whose forward
 //!   values are bitwise identical ([`exec`]).
@@ -18,10 +21,6 @@
 //! * [`Infer`] — the gradient-free executor: the same ops evaluated into a
 //!   reusable scratch-buffer arena with no tape and no gradient surface,
 //!   for the post-adaptation query sweep and serving ([`infer`]).
-//! * [`KernelBackend`] — selects between the scalar oracle kernels and
-//!   blocked/vectorized rewrites for the inference path; the tape always
-//!   runs scalar, and the blocked forward kernels are bitwise identical
-//!   by construction ([`backend`]).
 //! * [`ParamStore`]/[`ParamGrads`] — named parameter stores. FEWNER's split
 //!   between task-independent θ and task-specific φ is expressed as two
 //!   stores bound into the same graph, with gradients routed per store
@@ -52,7 +51,6 @@
 #![warn(missing_docs)]
 
 pub mod array;
-pub mod backend;
 pub mod exec;
 pub mod graph;
 pub mod infer;
@@ -62,7 +60,6 @@ pub mod optim;
 pub mod params;
 
 pub use array::Array;
-pub use backend::KernelBackend;
 pub use exec::{Exec, ExecMode, Var};
 pub use graph::{Gradients, Graph};
 pub use infer::{global_stats as infer_global_stats, Infer, InferStats};

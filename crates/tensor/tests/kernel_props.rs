@@ -1,26 +1,24 @@
-//! Kernel-equivalence and algebraic property suite.
+//! Kernel property suite.
 //!
 //! Two layers of guarantees are pinned here:
 //!
-//! 1. **Algebraic laws** of the scalar oracle kernels themselves —
-//!    broadcast-shape laws, log-sum-exp against a naive shifted-sum oracle
-//!    (computed in `f64`), the unfold/unfold-backward adjoint, and
-//!    `reduce_into` against transposed brute force.
-//! 2. **Backend equivalence** — every kernel dispatched by
-//!    [`KernelBackend`] must produce *bitwise identical* results on
-//!    `Scalar` and `Blocked`, except `matmul_a_bt`, whose 8-lane tree
-//!    reduction is held to an explicit ULP budget instead (it only runs on
-//!    the tape's backward path, which is pinned to `Scalar`).
+//! 1. **Algebraic laws** of the kernels — broadcast-shape laws, log-sum-exp
+//!    against a naive shifted-sum oracle (computed in `f64`), the
+//!    unfold/unfold-backward adjoint, `reduce_into` against transposed
+//!    brute force, and first-max-wins ties in `max_cols`.
+//! 2. **The blocked matmul against the scalar loop** — `matmul_into` is
+//!    the one kernel with a cache-blocked body, and it must produce
+//!    *bitwise identical* results to the plain i–k–j loop kept below as
+//!    the test oracle, zero-skip included.
 //!
-//! The tolerance taxonomy (bitwise / ULP-bounded / F1-bounded) is
-//! documented in DESIGN.md §5h.
+//! The tolerance tiers (bitwise / F1-bounded) are documented in DESIGN.md
+//! §5h.
 
+use fewner_tensor::array::matmul_into;
 use fewner_tensor::kernels;
-use fewner_tensor::{Array, KernelBackend};
+use fewner_tensor::Array;
 use fewner_util::Rng;
 use proptest::prelude::*;
-
-const BACKENDS: [KernelBackend; 2] = [KernelBackend::Scalar, KernelBackend::Blocked];
 
 fn rand_array(rows: usize, cols: usize, seed: u64) -> Array {
     let mut rng = Rng::new(seed);
@@ -28,8 +26,9 @@ fn rand_array(rows: usize, cols: usize, seed: u64) -> Array {
 }
 
 /// Like [`rand_array`] but with exact zeros sprinkled in, to exercise the
-/// scalar matmul's zero-skip path (skipping vs adding `0.0` differs on
-/// `-0.0` accumulators, so the blocked kernel must skip identically).
+/// matmul's zero-skip path (skipping vs adding `0.0` differs on `-0.0`
+/// accumulators, so the blocked kernel must skip exactly where the scalar
+/// loop does).
 fn rand_array_with_zeros(rows: usize, cols: usize, seed: u64) -> Array {
     let mut rng = Rng::new(seed);
     let mut a = Array::uniform(rows, cols, -2.0, 2.0, &mut rng);
@@ -53,7 +52,7 @@ fn assert_bitwise(a: &Array, b: &Array, what: &str) {
 }
 
 // ---------------------------------------------------------------------------
-// 1. Algebraic laws of the scalar oracle
+// 1. Algebraic laws
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -204,7 +203,7 @@ proptest! {
 
 /// All-`-inf` columns must come out as `-inf`, not NaN (`-inf - -inf` would
 /// poison a naive implementation), in every kernel that reduces in
-/// log-space — on both backends.
+/// log-space.
 #[test]
 fn all_neg_inf_inputs_stay_neg_inf() {
     let mut a = Array::zeros(4, 3);
@@ -213,13 +212,11 @@ fn all_neg_inf_inputs_stay_neg_inf() {
     }
     // One finite column to prove the guard is per-column.
     *a.at_mut(0, 1) = 1.5;
-    for backend in BACKENDS {
-        let lse = backend.logsumexp_cols(&a);
-        assert_eq!(lse.at(0, 0), f32::NEG_INFINITY, "{}", backend.name());
-        assert!(lse.at(0, 1).is_finite(), "{}", backend.name());
-        assert_eq!(lse.at(0, 2), f32::NEG_INFINITY, "{}", backend.name());
-        assert!(!lse.data().iter().any(|v| v.is_nan()), "{}", backend.name());
-    }
+    let lse = kernels::logsumexp_cols(&a);
+    assert_eq!(lse.at(0, 0), f32::NEG_INFINITY);
+    assert!(lse.at(0, 1).is_finite());
+    assert_eq!(lse.at(0, 2), f32::NEG_INFINITY);
+    assert!(!lse.data().iter().any(|v| v.is_nan()));
     assert_eq!(
         kernels::logsumexp_all(&a.map(|_| f32::NEG_INFINITY)),
         f32::NEG_INFINITY
@@ -227,140 +224,96 @@ fn all_neg_inf_inputs_stay_neg_inf() {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Scalar vs Blocked backend equivalence
+// 2. Blocked matmul vs the scalar loop
 // ---------------------------------------------------------------------------
+
+/// The test oracle: the plain i–k–j matmul the blocked kernel replaced.
+/// `a[i][k] == 0.0` skips the k entirely (adds nothing, not `0.0 · b`).
+fn matmul_oracle(a: &Array, b: &Array, out: &mut Array, accumulate: bool) {
+    if !accumulate {
+        out.fill_zero();
+    }
+    for i in 0..a.rows() {
+        for (k, &aik) in a.row(i).iter().enumerate() {
+            if aik == 0.0 {
+                continue;
+            }
+            for (j, &bv) in b.row(k).iter().enumerate() {
+                *out.at_mut(i, j) += aik * bv;
+            }
+        }
+    }
+}
+
+fn assert_matmul_matches_oracle(a: &Array, b: &Array, base: &Array, accumulate: bool) {
+    let mut want = base.clone();
+    matmul_oracle(a, b, &mut want, accumulate);
+    let mut got = base.clone();
+    matmul_into(a, b, &mut got, accumulate);
+    let what = format!(
+        "matmul [{}, {}] x [{}, {}] (accumulate {accumulate})",
+        a.rows(),
+        a.cols(),
+        b.rows(),
+        b.cols()
+    );
+    assert_bitwise(&got, &want, &what);
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `matmul_into` (both fresh and accumulating) and `matmul_at_b` are
-    /// bitwise identical across backends over randomized shapes, including
-    /// inputs with exact zeros (the zero-skip path).
+    /// `matmul_into`, fresh and accumulating, is bitwise identical to the
+    /// scalar loop over randomized shapes, on dense inputs (the fused
+    /// row-pair fast path) and on inputs with exact zeros (the zero-skip
+    /// path).
     #[test]
-    fn matmul_kernels_bitwise_equal(
+    fn matmul_into_is_bitwise_equal_to_the_scalar_loop(
         seed in 0u64..10_000, m in 1usize..12, k in 1usize..20, n in 1usize..12,
     ) {
-        let a = rand_array_with_zeros(m, k, seed);
         let b = rand_array_with_zeros(k, n, seed ^ 41);
-        for accumulate in [false, true] {
-            let mut outs = Vec::new();
-            for backend in BACKENDS {
-                let mut out = rand_array(m, n, seed ^ 42); // same non-zero base
-                backend.matmul_into(&a, &b, &mut out, accumulate);
-                outs.push(out);
-            }
-            assert_bitwise(&outs[0], &outs[1], "matmul_into");
-        }
-
-        // aᵀ·b: a is [k, m]-shaped input reduced over its rows.
-        let at = rand_array_with_zeros(k, m, seed ^ 43);
-        let mut outs = Vec::new();
-        for backend in BACKENDS {
-            let mut out = Array::zeros(m, n);
-            backend.matmul_at_b(&at, &b, &mut out);
-            outs.push(out);
-        }
-        assert_bitwise(&outs[0], &outs[1], "matmul_at_b");
-    }
-
-    /// `matmul_a_bt` reassociates (8 partial lanes + tree reduction), so it
-    /// carries an explicit error budget instead of bitwise equality. The
-    /// budget is in ULPs *of the accumulated magnitude* `Σ|aᵢ·bᵢ|`, not of
-    /// the (possibly cancelled-to-tiny) result — reassociation error scales
-    /// with what was summed, not with what survived cancellation.
-    #[test]
-    fn matmul_a_bt_within_ulp_budget(
-        seed in 0u64..10_000, m in 1usize..10, k in 1usize..33, n in 1usize..10,
-    ) {
-        let a = rand_array(m, k, seed);
-        let bt = rand_array(n, k, seed ^ 51);
-        let mut outs = Vec::new();
-        for backend in BACKENDS {
-            let mut out = Array::zeros(m, n);
-            backend.matmul_a_bt(&a, &bt, &mut out);
-            outs.push(out);
-        }
-        for i in 0..m {
-            for j in 0..n {
-                let magnitude: f64 = (0..k)
-                    .map(|p| (a.at(i, p) as f64 * bt.at(j, p) as f64).abs())
-                    .sum();
-                // ≤ 2·k rounding steps of ≤ ½ ULP each, ULP measured at the
-                // running magnitude; k ≤ 32 keeps this ≪ the budget below.
-                let budget = 64.0 * f32::EPSILON as f64 * magnitude.max(f32::MIN_POSITIVE as f64);
-                let (x, y) = (outs[0].at(i, j), outs[1].at(i, j));
-                let err = (x as f64 - y as f64).abs();
-                prop_assert!(err <= budget, "[{i},{j}]: {x} vs {y}, err {err} > budget {budget}");
+        let base = rand_array(m, n, seed ^ 42); // a non-zero accumulator
+        for a in [rand_array(m, k, seed), rand_array_with_zeros(m, k, seed)] {
+            for accumulate in [false, true] {
+                assert_matmul_matches_oracle(&a, &b, &base, accumulate);
             }
         }
     }
+}
 
-    /// Elementwise broadcast, reduction, log-space and argmax kernels are
-    /// bitwise identical across backends for every broadcast configuration.
-    #[test]
-    fn pointwise_and_reduction_kernels_bitwise_equal(
-        seed in 0u64..10_000, r in 1usize..9, c in 1usize..9,
-    ) {
-        let a = rand_array(r, c, seed);
-        for (i, &(br, bc)) in [(r, c), (1, c), (r, 1), (1, 1)].iter().enumerate() {
-            let b = rand_array(br, bc, seed ^ (60 + i as u64));
-            let mut outs = Vec::new();
-            for backend in BACKENDS {
-                let mut out = Array::zeros(r, c);
-                backend.bcast_zip_into(&a, &b, &mut out, |x, y| x + y);
-                outs.push(out);
-            }
-            assert_bitwise(&outs[0], &outs[1], "bcast_zip_into");
-
-            // reduce_into in the opposite direction: [r, c] → (br, bc).
-            let mut outs = Vec::new();
-            for backend in BACKENDS {
-                let mut into = rand_array(br, bc, seed ^ 70);
-                backend.reduce_into(&a, &mut into);
-                outs.push(into);
-            }
-            assert_bitwise(&outs[0], &outs[1], "reduce_into");
-        }
-
-        assert_bitwise(
-            &KernelBackend::Scalar.logsumexp_cols(&a),
-            &KernelBackend::Blocked.logsumexp_cols(&a),
-            "logsumexp_cols",
-        );
-        assert_bitwise(
-            &KernelBackend::Scalar.log_softmax_rows(&a),
-            &KernelBackend::Blocked.log_softmax_rows(&a),
-            "log_softmax_rows",
-        );
-        assert_bitwise(
-            &KernelBackend::Scalar.softmax_rows(&a),
-            &KernelBackend::Blocked.softmax_rows(&a),
-            "softmax_rows",
-        );
-        let (sv, si) = KernelBackend::Scalar.max_cols(&a);
-        let (bv, bi) = KernelBackend::Blocked.max_cols(&a);
-        assert_bitwise(&sv, &bv, "max_cols values");
-        assert_eq!(si, bi, "max_cols argmax");
+/// Shapes that straddle the k unroll (k % 4 ≠ 0, k % 8 ≠ 0), the odd last
+/// row and the 128-wide output tile.
+#[test]
+fn matmul_into_is_bitwise_equal_on_awkward_shapes() {
+    let mut rng = Rng::new(21);
+    for &(m, k, n) in &[
+        (1usize, 1usize, 1usize),
+        (3, 7, 5),
+        (5, 9, 130),
+        (2, 130, 3),
+        (1, 17, 260),
+    ] {
+        let a = Array::uniform(m, k, -1.0, 1.0, &mut rng);
+        let b = Array::uniform(k, n, -1.0, 1.0, &mut rng);
+        let base = Array::uniform(m, n, -1.0, 1.0, &mut rng);
+        assert_matmul_matches_oracle(&a, &b, &base, true);
     }
+}
 
-    /// The CRF lattice kernels are bitwise identical across backends.
-    #[test]
-    fn crf_lattice_kernels_bitwise_equal(
-        seed in 0u64..10_000, t in 1usize..8, l in 1usize..6,
-    ) {
-        let emissions = rand_array(t, l, seed);
-        let trans = rand_array(l, l, seed ^ 81);
-        let start = rand_array(1, l, seed ^ 82);
-        assert_bitwise(
-            &KernelBackend::Scalar.crf_forward_lattice(&emissions, &trans, &start),
-            &KernelBackend::Blocked.crf_forward_lattice(&emissions, &trans, &start),
-            "crf_forward_lattice",
-        );
-        assert_bitwise(
-            &KernelBackend::Scalar.crf_backward_lattice(&emissions, &trans),
-            &KernelBackend::Blocked.crf_backward_lattice(&emissions, &trans),
-            "crf_backward_lattice",
-        );
+/// A `-0.0` accumulator must stay `-0.0` when every a-coefficient is zero:
+/// the k is skipped, and `-0.0 + 0.0 · b` would give `+0.0`.
+#[test]
+fn matmul_into_preserves_the_zero_skip() {
+    let b = Array::from_vec(4, 1, vec![1.0, 2.0, 3.0, 4.0]);
+    for a in [
+        Array::from_vec(1, 4, vec![0.0; 4]),
+        Array::from_vec(2, 4, vec![0.0, -0.0, 0.0, 0.0, 0.0, 0.0, -0.0, 0.0]),
+    ] {
+        let mut out = Array::full(a.rows(), 1, -0.0);
+        matmul_into(&a, &b, &mut out, true);
+        for v in out.data() {
+            assert_eq!(v.to_bits(), (-0.0f32).to_bits());
+        }
     }
 }
 
@@ -368,11 +321,12 @@ proptest! {
 // 3. Argmax tie-breaking (Viterbi determinism)
 // ---------------------------------------------------------------------------
 
-/// `max_cols` must break ties by the *first* (lowest-index) row, on both
-/// backends: Viterbi backpointers go through this argmax, so a tie broken
-/// differently would silently change decoded paths between backends.
+/// `max_cols` must break ties by the *first* (lowest-index) row: the
+/// backward of the tape's `col_max` (the char-CNN max-pool) routes the
+/// gradient to that row, so a tie broken differently would silently change
+/// training bytes.
 #[test]
-fn max_cols_ties_break_to_the_first_row_on_both_backends() {
+fn max_cols_ties_break_to_the_first_row() {
     // Column 0: exact tie between rows 0 and 2; column 1: tie between rows
     // 1 and 3; column 2: all-equal; column 3: -0.0 vs +0.0 (compares
     // equal, so the first row must win too).
@@ -386,23 +340,11 @@ fn max_cols_ties_break_to_the_first_row_on_both_backends() {
             1.0, 9.0, 7.0, -2.0,
         ],
     );
-    for backend in BACKENDS {
-        let (vals, args) = backend.max_cols(&a);
-        assert_eq!(args, vec![0, 1, 0, 0], "{} argmax", backend.name());
-        assert_eq!(
-            vals.data(),
-            &[5.0, 9.0, 7.0, -0.0],
-            "{} values",
-            backend.name()
-        );
-        // The -0.0 winner keeps its sign bit: the *row-0 value* is taken.
-        assert_eq!(
-            vals.at(0, 3).to_bits(),
-            (-0.0f32).to_bits(),
-            "{}",
-            backend.name()
-        );
-    }
+    let (vals, args) = kernels::max_cols(&a);
+    assert_eq!(args, vec![0, 1, 0, 0], "argmax");
+    assert_eq!(vals.data(), &[5.0, 9.0, 7.0, -0.0], "values");
+    // The -0.0 winner keeps its sign bit: the *row-0 value* is taken.
+    assert_eq!(vals.at(0, 3).to_bits(), (-0.0f32).to_bits());
 }
 
 /// Randomized tie pinning: planting duplicates of the column max at random
@@ -425,11 +367,8 @@ fn max_cols_first_max_wins_under_random_duplication() {
             }
             let dup = rng.below(r);
             *a.at_mut(dup, j) = max;
-            let want = arg.min(dup);
-            for backend in BACKENDS {
-                let (_, args) = backend.max_cols(&a);
-                assert_eq!(args[j], want, "{} column {j}", backend.name());
-            }
+            let (_, args) = kernels::max_cols(&a);
+            assert_eq!(args[j], arg.min(dup), "column {j}");
         }
     }
 }

@@ -38,7 +38,7 @@ pub const USAGE: &str =
     --iterations <N>       meta-iterations (default 300)
     --episodes <N>         evaluation episodes (default 50)
     --threads <N>          meta-gradient worker threads, 0 = all cores
-                           (default 1; FEWNER_THREADS overrides)
+                           (default 1)
   train only:
     --checkpoint-every <N> write a full training snapshot every N iterations
                            (rolling, newest two kept; default 0 = off)

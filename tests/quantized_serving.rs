@@ -1,12 +1,12 @@
 //! End-to-end F1-delta tolerance suite for quantized θ serving.
 //!
-//! The kernel-equivalence harness guarantees bitwise-identical decoding
-//! across kernel backends; quantized weights (`--weights f16|i8`) are the
-//! one deliberately *lossy* serving configuration, so their contract is an
-//! F1 budget instead: a meta-trained model evaluated with f16- or
-//! i8-rounded θ must score within a pinned delta of the f32 baseline on
-//! held-out episodes. The budgets here (and the bitwise/ULP tiers) are
-//! documented in DESIGN.md §5h.
+//! Decoding is otherwise pinned bitwise (one kernel per op, shared by the
+//! tape and `Infer`); quantized weights (`--weights f16|i8`) are the one
+//! deliberately *lossy* serving configuration, so their contract is an F1
+//! budget instead: a meta-trained model evaluated with f16- or i8-rounded θ
+//! must score within a pinned delta of the f32 baseline on held-out
+//! episodes. The budgets here (and the bitwise tier) are documented in
+//! DESIGN.md §5h.
 
 use fewner::core::Checkpoint;
 use fewner::prelude::*;
