@@ -40,9 +40,14 @@ use fewner_util::{Error, FromJson, Json, Result, ToJson};
 use crate::learner::TaskOutcome;
 
 /// One shard's fold of a reduce-tree node: the gradient and loss sums over
-/// tasks `lo..hi` of a meta-batch. Serialisable, so it can cross a process
-/// boundary as a FEWNERD1-framed payload (f32 values survive bit-exactly,
-/// see [`fewner_util::json`]).
+/// tasks `lo..hi` of a meta-batch.
+///
+/// On the shard wire a partial travels as a JSON header entry
+/// `{lo, hi, loss_sum}` plus its gradients in the frame's binary body
+/// ([`ParamGrads::encode_into`]); see [`crate::shard`]. The JSON impls
+/// below are not used by the wire any more. They stay for tools that
+/// replay the exchange as text, and f32 values survive them bit-exactly
+/// too (see [`fewner_util::json`]).
 #[derive(Debug, Clone)]
 pub struct GradPartial {
     /// First task index covered (inclusive).
@@ -200,7 +205,9 @@ impl GradReduce {
     ///
     /// The partials must tile `0..n_tasks` exactly, each covering a tree
     /// node; gaps, overlaps, or off-tree ranges are an error, never a
-    /// silently wrong sum.
+    /// silently wrong sum. Their gradients must share one layout (slot
+    /// count and shapes); partials from differently built learners are an
+    /// [`Error::ShapeMismatch`], not a panic.
     pub fn merge(&self, mut partials: Vec<GradPartial>) -> Result<(f32, ParamGrads)> {
         partials.sort_by_key(|p| p.lo);
         let mut expect = 0;
@@ -224,6 +231,7 @@ impl GradReduce {
                 self.n_tasks
             )));
         }
+        ParamGrads::check_same_layout(partials.iter().map(|p| &p.grads), "GradReduce::merge")?;
         // Fold sibling pairs bottom-up. The additions performed are exactly
         // the internal tree nodes above the partial boundaries, each as
         // left + right, so the discovery order cannot change the bits.
@@ -275,7 +283,8 @@ mod tests {
     fn outcome(store: &ParamStore, seed: u64) -> TaskOutcome {
         let mut rng = fewner_util::Rng::new(seed);
         let mut grads = ParamGrads::zeros_like(store);
-        let g = Array::from_vec(1, 3, (0..3).map(|_| rng.normal()).collect());
+        let (rows, cols) = store.value_at(0).shape();
+        let g = Array::from_vec(rows, cols, (0..rows * cols).map(|_| rng.normal()).collect());
         grads.accumulate(0, &g);
         TaskOutcome {
             loss: rng.normal(),
@@ -383,5 +392,37 @@ mod tests {
         // Overlap.
         let err = plan.merge(vec![part(0, 2), part(0, 2), part(2, 2)]);
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn merge_rejects_partials_of_different_layouts() {
+        // Workers built with different θ layouts send gradients that
+        // cannot be summed: a different shape in one slot, or a different
+        // slot count. Both are an error, never the assert inside `axpy`.
+        let plan = GradReduce::new(2).unwrap();
+        let mut narrow = ParamStore::new();
+        narrow.add("w", Array::zeros(1, 3));
+        let mut wide = ParamStore::new();
+        wide.add("w", Array::zeros(1, 4));
+        let mut longer = ParamStore::new();
+        longer.add("w", Array::zeros(1, 3));
+        longer.add("b", Array::zeros(1, 1));
+        for other in [&wide, &longer] {
+            let left = plan.partial(0, batch(&narrow, 1)).unwrap();
+            let mut right = plan.partial(1, batch(other, 1)).unwrap();
+            // Decoded wire gradients all carry the same (zero) store id.
+            right.grads.retag(left.grads.store_id());
+            let err = plan.merge(vec![left, right]).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    Error::ShapeMismatch {
+                        op: "GradReduce::merge",
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+        }
     }
 }

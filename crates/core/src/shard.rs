@@ -9,17 +9,29 @@
 //! ([`GradReduce::shard_ranges`]). Each round:
 //!
 //! 1. every worker folds its ranges into [`GradPartial`]s and sends them
-//!    to the coordinator as FEWNERD1-framed JSON over TCP,
+//!    to the coordinator in one FEWNERD1 CRC frame over TCP,
 //! 2. the coordinator merges the partials along the remaining top of the
-//!    tree ([`GradReduce::merge`]) and broadcasts the reduced
-//!    `(loss, gradients)` back,
+//!    tree ([`GradReduce::merge`]), encodes the reduced gradient once and
+//!    broadcasts `(loss, gradients)` back,
 //! 3. every worker applies the identical broadcast bytes to its replica
 //!    of θ.
 //!
-//! Because f32 values cross the wire bit-exactly (see
-//! [`fewner_util::json`]) and the reduction shape is fixed, the final
-//! checkpoint is byte-identical to a serial or threaded run of the same
-//! schedule.
+//! Because f32 values cross the wire bit-exactly and the reduction shape is
+//! fixed, the final checkpoint is byte-identical to a serial or threaded
+//! run of the same schedule.
+//!
+//! # Frames
+//!
+//! Every frame's payload has one layout: a `u32` little-endian header
+//! length, a JSON header, then a binary body. Control messages (`hello`,
+//! `start`, `compute`, `resend`, `done`, `abort` and a `skip` broadcast)
+//! have an empty body. A `partial` header lists `{lo, hi, loss_sum}` per
+//! part and its body holds the parts' gradients in that order; an `apply`
+//! `reduce` header carries `loss` and the worker's `ranges`, and its body
+//! holds the merged gradient. Gradient bodies use the row-sparse binary
+//! encoding of [`ParamGrads::encode_into`], which keeps every f32 bit
+//! pattern; `loss_sum` and `loss` are JSON f32s, which are bit-exact too
+//! (see [`fewner_util::json`]).
 //!
 //! # Fault tolerance
 //!
@@ -63,21 +75,11 @@ const MAX_PAYLOAD: usize = 1 << 28;
 /// connection is declared broken.
 pub const MAX_RETRANSMITS: usize = 3;
 
-/// Default per-read deadline on shard sockets, overridable with the
-/// `FEWNER_SHARD_TIMEOUT_MS` environment variable.
-const DEFAULT_TIMEOUT_MS: u64 = 60_000;
+/// Per-read deadline on shard sockets once rounds start.
+const ROUND_TIMEOUT: Duration = Duration::from_millis(60_000);
 
 /// Budget for the whole rendezvous (bind/connect/hello/start).
 const CONNECT_TIMEOUT_MS: u64 = 30_000;
-
-fn round_timeout() -> Duration {
-    let ms = std::env::var("FEWNER_SHARD_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_TIMEOUT_MS);
-    Duration::from_millis(ms)
-}
 
 /// An [`Error::Io`] on the shard wire.
 fn wire_io(detail: impl Into<String>) -> Error {
@@ -120,6 +122,48 @@ fn ranges_from_json(json: &Json) -> Result<Vec<Range<usize>>> {
     }
     ranges.sort_by_key(|r| r.start);
     Ok(ranges)
+}
+
+/// One shard message: its JSON header and its binary body (empty for
+/// control messages).
+struct Msg {
+    head: Json,
+    body: Vec<u8>,
+}
+
+/// Frames `head` and `body` as one shard payload: the header's length as
+/// a `u32` LE, the header, then the body.
+fn frame_msg(head: &Json, body: &[u8]) -> Vec<u8> {
+    let head = head.to_string();
+    let head_len = u32::try_from(head.len()).expect("a shard header is far below 4 GiB");
+    let mut payload = Vec::with_capacity(4 + head.len() + body.len());
+    payload.extend_from_slice(&head_len.to_le_bytes());
+    payload.extend_from_slice(head.as_bytes());
+    payload.extend_from_slice(body);
+    durable::frame(&payload)
+}
+
+/// Splits a verified frame payload back into header and body.
+fn parse_msg(mut payload: Vec<u8>) -> Result<Msg> {
+    let end = payload
+        .get(..4)
+        .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize)
+        .and_then(|len| len.checked_add(4))
+        .filter(|&end| end <= payload.len())
+        .ok_or_else(|| Error::Serde("shard payload is shorter than its header".into()))?;
+    let body = payload.split_off(end);
+    let text = std::str::from_utf8(&payload[4..])
+        .map_err(|e| Error::Serde(format!("non-UTF-8 shard header: {e}")))?;
+    Ok(Msg {
+        head: Json::parse(text)?,
+        body,
+    })
+}
+
+/// Decodes the `count` gradient sets of a frame body, capped at the
+/// elements a whole frame could carry.
+fn decode_grads(body: &[u8], count: usize) -> Result<Vec<ParamGrads>> {
+    ParamGrads::decode_all(body, count, MAX_PAYLOAD / 4)
 }
 
 /// Applies an injected frame fault to clean framed bytes. The header ends
@@ -192,9 +236,10 @@ impl FrameConn {
             .map_err(|e| wire_io(format!("send: {e}")))
     }
 
-    /// Frames and sends `msg`, retaining the clean frame for retransmits.
-    fn send(&mut self, msg: &Json) -> Result<()> {
-        let framed = durable::frame(msg.to_string().as_bytes());
+    /// Frames and sends a message, retaining the clean frame for
+    /// retransmits.
+    fn send(&mut self, head: &Json, body: &[u8]) -> Result<()> {
+        let framed = frame_msg(head, body);
         self.write_raw(&framed)?;
         self.last_sent = framed;
         Ok(())
@@ -212,15 +257,13 @@ impl FrameConn {
     }
 
     /// Receives the next whole message, handling retransmits both ways.
-    fn recv(&mut self) -> Result<Json> {
+    fn recv(&mut self) -> Result<Msg> {
         let mut corrupt = 0usize;
         loop {
             match durable::read_wire_frame(&mut self.stream, MAX_PAYLOAD)? {
                 WireFrame::Frame(payload) => {
-                    let text = String::from_utf8(payload)
-                        .map_err(|e| Error::Serde(format!("non-UTF-8 shard frame: {e}")))?;
-                    let msg = Json::parse(&text)?;
-                    if msg_type(&msg)? == "resend" {
+                    let msg = parse_msg(payload)?;
+                    if msg_type(&msg.head)? == "resend" {
                         self.retransmit()?;
                         continue;
                     }
@@ -234,11 +277,7 @@ impl FrameConn {
                         )));
                     }
                     self.resends_requested += 1;
-                    self.write_raw(&durable::frame(
-                        obj(vec![("type", Json::from("resend"))])
-                            .to_string()
-                            .as_bytes(),
-                    ))?;
+                    self.write_raw(&frame_msg(&obj(vec![("type", Json::from("resend"))]), &[]))?;
                 }
                 WireFrame::Eof => return Err(wire_io("peer closed the connection")),
                 WireFrame::Truncated(detail) => {
@@ -318,7 +357,7 @@ impl ShardCoordinator {
                     ("detail", Json::from(e.to_string())),
                 ]);
                 for link in &mut links {
-                    let _ = link.conn.send(&abort);
+                    let _ = link.conn.send(&abort, &[]);
                 }
                 return Err(e);
             }
@@ -333,8 +372,8 @@ impl ShardCoordinator {
                 ("iteration", Json::from(iteration)),
                 ("ranges", ranges_to_json(&link.ranges)),
             ]);
-            link.conn.send(&start)?;
-            link.conn.set_timeout(round_timeout())?;
+            link.conn.send(&start, &[])?;
+            link.conn.set_timeout(ROUND_TIMEOUT)?;
         }
 
         let mut report = CoordinatorReport::default();
@@ -396,7 +435,7 @@ impl ShardCoordinator {
                 ]);
                 let outcome = target
                     .conn
-                    .send(&compute)
+                    .send(&compute, &[])
                     .and_then(|()| Self::recv_partial(&mut target.conn, iteration));
                 match outcome {
                     Ok(Some((ok, parts))) => {
@@ -433,15 +472,18 @@ impl ShardCoordinator {
                     }
                 }
             }
-            // Reduce phase: merge and broadcast (or broadcast a skip).
+            // Reduce phase: merge, encode once and broadcast the same body
+            // to every worker (or broadcast a skip with an empty body).
             let all_finite = partials.iter().all(|(_, ok, _)| *ok);
-            let (result, loss, grads_json) = if all_finite {
+            let (result, loss, body) = if all_finite {
                 let parts: Vec<GradPartial> =
                     partials.into_iter().flat_map(|(_, _, p)| p).collect();
                 let (loss, grads) = plan.merge(parts)?;
-                ("apply", loss, grads.to_json())
+                let mut body = Vec::new();
+                grads.encode_into(&mut body);
+                ("apply", loss, body)
             } else {
-                ("skip", 0.0, Json::Null)
+                ("skip", 0.0, Vec::new())
             };
             round_span.set("result", result);
             for link in links.iter_mut().filter(|l| l.live) {
@@ -450,10 +492,9 @@ impl ShardCoordinator {
                     ("iteration", Json::from(iteration)),
                     ("result", Json::from(result)),
                     ("loss", Json::from(loss)),
-                    ("grads", grads_json.clone()),
                     ("ranges", ranges_to_json(&link.ranges)),
                 ]);
-                if link.conn.send(&reduce).is_err() {
+                if link.conn.send(&reduce, &body).is_err() {
                     // Its partial already folded into this round; the wire
                     // died on the way back. Next round reassigns its ranges.
                     link.live = false;
@@ -519,7 +560,7 @@ impl ShardCoordinator {
         let mut start: Option<usize> = None;
         let mut seen = vec![false; self.shards];
         for link in links.iter_mut() {
-            let hello = link.conn.recv()?;
+            let hello = link.conn.recv()?.head;
             if msg_type(&hello)? != "hello" {
                 return Err(Error::Serde("expected a shard hello".into()));
             }
@@ -572,25 +613,34 @@ impl ShardCoordinator {
         conn: &mut FrameConn,
         iteration: usize,
     ) -> Result<Option<(bool, Vec<GradPartial>)>> {
-        let msg = conn.recv()?;
-        match msg_type(&msg)? {
+        let Msg { head, body } = conn.recv()?;
+        match msg_type(&head)? {
             "done" => Ok(None),
             "partial" => {
-                let at = msg.field("iteration")?.as_usize()?;
+                let at = head.field("iteration")?.as_usize()?;
                 if at != iteration {
                     return Err(wire_io(format!(
                         "worker is at round {at}, coordinator at {iteration}"
                     )));
                 }
-                let ok = match msg.field("status")?.as_str()? {
+                let ok = match head.field("status")?.as_str()? {
                     "ok" => true,
                     "non_finite" => false,
                     other => return Err(Error::Serde(format!("unknown partial status `{other}`"))),
                 };
-                let mut parts = Vec::new();
-                for part in msg.field("parts")?.as_arr()? {
-                    parts.push(GradPartial::from_json(part)?);
-                }
+                let heads = head.field("parts")?.as_arr()?;
+                let parts = heads
+                    .iter()
+                    .zip(decode_grads(&body, heads.len())?)
+                    .map(|(part, grads)| {
+                        Ok(GradPartial {
+                            lo: part.field("lo")?.as_usize()?,
+                            hi: part.field("hi")?.as_usize()?,
+                            loss_sum: part.field("loss_sum")?.as_f32()?,
+                            grads,
+                        })
+                    })
+                    .collect::<Result<Vec<_>>>()?;
                 Ok(Some((ok, parts)))
             }
             other => Err(Error::Serde(format!(
@@ -661,14 +711,15 @@ impl ShardSession {
         fault::set_thread_shard(Some(cfg.shard_id as u64));
         let mut conn = FrameConn::new(stream);
         conn.set_timeout(Duration::from_millis(CONNECT_TIMEOUT_MS))?;
-        conn.send(&obj(vec![
+        let hello = obj(vec![
             ("type", Json::from("hello")),
             ("shard", Json::from(cfg.shard_id)),
             ("shards", Json::from(cfg.shards)),
             ("start_iteration", Json::from(start_iteration)),
             ("fingerprint", fingerprint.to_json()),
-        ]))?;
-        let start = conn.recv()?;
+        ]);
+        conn.send(&hello, &[])?;
+        let start = conn.recv()?.head;
         match msg_type(&start)? {
             "start" => {}
             "abort" => {
@@ -685,7 +736,7 @@ impl ShardSession {
                 "coordinator starts at round {at}, this worker at {start_iteration}"
             )));
         }
-        conn.set_timeout(round_timeout())?;
+        conn.set_timeout(ROUND_TIMEOUT)?;
         Ok(ShardSession {
             conn,
             shard: cfg.shard_id,
@@ -739,10 +790,10 @@ impl ShardSession {
             eprintln!("fewner: injected fault: shard {} dies", self.shard);
             std::process::abort();
         }
-        self.send_partial(ok, parts)?;
+        self.send_partial(ok, &parts)?;
 
         loop {
-            let msg = self.conn.recv()?;
+            let Msg { head: msg, body } = self.conn.recv()?;
             match msg_type(&msg)? {
                 "compute" => {
                     let at = msg.field("iteration")?.as_usize()?;
@@ -755,7 +806,7 @@ impl ShardSession {
                     let extra = ranges_from_json(msg.field("ranges")?)?;
                     tracer.incr("shard/reassigned_to_me", task_count(&extra));
                     let (ok, parts) = self.fold_ranges(learner, tasks, enc, step_seed, &extra)?;
-                    self.send_partial(ok, parts)?;
+                    self.send_partial(ok, &parts)?;
                 }
                 "reduce" => {
                     let at = msg.field("iteration")?.as_usize()?;
@@ -776,7 +827,7 @@ impl ShardSession {
                         }
                         "apply" => {
                             let loss = msg.field("loss")?.as_f32()?;
-                            let mut grads = ParamGrads::from_json(msg.field("grads")?)?;
+                            let mut grads = decode_grads(&body, 1)?.remove(0);
                             let store = self.store.ok_or_else(|| {
                                 Error::InvalidConfig(
                                     "reduce before any local fold: no parameter store to bind"
@@ -844,21 +895,32 @@ impl ShardSession {
     /// Sends this round's partial, applying any armed frame fault. The
     /// retransmit buffer always holds the *clean* frame, so a requested
     /// resend heals an injected corruption.
-    fn send_partial(&mut self, ok: bool, parts: Vec<GradPartial>) -> Result<()> {
-        let msg = obj(vec![
+    fn send_partial(&mut self, ok: bool, parts: &[GradPartial]) -> Result<()> {
+        let part_heads = parts
+            .iter()
+            .map(|p| {
+                obj(vec![
+                    ("lo", Json::from(p.lo)),
+                    ("hi", Json::from(p.hi)),
+                    ("loss_sum", Json::from(p.loss_sum)),
+                ])
+            })
+            .collect();
+        let head = obj(vec![
             ("type", Json::from("partial")),
             ("iteration", Json::from(self.iteration)),
             ("shard", Json::from(self.shard)),
             ("status", Json::from(if ok { "ok" } else { "non_finite" })),
-            (
-                "parts",
-                Json::Arr(parts.iter().map(|p| p.to_json()).collect()),
-            ),
+            ("parts", Json::Arr(part_heads)),
         ]);
+        let mut body = Vec::new();
+        for p in parts {
+            p.grads.encode_into(&mut body);
+        }
         match fault::shard_frame_fault() {
-            None => self.conn.send(&msg),
+            None => self.conn.send(&head, &body),
             Some(fault::ShardFrameFault::ConnDrop) => {
-                let clean = durable::frame(msg.to_string().as_bytes());
+                let clean = frame_msg(&head, &body);
                 let half = mangle(&clean, fault::ShardFrameFault::ConnDrop);
                 let _ = self.conn.write_raw(&half);
                 let _ = self.conn.stream.shutdown(Shutdown::Both);
@@ -868,7 +930,7 @@ impl ShardSession {
                 )))
             }
             Some(kind) => {
-                let clean = durable::frame(msg.to_string().as_bytes());
+                let clean = frame_msg(&head, &body);
                 self.conn.write_raw(&mangle(&clean, kind))?;
                 self.conn.last_sent = clean;
                 Ok(())
@@ -883,9 +945,7 @@ impl Drop for ShardSession {
         // schedule from a dead worker. On broken connections this is a
         // silent no-op.
         let done = obj(vec![("type", Json::from("done"))]);
-        let _ = self
-            .conn
-            .write_raw(&durable::frame(done.to_string().as_bytes()));
+        let _ = self.conn.write_raw(&frame_msg(&done, &[]));
         let _ = self.conn.stream.shutdown(Shutdown::Both);
         fault::set_thread_shard(None);
     }

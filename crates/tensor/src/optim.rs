@@ -93,8 +93,11 @@ impl Sgd {
     }
 
     /// Applies one update. Rejects non-finite gradients rather than
-    /// poisoning the parameters.
+    /// poisoning the parameters, and gradients that do not match the
+    /// parameters' layout with [`Error::ShapeMismatch`]; on either error
+    /// the parameters and the optimizer state are left unchanged.
     pub fn step(&mut self, params: &mut ParamStore, grads: &ParamGrads) -> Result<()> {
+        grads.check_matches(params, "Sgd::step")?;
         if !grads.all_finite() {
             return Err(Error::NonFinite {
                 context: "SGD gradients".to_string(),
@@ -204,8 +207,11 @@ impl Adam {
         self.v = saved.v.clone();
     }
 
-    /// Applies one update.
+    /// Applies one update. Non-finite gradients and gradients that do not
+    /// match the parameters' layout ([`Error::ShapeMismatch`]) are rejected
+    /// before the parameters or the optimizer state change.
     pub fn step(&mut self, params: &mut ParamStore, grads: &ParamGrads) -> Result<()> {
+        grads.check_matches(params, "Adam::step")?;
         if !grads.all_finite() {
             return Err(Error::NonFinite {
                 context: "Adam gradients".to_string(),
@@ -387,6 +393,62 @@ mod tests {
         let mut adam = Adam::new(0.1);
         assert!(adam.step(&mut params, &grads).is_err());
         assert_eq!(params.value_at(0).scalar_value(), 1.5);
+    }
+
+    #[test]
+    fn mismatched_gradients_are_an_error_and_change_nothing() {
+        let mut params = ParamStore::new();
+        let id = params.add("w", Array::from_vec(1, 2, vec![1.5, -0.5]));
+        let mut good = ParamGrads::zeros_like(&params);
+        good.accumulate(id.index(), &Array::from_vec(1, 2, vec![0.25, 1.0]));
+        // Gradients of a differently built store: a wrong shape in the
+        // one slot, and one slot too many.
+        let mut other = ParamStore::new();
+        other.add("w", Array::zeros(1, 3));
+        let mut wrong_shape = ParamGrads::zeros_like(&other);
+        wrong_shape.accumulate(0, &Array::from_vec(1, 3, vec![1.0, 2.0, 3.0]));
+        other.add("b", Array::zeros(1, 1));
+        let wrong_count = ParamGrads::zeros_like(&other);
+
+        let theta = |p: &ParamStore| -> Vec<u32> {
+            p.value_at(0).data().iter().map(|x| x.to_bits()).collect()
+        };
+        let mut sgd = Sgd::new(0.1).with_momentum(0.9);
+        let mut adam = Adam::new(0.05).with_clip(2.0);
+        sgd.step(&mut params, &good).unwrap();
+        adam.step(&mut params, &good).unwrap();
+        let (before, sgd_state, adam_state) = (
+            theta(&params),
+            sgd.to_saved().to_json().to_string(),
+            adam.to_saved().to_json().to_string(),
+        );
+        for bad in [&wrong_shape, &wrong_count] {
+            let err = sgd.step(&mut params, bad).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    Error::ShapeMismatch {
+                        op: "Sgd::step",
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+            let err = adam.step(&mut params, bad).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    Error::ShapeMismatch {
+                        op: "Adam::step",
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+            assert_eq!(theta(&params), before, "θ must be untouched");
+            assert_eq!(sgd.to_saved().to_json().to_string(), sgd_state);
+            assert_eq!(adam.to_saved().to_json().to_string(), adam_state);
+        }
     }
 
     #[test]

@@ -876,13 +876,288 @@ impl ParamGrads {
     /// Store ids are per-process, so gradients that cross a process
     /// boundary (the sharded-training exchange) arrive untagged and must
     /// be rebound to the receiver's own store before they can be applied.
-    /// The caller vouches that the slot layout matches — which holds
-    /// whenever both sides built the same learner from the same
-    /// [`RunFingerprint`]-checked configuration.
-    ///
-    /// [`RunFingerprint`]: https://docs.rs/fewner-core
+    /// The slot layout is not vouched for by the id: the optimizers check
+    /// it ([`ParamGrads::check_matches`]) before they touch a parameter.
     pub fn retag(&mut self, store: u64) {
         self.store = store;
+    }
+
+    /// Checks that `all` can be summed: every accumulator has the same slot
+    /// count, and the present arrays of each slot share one shape.
+    /// [`ParamGrads::add_assign`] asserts this; gradients that come from
+    /// another process are checked first, so a mismatched peer is an
+    /// [`Error::ShapeMismatch`] instead of a panic.
+    pub fn check_same_layout<'a>(
+        all: impl IntoIterator<Item = &'a ParamGrads>,
+        op: &'static str,
+    ) -> Result<()> {
+        let mut all = all.into_iter();
+        let Some(first) = all.next() else {
+            return Ok(());
+        };
+        let mut shapes: Vec<Option<(usize, usize)>> = first
+            .grads
+            .iter()
+            .map(|g| g.as_ref().map(Array::shape))
+            .collect();
+        for g in all {
+            if g.grads.len() != shapes.len() {
+                return Err(Error::ShapeMismatch {
+                    op,
+                    detail: format!(
+                        "gradients with {} and {} slots",
+                        shapes.len(),
+                        g.grads.len()
+                    ),
+                });
+            }
+            for (i, (slot, seen)) in g.grads.iter().zip(&mut shapes).enumerate() {
+                let Some(shape) = slot.as_ref().map(Array::shape) else {
+                    continue;
+                };
+                match seen {
+                    Some(s) if *s != shape => {
+                        return Err(Error::ShapeMismatch {
+                            op,
+                            detail: format!("slot {i}: gradients shaped {s:?} and {shape:?}"),
+                        })
+                    }
+                    _ => *seen = Some(shape),
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks these gradients against the parameters they would update:
+    /// one slot per parameter, every present gradient shaped like its
+    /// parameter. The optimizers call this before they mutate anything.
+    pub fn check_matches(&self, params: &ParamStore, op: &'static str) -> Result<()> {
+        if self.grads.len() != params.len() {
+            return Err(Error::ShapeMismatch {
+                op,
+                detail: format!(
+                    "{} gradient slots for {} parameters",
+                    self.grads.len(),
+                    params.len()
+                ),
+            });
+        }
+        for (i, g) in self.grads.iter().enumerate() {
+            let Some(g) = g else { continue };
+            let want = params.value_at(i).shape();
+            if g.shape() != want {
+                return Err(Error::ShapeMismatch {
+                    op,
+                    detail: format!(
+                        "parameter `{}`: gradient {:?}, parameter {want:?}",
+                        params.name_at(i),
+                        g.shape()
+                    ),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Appends the binary encoding of these gradients to `out`: the body of
+    /// the shard wire's `partial` and `reduce` frames.
+    ///
+    /// Every integer is a little-endian `u32`. First the slot count, then
+    /// per slot a one-byte tag:
+    ///
+    /// * `0`, absent: nothing follows.
+    /// * `1`, dense: rows, cols, then `rows·cols` raw f32 bit patterns.
+    /// * `2`, row-sparse: rows, cols, the number of kept rows, then for
+    ///   each kept row its index (strictly increasing) and its `cols` bit
+    ///   patterns.
+    ///
+    /// A row is left out only when every bit of it is zero (+0.0), and the
+    /// sparse form is used only when it is smaller than the dense one.
+    /// [`ParamGrads::decode_all`] therefore rebuilds every array bit for
+    /// bit, −0.0 and NaN payloads included. As in the JSON form, the store
+    /// id is not encoded.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        put_u32(out, self.grads.len());
+        for slot in &self.grads {
+            let Some(a) = slot else {
+                out.push(TAG_ABSENT);
+                continue;
+            };
+            let (rows, cols) = a.shape();
+            let kept: Vec<usize> = (0..rows)
+                .filter(|&r| a.row(r).iter().any(|x| x.to_bits() != 0))
+                .collect();
+            let sparse = 4 + kept.len() * (4 + 4 * cols) < 4 * rows * cols;
+            out.push(if sparse { TAG_ROW_SPARSE } else { TAG_DENSE });
+            put_u32(out, rows);
+            put_u32(out, cols);
+            if sparse {
+                put_u32(out, kept.len());
+                for r in kept {
+                    put_u32(out, r);
+                    put_f32s(out, a.row(r));
+                }
+            } else {
+                put_f32s(out, a.data());
+            }
+        }
+    }
+
+    /// Decodes exactly `count` gradient sets laid end to end in `bytes`, as
+    /// [`ParamGrads::encode_into`] wrote them. The result carries store id
+    /// 0 until [`ParamGrads::retag`] rebinds it.
+    ///
+    /// Never panics: any byte string gives `Ok` or [`Error::Serde`]. It
+    /// rejects truncation, an unknown tag, a row index that is out of range
+    /// or not strictly increasing, trailing bytes, and shapes whose
+    /// elements add up to more than `max_elements` over all `count` sets.
+    /// Every declared size is checked against that cap and against the
+    /// bytes left before anything is allocated.
+    pub fn decode_all(bytes: &[u8], count: usize, max_elements: usize) -> Result<Vec<ParamGrads>> {
+        // Each set starts with its 4-byte slot count.
+        if count > bytes.len() / 4 {
+            return Err(wire_err(format!(
+                "{count} gradient sets cannot fit in {} bytes",
+                bytes.len()
+            )));
+        }
+        let mut reader = GradReader {
+            bytes,
+            budget: max_elements,
+        };
+        let mut out = Vec::with_capacity(count);
+        for _ in 0..count {
+            out.push(reader.grads()?);
+        }
+        if !reader.bytes.is_empty() {
+            return Err(wire_err(format!(
+                "{} trailing bytes after {count} gradient sets",
+                reader.bytes.len()
+            )));
+        }
+        Ok(out)
+    }
+}
+
+const TAG_ABSENT: u8 = 0;
+const TAG_DENSE: u8 = 1;
+const TAG_ROW_SPARSE: u8 = 2;
+
+fn put_u32(out: &mut Vec<u8>, n: usize) {
+    let n = u32::try_from(n).expect("gradient dimensions fit the encoding's u32 fields");
+    out.extend_from_slice(&n.to_le_bytes());
+}
+
+fn put_f32s(out: &mut Vec<u8>, xs: &[f32]) {
+    out.reserve(4 * xs.len());
+    for x in xs {
+        out.extend_from_slice(&x.to_bits().to_le_bytes());
+    }
+}
+
+fn wire_err(detail: String) -> Error {
+    Error::Serde(format!("binary gradients: {detail}"))
+}
+
+/// Cursor over an encoded gradient body; `budget` is the number of f32
+/// elements still allowed.
+struct GradReader<'a> {
+    bytes: &'a [u8],
+    budget: usize,
+}
+
+impl<'a> GradReader<'a> {
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
+        if n > self.bytes.len() {
+            return Err(wire_err(format!(
+                "truncated {what}: {n} bytes needed, {} left",
+                self.bytes.len()
+            )));
+        }
+        let (head, rest) = self.bytes.split_at(n);
+        self.bytes = rest;
+        Ok(head)
+    }
+
+    fn u32(&mut self, what: &str) -> Result<usize> {
+        let b = self.take(4, what)?;
+        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize)
+    }
+
+    fn f32s_into(&mut self, dst: &mut [f32]) -> Result<()> {
+        let b = self.take(4 * dst.len(), "values")?;
+        for (d, c) in dst.iter_mut().zip(b.chunks_exact(4)) {
+            *d = f32::from_bits(u32::from_le_bytes([c[0], c[1], c[2], c[3]]));
+        }
+        Ok(())
+    }
+
+    /// Fails unless `n` more bytes are left (checked before allocating).
+    fn need(&self, n: Option<usize>, what: &str) -> Result<()> {
+        match n {
+            Some(n) if n <= self.bytes.len() => Ok(()),
+            _ => Err(wire_err(format!(
+                "truncated {what}: {} bytes left",
+                self.bytes.len()
+            ))),
+        }
+    }
+
+    fn grads(&mut self) -> Result<ParamGrads> {
+        let slots = self.u32("slot count")?;
+        // Every slot holds at least its tag byte.
+        self.need(Some(slots), "slot tags")?;
+        let mut grads = Vec::with_capacity(slots);
+        for i in 0..slots {
+            let tag = self.take(1, "slot tag")?[0];
+            if tag == TAG_ABSENT {
+                grads.push(None);
+                continue;
+            }
+            if tag != TAG_DENSE && tag != TAG_ROW_SPARSE {
+                return Err(wire_err(format!("slot {i} has unknown tag {tag}")));
+            }
+            let rows = self.u32("rows")?;
+            let cols = self.u32("cols")?;
+            let len = rows.checked_mul(cols).filter(|&n| n <= self.budget);
+            let Some(len) = len else {
+                return Err(wire_err(format!(
+                    "slot {i}: shape [{rows}, {cols}] exceeds the remaining {}-element cap",
+                    self.budget
+                )));
+            };
+            self.budget -= len;
+            let data = if tag == TAG_DENSE {
+                self.need(len.checked_mul(4), "dense slot")?;
+                let mut data = vec![0.0; len];
+                self.f32s_into(&mut data)?;
+                data
+            } else {
+                let kept = self.u32("kept-row count")?;
+                if kept > rows {
+                    return Err(wire_err(format!("slot {i} keeps {kept} of {rows} rows")));
+                }
+                let row_bytes = cols.checked_mul(4).and_then(|n| n.checked_add(4));
+                self.need(row_bytes.and_then(|n| n.checked_mul(kept)), "sparse slot")?;
+                let mut data = vec![0.0; len];
+                let mut next = 0;
+                for _ in 0..kept {
+                    let r = self.u32("row index")?;
+                    if r < next || r >= rows {
+                        return Err(wire_err(format!(
+                            "slot {i}: row index {r} is out of range or order \
+                             (expected {next}..{rows})"
+                        )));
+                    }
+                    next = r + 1;
+                    self.f32s_into(&mut data[r * cols..next * cols])?;
+                }
+                data
+            };
+            grads.push(Some(Array::from_vec(rows, cols, data)));
+        }
+        Ok(ParamGrads { store: 0, grads })
     }
 }
 
@@ -890,6 +1165,10 @@ impl ParamGrads {
 /// serialised (it is meaningless outside this process) — deserialised
 /// accumulators carry id 0 until [`ParamGrads::retag`] rebinds them.
 /// `f32` values survive bit-exactly (see [`fewner_util::json`]).
+///
+/// The shard wire no longer uses this form: it sends the binary encoding
+/// of [`ParamGrads::encode_into`]. The JSON form stays for tools that
+/// replay or inspect gradients as text.
 impl ToJson for ParamGrads {
     fn to_json(&self) -> Json {
         Json::Arr(

@@ -16,7 +16,8 @@
 //! Every run is deterministic given its flags; profiles are the six paper
 //! datasets plus the ACE sub-domains (`ace-bc`, `ace-bn`, …). Flag names are
 //! shared across subcommands (`--model`, `--trace`, `--seed` always mean the
-//! same thing) and defined once in [`fewner::cli`].
+//! same thing) and defined once in [`fewner::cli`]; a flag a subcommand does
+//! not take, or a value that does not parse, fails the run.
 
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -24,8 +25,8 @@ use std::net::TcpListener;
 use std::process::ExitCode;
 
 use fewner::cli::{
-    backbone, build_encoder, flag, meta, parse_args, profile, split_counts, split_for, weights,
-    USAGE,
+    backbone, build_encoder, check_flags, flag, meta, opt_flag, parse_args, profile, split_counts,
+    split_for, weights, USAGE,
 };
 use fewner::core::Checkpoint;
 use fewner::corpus::CorpusSource;
@@ -49,20 +50,21 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let result = match command.as_str() {
-        "corpus" => cmd_corpus(&flags),
-        "train" => cmd_train(&flags),
-        "train-sharded" => cmd_train_sharded(&flags),
-        "evaluate" => cmd_evaluate(&flags),
-        "demo" => cmd_demo(&flags),
-        "predict" => cmd_predict(&flags),
-        "serve" => cmd_serve(&flags),
+    type Command = fn(&HashMap<String, String>) -> fewner::Result<()>;
+    let run: Command = match command.as_str() {
+        "corpus" => cmd_corpus,
+        "train" => cmd_train,
+        "train-sharded" => cmd_train_sharded,
+        "evaluate" => cmd_evaluate,
+        "demo" => cmd_demo,
+        "predict" => cmd_predict,
+        "serve" => cmd_serve,
         _ => {
             eprintln!("unknown command `{command}`\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
-    match result {
+    match check_flags(&command, &flags).and_then(|()| run(&flags)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -88,7 +90,7 @@ fn load_model(
     enc: &TokenEncoder,
     what: &str,
 ) -> fewner::Result<Fewner> {
-    let Some(path) = flags.get("model") else {
+    let Some(path) = flags.get("model").or_else(|| flags.get("out")) else {
         return Err(fewner::Error::InvalidConfig(format!(
             "{what} requires --model <checkpoint>"
         )));
@@ -108,7 +110,7 @@ fn load_model(
 
 fn cmd_corpus(flags: &HashMap<String, String>) -> fewner::Result<()> {
     let p = profile(flags)?;
-    let scale = flag(flags, "scale", 0.05f64);
+    let scale = flag(flags, "scale", 0.05f64)?;
     let data = p.generate(scale)?;
     let stats = data.stats();
     println!(
@@ -129,13 +131,13 @@ fn cmd_corpus(flags: &HashMap<String, String>) -> fewner::Result<()> {
 
 fn cmd_train(flags: &HashMap<String, String>) -> fewner::Result<()> {
     let p = profile(flags)?;
-    let scale = flag(flags, "scale", 0.05f64);
-    let seed = flag(flags, "seed", 42u64);
-    let ways = flag(flags, "ways", 5usize);
-    let shots = flag(flags, "shots", 1usize);
-    let iterations = flag(flags, "iterations", 300usize);
-    let threads = flag(flags, "threads", 1usize);
-    let checkpoint_every = flag(flags, "checkpoint-every", 0usize);
+    let scale = flag(flags, "scale", 0.05f64)?;
+    let seed = flag(flags, "seed", 42u64)?;
+    let ways = flag(flags, "ways", 5usize)?;
+    let shots = flag(flags, "shots", 1usize)?;
+    let iterations = flag(flags, "iterations", 300usize)?;
+    let threads = flag(flags, "threads", 1usize)?;
+    let checkpoint_every = flag(flags, "checkpoint-every", 0usize)?;
     let resume_dir = flags.get("resume");
     let ckpt_dir = flags
         .get("checkpoint-dir")
@@ -159,9 +161,9 @@ fn cmd_train(flags: &HashMap<String, String>) -> fewner::Result<()> {
         schedule = schedule.trace(path);
         println!("tracing to {path}");
     }
-    let shards = flag(flags, "shards", 1usize);
+    let shards = flag(flags, "shards", 1usize)?;
     if shards > 1 {
-        let shard_id = flag(flags, "shard-id", 0usize);
+        let shard_id = flag(flags, "shard-id", 0usize)?;
         let coordinator = flags.get("coordinator").ok_or_else(|| {
             fewner::Error::InvalidConfig("--shards > 1 requires --coordinator <host:port>".into())
         })?;
@@ -171,7 +173,7 @@ fn cmd_train(flags: &HashMap<String, String>) -> fewner::Result<()> {
             .coordinator(coordinator);
         println!("shard {shard_id}/{shards}, coordinator at {coordinator}");
     }
-    let chunk_size = flag(flags, "corpus-chunk-size", 0usize);
+    let chunk_size = flag(flags, "corpus-chunk-size", 0usize)?;
     let (learner, log) = if chunk_size > 0 {
         train_streaming(flags, &p, scale, seed, ways, chunk_size, &cfg, &schedule)?
     } else {
@@ -243,14 +245,9 @@ fn train_streaming(
     cfg: &MetaConfig,
     schedule: &TrainConfig,
 ) -> fewner::Result<(Fewner, TrainingLog)> {
-    let sentences = match flags.get("corpus-sentences") {
-        Some(v) => Some(v.parse().map_err(|_| {
-            fewner::Error::InvalidConfig("--corpus-sentences must be a usize".into())
-        })?),
-        None => None,
-    };
-    let window = flag(flags, "stream-window", 512usize);
-    let stride = flag(flags, "stream-stride", 64usize);
+    let sentences = opt_flag(flags, "corpus-sentences")?;
+    let window = flag(flags, "stream-window", 512usize)?;
+    let stride = flag(flags, "stream-stride", 64usize)?;
     let corpus = p.stream(scale, sentences, chunk_size)?;
     let ids: Vec<fewner::text::TypeId> = corpus.types().iter().map(|t| t.id).collect();
     let counts = split_counts(p, ids.len());
@@ -297,7 +294,7 @@ fn train_streaming(
 /// `FEWNER_FAULTS` arms (e.g. `shard_die:3@1`) reach them — the `@shard`
 /// scope keeps a fault on its intended worker.
 fn cmd_train_sharded(flags: &HashMap<String, String>) -> fewner::Result<()> {
-    let shards = flag(flags, "shards", 2usize);
+    let shards = flag(flags, "shards", 2usize)?;
     let coordinator = fewner::core::ShardCoordinator::bind("127.0.0.1:0", shards)?;
     let addr = coordinator.local_addr()?;
     println!("coordinator for {shards} shards on {addr}");
@@ -315,29 +312,19 @@ fn cmd_train_sharded(flags: &HashMap<String, String>) -> fewner::Result<()> {
         path: "<current_exe>".into(),
         detail: e.to_string(),
     })?;
+    // Every train flag but the ones set per worker below is forwarded as
+    // given (`check_flags` admitted only train flags).
+    let mut forwarded: Vec<(&String, &String)> = flags
+        .iter()
+        .filter(|(key, _)| !matches!(key.as_str(), "shards" | "trace" | "model" | "out"))
+        .collect();
+    forwarded.sort();
     let mut children = Vec::with_capacity(shards);
     for shard in 0..shards {
         let mut cmd = std::process::Command::new(&exe);
         cmd.arg("train");
-        for key in [
-            "profile",
-            "scale",
-            "seed",
-            "ways",
-            "shots",
-            "iterations",
-            "threads",
-            "checkpoint-every",
-            "checkpoint-dir",
-            "resume",
-            "corpus-chunk-size",
-            "corpus-sentences",
-            "stream-window",
-            "stream-stride",
-        ] {
-            if let Some(value) = flags.get(key) {
-                cmd.arg(format!("--{key}")).arg(value);
-            }
+        for (key, value) in &forwarded {
+            cmd.arg(format!("--{key}")).arg(value);
         }
         if let Some(path) = flags.get("trace") {
             cmd.arg("--trace").arg(format!("{path}.s{shard}"));
@@ -393,11 +380,11 @@ fn cmd_train_sharded(flags: &HashMap<String, String>) -> fewner::Result<()> {
 
 fn cmd_evaluate(flags: &HashMap<String, String>) -> fewner::Result<()> {
     let p = profile(flags)?;
-    let scale = flag(flags, "scale", 0.05f64);
-    let seed = flag(flags, "seed", 42u64);
-    let ways = flag(flags, "ways", 5usize);
-    let shots = flag(flags, "shots", 1usize);
-    let episodes = flag(flags, "episodes", 50usize);
+    let scale = flag(flags, "scale", 0.05f64)?;
+    let seed = flag(flags, "seed", 42u64)?;
+    let ways = flag(flags, "ways", 5usize)?;
+    let shots = flag(flags, "shots", 1usize)?;
+    let episodes = flag(flags, "episodes", 50usize)?;
 
     let data = p.generate(scale)?;
     let split = split_for(&p, &data, seed)?;
@@ -426,12 +413,12 @@ fn cmd_evaluate(flags: &HashMap<String, String>) -> fewner::Result<()> {
 /// [`Infer`]: fewner::tensor::Infer
 fn cmd_predict(flags: &HashMap<String, String>) -> fewner::Result<()> {
     let p = profile(flags)?;
-    let scale = flag(flags, "scale", 0.05f64);
-    let seed = flag(flags, "seed", 42u64);
-    let ways = flag(flags, "ways", 5usize);
-    let shots = flag(flags, "shots", 1usize);
-    let episodes = flag(flags, "episodes", 3usize);
-    let show = flag(flags, "show", 5usize);
+    let scale = flag(flags, "scale", 0.05f64)?;
+    let seed = flag(flags, "seed", 42u64)?;
+    let ways = flag(flags, "ways", 5usize)?;
+    let shots = flag(flags, "shots", 1usize)?;
+    let episodes = flag(flags, "episodes", 3usize)?;
+    let show = flag(flags, "show", 5usize)?;
 
     let data = p.generate(scale)?;
     let split = split_for(&p, &data, seed)?;
@@ -493,16 +480,13 @@ fn cmd_predict(flags: &HashMap<String, String>) -> fewner::Result<()> {
 /// Speaks newline-delimited JSON over TCP; see `fewner::serve::protocol`.
 fn cmd_serve(flags: &HashMap<String, String>) -> fewner::Result<()> {
     let p = profile(flags)?;
-    let scale = flag(flags, "scale", 0.05f64);
+    let scale = flag(flags, "scale", 0.05f64)?;
     let data = p.generate(scale)?;
     let enc = build_encoder(&data);
     let learner = load_model(flags, &enc, "serve")?;
 
-    let mut policy = CachePolicy::lru(flag(flags, "cache-capacity", 64usize));
-    if let Some(secs) = flags.get("ttl-secs") {
-        let secs: u64 = secs
-            .parse()
-            .map_err(|_| fewner::Error::InvalidConfig("--ttl-secs must be a u64".into()))?;
+    let mut policy = CachePolicy::lru(flag(flags, "cache-capacity", 64usize)?);
+    if let Some(secs) = opt_flag(flags, "ttl-secs")? {
         policy = policy.ttl_secs(secs);
     }
     if let Some(dir) = flags.get("phi-dir") {
@@ -511,12 +495,12 @@ fn cmd_serve(flags: &HashMap<String, String>) -> fewner::Result<()> {
     let opts = ServeOptions::new()
         .tracer(tracer_for(flags))
         .cache(policy)
-        .batch(flag(flags, "batch", 32usize));
+        .batch(flag(flags, "batch", 32usize)?);
     let cfg = ServerConfig::new()
-        .workers(flag(flags, "workers", 2usize))
-        .queue_limit(flag(flags, "queue-limit", 64usize))
-        .deadline_ms(flag(flags, "deadline-ms", 0u64))
-        .max_frame_bytes(flag(flags, "max-frame-kb", 1024usize).saturating_mul(1 << 10));
+        .workers(flag(flags, "workers", 2usize)?)
+        .queue_limit(flag(flags, "queue-limit", 64usize)?)
+        .deadline_ms(flag(flags, "deadline-ms", 0u64)?)
+        .max_frame_bytes(flag(flags, "max-frame-kb", 1024usize)?.saturating_mul(1 << 10));
 
     let addr = flags
         .get("addr")
@@ -559,26 +543,29 @@ fn cmd_trace(args: &[String]) -> fewner::Result<()> {
 
 fn cmd_demo(flags: &HashMap<String, String>) -> fewner::Result<()> {
     let p = profile(flags)?;
-    let scale = flag(flags, "scale", 0.2f64);
-    let seed = flag(flags, "seed", 42u64);
+    let scale = flag(flags, "scale", 0.2f64)?;
+    let seed = flag(flags, "seed", 42u64)?;
     let data = p.generate(scale)?;
     let split = split_for(&p, &data, seed)?;
+    // Some profiles' test splits hold fewer than 5 types (bionlp13cg's has
+    // 4), so the task is as wide as the split allows.
+    let ways = split.test.types.len().min(5);
     let enc = build_encoder(&data);
     let cfg = meta();
-    let mut learner = Fewner::new(backbone(5), &enc, cfg.clone())?;
-    let schedule = TrainConfig::new(5, 1)
-        .iterations(flag(flags, "iterations", 150usize))
+    let mut learner = Fewner::new(backbone(ways), &enc, cfg.clone())?;
+    let schedule = TrainConfig::new(ways, 1)
+        .iterations(flag(flags, "iterations", 150usize)?)
         .query_size(6)
         .seed(seed)
-        .threads(flag(flags, "threads", 1usize));
+        .threads(flag(flags, "threads", 1usize)?);
     println!("training briefly on {}…", p.name);
     fewner::core::Trainer::new().train(&mut learner, &split.train, &enc, &cfg, &schedule)?;
 
-    let sampler = EpisodeSampler::new(&split.test, 5, 1, 6)?;
+    let sampler = EpisodeSampler::new(&split.test, ways, 1, 6)?;
     let task = sampler.eval_set(0xE7A1, 1)?.remove(0);
     let preds = learner.adapt_and_predict(&task, &enc)?;
     let tags = task.tag_set();
-    println!("\nadapted to a brand-new 5-way 1-shot task; predictions:");
+    println!("\nadapted to a brand-new {ways}-way 1-shot task; predictions:");
     for (pred_idx, sent) in preds.iter().zip(&task.query).take(5) {
         let pred: Vec<Tag> = pred_idx.iter().map(|&i| tags.tag(i)).collect();
         println!(

@@ -10,6 +10,10 @@
 //!
 //! The help text ([`USAGE`]) is pinned by a snapshot test
 //! (`tests/cli_help.rs`): flag renames are a deliberate, reviewed act.
+//!
+//! Input is never silently replaced by a default: a flag a subcommand does
+//! not take ([`check_flags`]) and a value that does not parse ([`flag`])
+//! are both [`Error::InvalidConfig`] naming the flag.
 
 use std::collections::HashMap;
 
@@ -24,21 +28,29 @@ use fewner_util::{Error, Result};
 /// snapshot test and external tools see the same source of truth.
 pub const USAGE: &str =
     "usage: fewner <corpus|train|train-sharded|evaluate|demo|predict|serve|trace> [flags]
+  Every flag takes a value. A flag the subcommand does not take, a flag
+  given twice, or a value that does not parse is an error.
   common flags:
     --profile <nne|fg-ner|genia|ontonotes|bionlp13cg|slot-filling|conll-like|
                ace-bc|ace-bn|ace-cts|ace-nw|ace-un|ace-wl>
-    --scale <f64>          corpus scale, 1.0 = paper size (default 0.05)
-    --seed <u64>           experiment seed (default 42)
-    --model <path>         checkpoint file (written by train, read by the rest)
+    --scale <f64>          corpus scale, 1.0 = paper size (default 0.05;
+                           demo 0.2)
+    --seed <u64>           experiment seed (default 42; not corpus/serve)
+    --model <path>         checkpoint file (written by train, read by
+                           evaluate/predict/serve)
     --trace <path>         write a structured JSONL trace of the run
+                           (train, train-sharded, predict, serve)
     --weights <f32|f16|i8> serve-time θ precision for evaluate/predict/serve
                            (default f32; f16/i8 round the loaded checkpoint)
-  train/evaluate/demo:
-    --ways <N> --shots <K> (default 5, 1)
-    --iterations <N>       meta-iterations (default 300)
-    --episodes <N>         evaluation episodes (default 50)
+  train/evaluate/predict:
+    --ways <N> --shots <K> (default 5, 1; demo's task is 1-shot and
+                           min(5, test-split types) ways)
+  train/demo:
+    --iterations <N>       meta-iterations (default 300; demo 150)
     --threads <N>          meta-gradient worker threads, 0 = all cores
                            (default 1)
+  evaluate only:
+    --episodes <N>         evaluation episodes (default 50)
   train only:
     --checkpoint-every <N> write a full training snapshot every N iterations
                            (rolling, newest two kept; default 0 = off)
@@ -61,7 +73,8 @@ pub const USAGE: &str =
                            (default 64)
   train-sharded only:
     one-machine driver: binds a coordinator, spawns S `fewner train`
-    worker processes, and waits; takes every train flag plus
+    worker processes, and waits; takes every train flag except the two
+    it sets itself (--shard-id, --coordinator), plus
     --shards <S>           worker processes to spawn (default 2)
   predict only:
     --episodes <N>         tasks to serve (default 3)
@@ -85,7 +98,8 @@ pub const USAGE: &str =
                                       and the adaptation-vs-serving cost split";
 
 /// Splits `args` into a subcommand plus `--key value` flags. Returns `None`
-/// on malformed input (missing value, flag without `--`).
+/// on malformed input (missing value, flag without `--`, a flag given
+/// twice).
 pub fn parse_args(args: &[String]) -> Option<(String, HashMap<String, String>)> {
     let mut it = args.iter();
     let command = it.next()?.clone();
@@ -93,17 +107,137 @@ pub fn parse_args(args: &[String]) -> Option<(String, HashMap<String, String>)> 
     while let Some(flag) = it.next() {
         let key = flag.strip_prefix("--")?;
         let value = it.next()?;
-        flags.insert(key.to_string(), value.clone());
+        if flags.insert(key.to_string(), value.clone()).is_some() {
+            return None;
+        }
     }
     Some((command, flags))
 }
 
-/// A typed flag with a default; unparseable values fall back to the default.
-pub fn flag<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default: T) -> T {
+/// The flags of `fewner train`; `train-sharded` forwards all of them but
+/// the two it sets itself.
+const TRAIN_FLAGS: &[&str] = &[
+    "profile",
+    "scale",
+    "seed",
+    "model",
+    "out",
+    "trace",
+    "ways",
+    "shots",
+    "iterations",
+    "threads",
+    "checkpoint-every",
+    "checkpoint-dir",
+    "resume",
+    "shards",
+    "shard-id",
+    "coordinator",
+    "corpus-chunk-size",
+    "corpus-sentences",
+    "stream-window",
+    "stream-stride",
+];
+
+/// The flags (without `--`) a subcommand takes, or `None` for an unknown
+/// subcommand. `--out` is the old, undocumented name of `--model` and is
+/// taken wherever `--model` is.
+pub fn accepted_flags(command: &str) -> Option<Vec<&'static str>> {
+    let flags: &[&str] = match command {
+        "corpus" => &["profile", "scale"],
+        "train" => TRAIN_FLAGS,
+        "train-sharded" => {
+            return Some(
+                TRAIN_FLAGS
+                    .iter()
+                    .copied()
+                    .filter(|f| !matches!(*f, "shard-id" | "coordinator"))
+                    .collect(),
+            )
+        }
+        "evaluate" => &[
+            "profile", "scale", "seed", "model", "out", "weights", "ways", "shots", "episodes",
+        ],
+        "demo" => &["profile", "scale", "seed", "iterations", "threads"],
+        "predict" => &[
+            "profile", "scale", "seed", "model", "out", "weights", "trace", "ways", "shots",
+            "episodes", "show",
+        ],
+        "serve" => &[
+            "profile",
+            "scale",
+            "model",
+            "out",
+            "weights",
+            "trace",
+            "addr",
+            "workers",
+            "queue-limit",
+            "batch",
+            "cache-capacity",
+            "ttl-secs",
+            "phi-dir",
+            "deadline-ms",
+            "max-frame-kb",
+        ],
+        _ => return None,
+    };
+    Some(flags.to_vec())
+}
+
+/// Fails on any flag `command` does not take, naming it and listing the
+/// ones it does take.
+pub fn check_flags(command: &str, flags: &HashMap<String, String>) -> Result<()> {
+    let accepted = accepted_flags(command)
+        .ok_or_else(|| Error::InvalidConfig(format!("unknown command `{command}`")))?;
+    let mut unknown: Vec<&String> = flags
+        .keys()
+        .filter(|k| !accepted.contains(&k.as_str()))
+        .collect();
+    unknown.sort();
+    match unknown.first() {
+        None => Ok(()),
+        Some(key) => {
+            let takes: Vec<String> = accepted
+                .iter()
+                .filter(|f| **f != "out")
+                .map(|f| format!("--{f}"))
+                .collect();
+            Err(Error::InvalidConfig(format!(
+                "`fewner {command}` does not take --{key}; it takes {}",
+                takes.join(" ")
+            )))
+        }
+    }
+}
+
+/// A typed flag, `None` when absent. A value that does not parse is an
+/// error naming the flag and the value.
+pub fn opt_flag<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    key: &str,
+) -> Result<Option<T>> {
     flags
         .get(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+        .map(|v| {
+            v.parse().map_err(|_| {
+                Error::InvalidConfig(format!(
+                    "--{key} `{v}` is not a valid {}",
+                    std::any::type_name::<T>()
+                ))
+            })
+        })
+        .transpose()
+}
+
+/// A typed flag with a default. A value that does not parse is an error
+/// naming the flag and the value, never a silent fall-back to the default.
+pub fn flag<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    key: &str,
+    default: T,
+) -> Result<T> {
+    Ok(opt_flag(flags, key)?.unwrap_or(default))
 }
 
 /// Resolves `--profile` to one of the paper's dataset profiles
@@ -210,9 +344,67 @@ mod tests {
     fn parse_splits_command_and_flags() {
         let (cmd, flags) = parse_args(&argv("train --scale 0.1 --seed 7")).unwrap();
         assert_eq!(cmd, "train");
-        assert_eq!(flag(&flags, "scale", 0.0f64), 0.1);
-        assert_eq!(flag(&flags, "seed", 0u64), 7);
-        assert_eq!(flag(&flags, "missing", 42usize), 42);
+        assert_eq!(flag(&flags, "scale", 0.0f64).unwrap(), 0.1);
+        assert_eq!(flag(&flags, "seed", 0u64).unwrap(), 7);
+        assert_eq!(flag(&flags, "missing", 42usize).unwrap(), 42);
+    }
+
+    #[test]
+    fn unparseable_values_name_the_flag_and_the_value() {
+        let (_, flags) = parse_args(&argv("train --iterations abc --scale 1e")).unwrap();
+        for (key, value) in [("iterations", "abc"), ("scale", "1e")] {
+            let err = flag(&flags, key, 0usize).unwrap_err().to_string();
+            assert!(err.contains(&format!("--{key}")), "{err}");
+            assert!(err.contains(value), "{err}");
+        }
+        assert_eq!(opt_flag::<u64>(&flags, "ttl-secs").unwrap(), None);
+    }
+
+    #[test]
+    fn flags_a_command_does_not_take_are_refused() {
+        let (_, flags) = parse_args(&argv("train --iterations 3 --bogus-flag 1")).unwrap();
+        let err = check_flags("train", &flags).unwrap_err().to_string();
+        assert!(err.contains("--bogus-flag"), "{err}");
+        let (_, flags) = parse_args(&argv("x --coordinator h:1")).unwrap();
+        assert!(check_flags("train", &flags).is_ok());
+        assert!(check_flags("train-sharded", &flags).is_err());
+        assert!(check_flags("no-such-command", &HashMap::new()).is_err());
+    }
+
+    #[test]
+    fn accepted_flags_match_the_help_text() {
+        let commands = [
+            "corpus",
+            "train",
+            "train-sharded",
+            "evaluate",
+            "demo",
+            "predict",
+            "serve",
+        ];
+        let mut all = Vec::new();
+        for cmd in commands {
+            let flags = accepted_flags(cmd).unwrap();
+            // `--out` is taken exactly where `--model` is.
+            assert_eq!(flags.contains(&"out"), flags.contains(&"model"), "{cmd}");
+            for f in flags.into_iter().filter(|f| *f != "out") {
+                assert!(
+                    USAGE.contains(&format!("--{f} ")),
+                    "`--{f}` of {cmd} undocumented"
+                );
+                all.push(f);
+            }
+        }
+        // …and every documented flag is taken by some subcommand.
+        for word in USAGE.split_whitespace() {
+            if let Some(f) = word.strip_prefix("--") {
+                let f = f.trim_end_matches([',', ')']);
+                assert!(
+                    all.contains(&f),
+                    "documented `--{f}` is taken by no subcommand"
+                );
+            }
+        }
     }
 
     #[test]
@@ -223,6 +415,10 @@ mod tests {
         );
         assert!(parse_args(&argv("train scale 0.1")).is_none(), "missing --");
         assert!(parse_args(&[]).is_none(), "missing command");
+        assert!(
+            parse_args(&argv("train --seed 1 --seed 2")).is_none(),
+            "a repeated flag must not silently override the first"
+        );
     }
 
     #[test]
