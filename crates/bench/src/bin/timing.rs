@@ -4,6 +4,10 @@
 //! 5-way 1-shot and 5-way 5-shot; plus the linear-scaling check in the
 //! support-set size.
 //!
+//! An adapt encodes its support set once and then takes K φ steps, so the
+//! two costs are reported apart: the encode is timed on its own, and a step
+//! as (K-step adapt − 1-step adapt) / (K − 1).
+//!
 //! Hardware differs from the paper (CPU vs V100), so the claims under test
 //! are the *relative* ones: adaptation ≪ training, inner-step cost roughly
 //! independent of K, linear growth with data size.
@@ -15,9 +19,41 @@ use fewner_core::{EpisodicLearner, Fewner, Maml, ParallelTrainer};
 use fewner_corpus::{split_types, DatasetProfile};
 use fewner_episode::EpisodeSampler;
 use fewner_eval::{measure_predictions, Throughput};
-use fewner_models::{encode_task, Conditioning, TokenEncoder};
+use fewner_models::{encode_task, Conditioning, LabeledSentence, TokenEncoder};
 use fewner_tensor::Graph;
+use fewner_text::TagSet;
 use fewner_util::Rng;
+
+/// Mean wall seconds of one `f()` call over `reps` calls.
+fn mean_secs(reps: usize, mut f: impl FnMut()) -> f64 {
+    let t0 = Instant::now();
+    for _ in 0..reps {
+        f();
+    }
+    t0.elapsed().as_secs_f64() / reps as f64
+}
+
+/// (support encode, one inner step) in seconds for `support`. The step is
+/// (K-step adapt − 1-step adapt) / (K − 1), which cancels the encode every
+/// adapt pays once.
+fn inner_loop_costs(
+    learner: &Fewner,
+    support: &[LabeledSentence],
+    tags: &TagSet,
+    k: usize,
+    reps: usize,
+) -> (f64, f64) {
+    let encode = mean_secs(reps, || {
+        std::hint::black_box(learner.backbone.encode_support(&learner.theta, support));
+    });
+    let adapt = |steps| {
+        mean_secs(reps, || {
+            learner.adapt_context(support, tags, steps).unwrap();
+        })
+    };
+    let one = adapt(1);
+    (encode, (adapt(k) - one) / (k - 1) as f64)
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -38,15 +74,12 @@ fn main() {
             .map(|_| sampler.sample(&mut rng).unwrap())
             .collect();
 
-        // Inner-loop step time: one φ gradient step on a support set.
+        // Inner-loop cost on a support set: its one-off encode and one φ
+        // gradient step.
         let (support, _) = encode_task(&enc, &tasks[0]);
         let tags = tasks[0].tag_set();
-        let t0 = Instant::now();
-        let reps = 10;
-        for _ in 0..reps {
-            learner.adapt_context(&support, &tags, 1).unwrap();
-        }
-        let inner_step = t0.elapsed().as_secs_f64() / reps as f64;
+        let (encode, inner_step) =
+            inner_loop_costs(&learner, &support, &tags, meta.inner_steps_test, 10);
 
         // Outer loop: one full meta-batch, serially and fanned over worker
         // threads (fresh learners so the runs are comparable — both start
@@ -83,8 +116,8 @@ fn main() {
         let eval_per_task = t0.elapsed().as_secs_f64() / eval_tasks.len() as f64;
 
         let line = format!(
-            "5-way {k}-shot: inner step {:.4}s | outer meta-batch {:.2}s serial / {:.2}s on {} threads | adapt/task {:.3}s | evaluate/task {:.3}s",
-            inner_step, outer, outer_parallel, pool.threads(), adapt, eval_per_task
+            "5-way {k}-shot: support encode {:.4}s + inner step {:.4}s | outer meta-batch {:.2}s serial / {:.2}s on {} threads | adapt/task {:.3}s | evaluate/task {:.3}s",
+            encode, inner_step, outer, outer_parallel, pool.threads(), adapt, eval_per_task
         );
         println!("{line}");
         lines.push(line);
@@ -189,6 +222,7 @@ fn main() {
 
     // Linearity in data size: adaptation time vs support-set multiples.
     println!("\nLinearity check (inner-loop time vs support sentences):");
+    let k = meta.inner_steps_test;
     let learner = Fewner::new(backbone_config(5, Conditioning::Film), &enc, meta).expect("build");
     let sampler = EpisodeSampler::new(&split.train, 5, 1, scale.query_size).expect("sampler");
     let task = sampler.sample(&mut Rng::new(4)).unwrap();
@@ -201,12 +235,11 @@ fn main() {
             .take(support.len() * mult)
             .cloned()
             .collect();
-        let t0 = Instant::now();
-        for _ in 0..5 {
-            learner.adapt_context(&big, &tags, 1).unwrap();
-        }
-        let secs = t0.elapsed().as_secs_f64() / 5.0;
-        let line = format!("  {} sentences: {:.4}s / inner step", big.len(), secs);
+        let (encode, step) = inner_loop_costs(&learner, &big, &tags, k, 5);
+        let line = format!(
+            "  {} sentences: encode {encode:.4}s + {step:.4}s / inner step",
+            big.len()
+        );
         println!("{line}");
         lines.push(line);
     }

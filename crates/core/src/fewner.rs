@@ -3,7 +3,10 @@
 //! * **Inner loop** — per task, the context parameters φ are reset to `0`
 //!   and adapted by `k` SGD steps on the support loss (Eq. 5), with θ held
 //!   fixed. The inner loop runs without dropout so adaptation is a
-//!   deterministic function of (θ, support set).
+//!   deterministic function of (θ, support set). Because θ is fixed, the
+//!   φ-free part of the network is computed once per support set
+//!   ([`Backbone::encode_support`]); each step runs and back-propagates only
+//!   the φ-conditioned head on a tape with θ frozen.
 //! * **Outer loop** — θ is updated by the query loss of the adapted model
 //!   `(θ, φ_k)` averaged over a meta-batch (Eq. 6), with Adam, gradient
 //!   clipping and L2 regularisation per §4.1.3. The dependence of φ_k on θ
@@ -81,6 +84,12 @@ impl Fewner {
 
     /// The inner SGD loop from an explicit starting φ — shared by the fresh
     /// adapt above and the warm-started [`Fewner::extend`].
+    ///
+    /// The support is encoded once, on `Infer`; every step then builds a
+    /// small dropout-free tape with θ frozen that starts from the encoded
+    /// states, so the backward pass computes φ's gradient and nothing else.
+    /// φ, its gradient and the trajectory are bitwise those of stepping
+    /// [`Backbone::batch_loss`] on a full tape.
     fn inner_loop(
         &self,
         mut phi_store: ParamStore,
@@ -91,14 +100,15 @@ impl Fewner {
     ) -> Result<(ParamStore, ParamId, Vec<fewner_tensor::Array>)> {
         let mut sgd = Sgd::new(self.cfg.inner_lr);
         let mut trajectory: Vec<fewner_tensor::Array> = Vec::with_capacity(steps);
-        let mut rng = Rng::new(0); // inner loop is dropout-free
+        let encoded = self.backbone.encode_support(&self.theta, support);
         for _ in 0..steps {
             let snapshot = (**phi_store.value(phi_id)).clone();
             let g = Graph::eval(); // inner loop: dropout off, gradients on
+            g.freeze(&self.theta);
             let phi = g.param(&phi_store, phi_id);
-            let loss =
-                self.backbone
-                    .batch_loss(&g, &self.theta, Some(phi), support, tags, &mut rng);
+            let loss = self
+                .backbone
+                .encoded_loss(&g, &self.theta, phi, &encoded, tags);
             // A diverging inner loop (possible with many test-time steps on
             // a hard support set) stops early at the last finite φ rather
             // than poisoning the task. (A backtracking line search was
@@ -157,6 +167,7 @@ impl Fewner {
         shots: Option<usize>,
         opts: &ServeOptions,
     ) -> Result<AdaptedCtx> {
+        self.backbone.config().check_ways(n_ways)?;
         // A request whose budget is already spent must not start an inner
         // loop it cannot finish in time.
         if let Some(d) = opts.deadline() {
@@ -224,6 +235,7 @@ impl Fewner {
                 ),
             });
         }
+        self.backbone.config().check_ways(ctx.n_ways())?;
         let tags = ctx.tag_set();
         let mut merged = ctx.support().to_vec();
         merged.extend_from_slice(new_support);
@@ -278,13 +290,7 @@ impl Fewner {
                 detail: format!("adapted context has {actual} φ values, model expects {expected}"),
             });
         }
-        if ctx.n_ways() > self.backbone.config().max_ways() {
-            return Err(Error::InvalidConfig(format!(
-                "adapted context has {} ways, model supports at most {}",
-                ctx.n_ways(),
-                self.backbone.config().max_ways()
-            )));
-        }
+        self.backbone.config().check_ways(ctx.n_ways())?;
         if let Some(d) = opts.deadline() {
             d.check("predict")?;
         }
@@ -554,6 +560,40 @@ mod tests {
             fewner.extend(&foreign, &support, &ServeOptions::new()),
             Err(Error::ShapeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn a_way_count_the_dense_head_does_not_take_is_rejected() {
+        let (enc, tasks, fewner) = tiny_setup(); // a 3-way dense head
+        let opts = ServeOptions::new();
+        let (support, _) = encode_task(&enc, &tasks[0]);
+        for ways in [0, 2, 4] {
+            assert!(
+                matches!(
+                    fewner.adapt_support(&support, ways, &opts),
+                    Err(Error::InvalidConfig(_))
+                ),
+                "adapt with {ways} ways"
+            );
+            let (store, id) = fewner.backbone.new_context();
+            let ctx = AdaptedCtx::new(ways, store, id, support.clone(), 1);
+            assert!(
+                matches!(
+                    fewner.extend(&ctx, &support, &opts),
+                    Err(Error::InvalidConfig(_))
+                ),
+                "extend with {ways} ways"
+            );
+            let sents = [support[0].0.clone()];
+            assert!(
+                matches!(
+                    fewner.predict(&ctx, &sents, &opts),
+                    Err(Error::InvalidConfig(_))
+                ),
+                "predict with {ways} ways"
+            );
+        }
+        assert!(fewner.adapt_support(&support, 3, &opts).is_ok());
     }
 
     #[test]

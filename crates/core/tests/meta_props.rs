@@ -1,12 +1,15 @@
 //! Properties of the meta-learning layer: deterministic adaptation,
 //! monotone inner loops, and isolation between learners.
 
-use fewner_core::{EpisodicLearner, Fewner, Maml, MetaConfig};
+use fewner_core::{EpisodicLearner, Fewner, Maml, MetaConfig, ServeOptions};
 use fewner_corpus::{split_types, DatasetProfile};
 use fewner_episode::{EpisodeSampler, Task};
-use fewner_models::{encode_task, BackboneConfig, Conditioning, HeadKind, TokenEncoder};
-use fewner_tensor::Graph;
+use fewner_models::{
+    encode_task, BackboneConfig, Conditioning, HeadKind, LabeledSentence, TokenEncoder,
+};
+use fewner_tensor::{Array, Graph, ParamId, ParamStore, Sgd};
 use fewner_text::embed::EmbeddingSpec;
+use fewner_text::TagSet;
 use fewner_util::Rng;
 
 fn fixture() -> (TokenEncoder, Vec<Task>, fewner_corpus::TypeSplit) {
@@ -151,4 +154,109 @@ fn meta_step_moves_theta_in_the_descent_direction() {
         last < first,
         "repeated meta-steps on one batch should reduce its loss: {losses:?}"
     );
+}
+
+/// The inner loop as a full tape: every step runs `batch_loss` over the
+/// whole network with θ bound as parameters, back-propagates everything and
+/// keeps φ's gradient, with both early stops (a non-finite loss or
+/// gradient stops the loop; a non-finite φ is restored to the last finite
+/// value). Returns the final φ and the trajectory of φ before each step.
+fn full_tape_inner_loop(
+    learner: &Fewner,
+    mut phi_store: ParamStore,
+    phi_id: ParamId,
+    support: &[LabeledSentence],
+    tags: &TagSet,
+    steps: usize,
+) -> (Vec<u32>, Vec<Vec<u32>>) {
+    let mut sgd = Sgd::new(learner.config().inner_lr);
+    let mut trajectory = Vec::new();
+    let mut rng = Rng::new(0);
+    for _ in 0..steps {
+        let snapshot = (**phi_store.value(phi_id)).clone();
+        let g = Graph::eval();
+        let phi = g.param(&phi_store, phi_id);
+        let loss =
+            learner
+                .backbone
+                .batch_loss(&g, &learner.theta, Some(phi), support, tags, &mut rng);
+        let Ok(grads) = g.backward(loss) else { break };
+        let grads = grads.for_store(&phi_store);
+        if sgd.step(&mut phi_store, &grads).is_err() {
+            break;
+        }
+        if !phi_store.value(phi_id).all_finite() {
+            phi_store.set(phi_id, snapshot);
+            break;
+        }
+        trajectory.push(bits(&snapshot));
+    }
+    (bits(phi_store.value(phi_id)), trajectory)
+}
+
+fn bits(a: &Array) -> Vec<u32> {
+    a.data().iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn inner_loop_matches_the_full_tape_loop_bit_for_bit() {
+    let (enc, tasks, _) = fixture();
+    let (support, query) = encode_task(&enc, &tasks[0]);
+    let tags = tasks[0].tag_set();
+    let steps = 6;
+    let heads = [
+        HeadKind::Dense { n_ways: 3 },
+        HeadKind::SlotShared {
+            slot_dim: 6,
+            max_slots: 4,
+        },
+    ];
+    for cond in [Conditioning::Film, Conditioning::ConcatInput] {
+        for head in heads {
+            // 0.1 is the paper's α. At 1e12 the FiLM support loss turns
+            // non-finite within two steps (the loss stop); at 3e38 the
+            // first step overflows φ itself (the restore stop).
+            for inner_lr in [0.1, 1e12, 3e38] {
+                let case = format!("{cond:?} / {head:?} / α = {inner_lr}");
+                let meta = MetaConfig {
+                    inner_lr,
+                    inner_steps_test: steps,
+                    ..MetaConfig::default()
+                };
+                let learner = Fewner::new(BackboneConfig { head, ..bb(cond) }, &enc, meta).unwrap();
+
+                let (phi_store, phi_id, trajectory) =
+                    learner.adapt_context(&support, &tags, steps).unwrap();
+                let (fresh, fresh_id) = learner.backbone.new_context();
+                let (want_phi, want_trajectory) =
+                    full_tape_inner_loop(&learner, fresh, fresh_id, &support, &tags, steps);
+                assert_eq!(bits(phi_store.value(phi_id)), want_phi, "adapt φ, {case}");
+                let trajectory: Vec<Vec<u32>> = trajectory.iter().map(bits).collect();
+                assert_eq!(trajectory, want_trajectory, "trajectory, {case}");
+                if inner_lr == 1e12 && cond == Conditioning::Film {
+                    assert!(trajectory.len() < steps, "no loss stop, {case}");
+                }
+                if inner_lr == 3e38 {
+                    assert!(trajectory.is_empty(), "no restore stop, {case}");
+                }
+
+                // `extend` warm-starts from the adapted φ over old + new
+                // support for `inner_steps_test / 2` steps.
+                let opts = ServeOptions::new();
+                let ctx = learner.adapt(&tasks[0], &enc, &opts).unwrap();
+                let extended = learner.extend(&ctx, &query, &opts).unwrap();
+                let (mut warm, warm_id) = learner.backbone.new_context();
+                warm.set(
+                    warm_id,
+                    Array::from_vec(1, ctx.phi_values().len(), ctx.phi_values().to_vec()),
+                );
+                let mut merged = support.clone();
+                merged.extend_from_slice(&query);
+                let (want_phi, _) =
+                    full_tape_inner_loop(&learner, warm, warm_id, &merged, &tags, steps / 2);
+                let got: Vec<u32> = extended.phi_values().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want_phi, "extend φ, {case}");
+            }
+        }
+    }
 }

@@ -15,14 +15,29 @@
 //! With [`Conditioning::None`] the same backbone serves FineTune, MAML and
 //! the encoder of ProtoNet/SNAIL — the paper's point that FEWNER is
 //! model-agnostic made concrete.
+//!
+//! Every forward pass is two stages split where φ first enters: a φ-free
+//! **encode** and a φ-conditioned **head**. Under FiLM (and `None`) the
+//! encode stage runs the embeddings, the char-CNN and the recurrent layer
+//! with its dropouts, and the head applies FiLM, the slot context, the
+//! emissions and the CRF. Under ConcatInput φ joins the recurrent input, so
+//! the encode stage stops at the word and char features and the head runs
+//! the recurrent layer. [`Backbone::nll`], [`Backbone::batch_loss`],
+//! [`Backbone::hidden`] and [`Backbone::decode_task`] compose the two on one
+//! executor; FEWNER's inner loop runs the encode stage once per support set
+//! ([`Backbone::encode_support`]) and only the head on every φ step
+//! ([`Backbone::encoded_loss`]).
+
+use std::sync::Arc;
 
 use fewner_tensor::nn::{BiGru, BiLstm, Conv1d, Embedding, Linear};
-use fewner_tensor::{Exec, Infer, ParamId, ParamStore, Var};
+use fewner_tensor::{Array, Exec, ExecMode, Infer, ParamId, ParamStore, Var};
 use fewner_text::TagSet;
 use fewner_util::{Error, Result, Rng};
 
 use crate::crf::{DenseCrf, SlotSharedCrf};
 use crate::encoding::{EncodedSentence, TokenEncoder};
+use crate::prep::LabeledSentence;
 
 /// How the context parameters φ condition the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,6 +130,21 @@ impl BackboneConfig {
         self.phi_dim + self.max_ways() * self.slot_ctx_dim
     }
 
+    /// Checks that the CRF head can label an `n_ways`-way task: a dense
+    /// head takes exactly its own way count, a slot-shared head any count
+    /// in `1..=max_slots`.
+    pub fn check_ways(&self, n_ways: usize) -> Result<()> {
+        match self.head {
+            HeadKind::Dense { n_ways: fixed } if n_ways != fixed => Err(Error::InvalidConfig(
+                format!("ways must be {fixed} for this model's dense head, got {n_ways}"),
+            )),
+            HeadKind::SlotShared { max_slots, .. } if !(1..=max_slots).contains(&n_ways) => Err(
+                Error::InvalidConfig(format!("ways must be in 1..={max_slots}, got {n_ways}")),
+            ),
+            _ => Ok(()),
+        }
+    }
+
     /// The scaled-down default used throughout the reproduction.
     pub fn default_for(n_ways: usize) -> BackboneConfig {
         BackboneConfig {
@@ -167,6 +197,36 @@ impl SeqEncoder {
             SeqEncoder::Lstm(e) => e.apply(g, store, x),
         }
     }
+}
+
+/// One sentence's state where φ first enters the network: the output of
+/// the φ-free encode stage.
+#[derive(Debug, Clone, Copy)]
+enum Encoded<T> {
+    /// FiLM and no conditioning: the recurrent layer's output `[L, 2H]`
+    /// after its dropout.
+    Hidden(T),
+    /// ConcatInput: the word features and, with the char-CNN on, the char
+    /// features — the column blocks φ's rows are concatenated to.
+    Tokens(T, Option<T>),
+}
+
+impl<T> Encoded<T> {
+    fn map<U>(&self, mut f: impl FnMut(&T) -> U) -> Encoded<U> {
+        match self {
+            Encoded::Hidden(h) => Encoded::Hidden(f(h)),
+            Encoded::Tokens(words, chars) => Encoded::Tokens(f(words), chars.as_ref().map(f)),
+        }
+    }
+}
+
+/// A support set run through the φ-free encode stage once, on [`Infer`]
+/// (bitwise equal to the tape), so each inner-loop step only runs the
+/// φ-conditioned head ([`Backbone::encoded_loss`]). Built by
+/// [`Backbone::encode_support`] and valid for the θ it was encoded with.
+pub struct EncodedSupport<'a> {
+    support: &'a [LabeledSentence],
+    states: Vec<Encoded<Arc<Array>>>,
 }
 
 /// Sentence-independent, φ-conditioned quantities for one task.
@@ -347,37 +407,73 @@ impl Backbone {
         ctx
     }
 
-    /// Token representations `[L, word_dim (+ char features) (+ φ)]`.
-    fn token_repr_ctx<E: Exec>(
+    /// The φ-free encode stage of one sentence (see the module docs).
+    fn encode<E: Exec>(
+        &self,
+        g: &E,
+        theta: &ParamStore,
+        sent: &EncodedSentence,
+        rng: &mut Rng,
+    ) -> Encoded<Var> {
+        assert!(!sent.is_empty(), "empty sentence");
+        let words = self.word_emb.apply(g, theta, &sent.word_ids);
+        let chars = match (&self.char_emb, &self.char_cnn) {
+            (Some(ce), Some(cnn)) => {
+                let rows: Vec<Var> = sent
+                    .char_ids
+                    .iter()
+                    .map(|ids| cnn.apply(g, theta, ce.apply(g, theta, ids)))
+                    .collect();
+                Some(g.concat_rows(&rows))
+            }
+            _ => None,
+        };
+        if self.cfg.conditioning == Conditioning::ConcatInput {
+            return Encoded::Tokens(words, chars);
+        }
+        let x = match chars {
+            Some(chars) => g.concat_cols(&[words, chars]),
+            None => words,
+        };
+        Encoded::Hidden(self.recur(g, theta, x, rng))
+    }
+
+    /// The recurrent layer between its input and output dropouts:
+    /// `[L, in] → [L, 2H]`.
+    fn recur<E: Exec>(&self, g: &E, theta: &ParamStore, x: Var, rng: &mut Rng) -> Var {
+        let x = g.dropout(x, self.cfg.dropout, rng);
+        let h = self.encoder.apply(g, theta, x);
+        g.dropout(h, self.cfg.dropout, rng)
+    }
+
+    /// The φ-conditioned head up to the hidden states `[L, 2H]`: FiLM on an
+    /// encoded `Hidden` state, or (ConcatInput) φ's rows joined to the
+    /// token features and run through the recurrent layer.
+    fn condition<E: Exec>(
         &self,
         g: &E,
         theta: &ParamStore,
         ctx: &TaskCtx,
-        sent: &EncodedSentence,
+        x: Encoded<Var>,
         rng: &mut Rng,
     ) -> Var {
-        let words = self.word_emb.apply(g, theta, &sent.word_ids);
-        let mut parts = vec![words];
-        if let (Some(ce), Some(cnn)) = (&self.char_emb, &self.char_cnn) {
-            let rows: Vec<Var> = sent
-                .char_ids
-                .iter()
-                .map(|ids| cnn.apply(g, theta, ce.apply(g, theta, ids)))
-                .collect();
-            parts.push(g.concat_rows(&rows));
+        match x {
+            Encoded::Hidden(h) => match ctx.film {
+                Some((gamma, eta)) => g.film(h, gamma, eta),
+                None => h,
+            },
+            Encoded::Tokens(words, chars) => {
+                let global = ctx.global.expect("ConcatInput conditioning requires phi");
+                // Broadcast φ over tokens by explicit row stacking.
+                let copies: Vec<Var> = (0..g.shape(words).0).map(|_| global).collect();
+                let phi_rows = g.concat_rows(&copies);
+                let x = match chars {
+                    Some(chars) => g.concat_cols(&[words, chars, phi_rows]),
+                    None => g.concat_cols(&[words, phi_rows]),
+                };
+                self.recur(g, theta, x, rng)
+            }
         }
-        if self.cfg.conditioning == Conditioning::ConcatInput {
-            let global = ctx.global.expect("ConcatInput conditioning requires phi");
-            // Broadcast φ over tokens by explicit row stacking.
-            let copies: Vec<Var> = (0..sent.len()).map(|_| global).collect();
-            parts.push(g.concat_rows(&copies));
-        }
-        let x = if parts.len() == 1 {
-            parts[0]
-        } else {
-            g.concat_cols(&parts)
-        };
-        g.dropout(x, self.cfg.dropout, rng)
     }
 
     /// Contextual hidden states `[L, 2H]` under a pre-computed task context.
@@ -389,14 +485,8 @@ impl Backbone {
         sent: &EncodedSentence,
         rng: &mut Rng,
     ) -> Var {
-        assert!(!sent.is_empty(), "empty sentence");
-        let x = self.token_repr_ctx(g, theta, ctx, sent, rng);
-        let mut h = self.encoder.apply(g, theta, x);
-        h = g.dropout(h, self.cfg.dropout, rng);
-        if let Some((gamma, eta)) = ctx.film {
-            h = g.film(h, gamma, eta);
-        }
-        h
+        let x = self.encode(g, theta, sent, rng);
+        self.condition(g, theta, ctx, x, rng)
     }
 
     /// Contextual hidden states `[L, 2H]`, conditioned on φ when given.
@@ -457,6 +547,24 @@ impl Backbone {
         }
     }
 
+    /// Sequence NLL of one sentence from its encoded state.
+    #[allow(clippy::too_many_arguments)]
+    fn encoded_nll<E: Exec>(
+        &self,
+        g: &E,
+        theta: &ParamStore,
+        ctx: &TaskCtx,
+        x: Encoded<Var>,
+        gold: &[usize],
+        tags: &TagSet,
+        rng: &mut Rng,
+    ) -> Var {
+        let h = self.condition(g, theta, ctx, x, rng);
+        let e = self.emissions_ctx(g, theta, ctx, h, tags);
+        let (trans, start) = self.head_transitions(g, theta, tags);
+        crate::crf::crf_nll(g, e, trans, start, gold)
+    }
+
     /// Sequence NLL of one sentence (`gold` are tag indices).
     #[allow(clippy::too_many_arguments)]
     pub fn nll<E: Exec>(
@@ -470,10 +578,8 @@ impl Backbone {
         rng: &mut Rng,
     ) -> Var {
         let ctx = self.task_ctx(g, theta, phi, tags);
-        let h = self.hidden_ctx(g, theta, &ctx, sent, rng);
-        let e = self.emissions_ctx(g, theta, &ctx, h, tags);
-        let (trans, start) = self.head_transitions(g, theta, tags);
-        crate::crf::crf_nll(g, e, trans, start, gold)
+        let x = self.encode(g, theta, sent, rng);
+        self.encoded_nll(g, theta, &ctx, x, gold, tags, rng)
     }
 
     /// Mean sequence NLL over a batch — the per-task loss `L(θ, φ)`.
@@ -491,6 +597,65 @@ impl Backbone {
         let losses: Vec<Var> = batch
             .iter()
             .map(|(s, gold)| self.nll(g, theta, phi, s, gold, tags, rng))
+            .collect();
+        let total = g.concat_cols(&losses);
+        g.mean_all(total)
+    }
+
+    /// Runs every support sentence through the φ-free encode stage on
+    /// [`Infer`], once, for [`Backbone::encoded_loss`] to start from.
+    pub fn encode_support<'a>(
+        &self,
+        theta: &ParamStore,
+        support: &'a [LabeledSentence],
+    ) -> EncodedSupport<'a> {
+        let ex = Infer::new();
+        let mark = ex.mark();
+        let mut rng = Rng::new(0); // inference mode: dropout inert, rng unused
+        let states = support
+            .iter()
+            .map(|(sent, _)| {
+                let state = self
+                    .encode(&ex, theta, sent, &mut rng)
+                    .map(|&v| ex.value(v));
+                // The state now shares its buffer; the sentence's scratch
+                // goes back to the pool for the next sentence.
+                ex.reset_to(mark);
+                state
+            })
+            .collect();
+        EncodedSupport { support, states }
+    }
+
+    /// [`Backbone::batch_loss`] over an encoded support set on a
+    /// dropout-free executor: only the φ-conditioned head runs, from the
+    /// encoded states. Values, and the order in which φ's gradient
+    /// accumulates, equal `batch_loss` over the same support: the task
+    /// context is built per sentence, as [`Backbone::nll`] builds it.
+    pub fn encoded_loss<E: Exec>(
+        &self,
+        g: &E,
+        theta: &ParamStore,
+        phi: Var,
+        encoded: &EncodedSupport<'_>,
+        tags: &TagSet,
+    ) -> Var {
+        assert_eq!(
+            g.mode(),
+            ExecMode::Eval,
+            "the encoded states are dropout-free"
+        );
+        assert!(!encoded.support.is_empty(), "empty batch");
+        let mut rng = Rng::new(0); // eval mode: dropout inert, rng unused
+        let losses: Vec<Var> = encoded
+            .support
+            .iter()
+            .zip(&encoded.states)
+            .map(|((_, gold), state)| {
+                let ctx = self.task_ctx(g, theta, Some(phi), tags);
+                let x = state.map(|a| g.constant((**a).clone()));
+                self.encoded_nll(g, theta, &ctx, x, gold, tags, &mut rng)
+            })
             .collect();
         let total = g.concat_cols(&losses);
         g.mean_all(total)
@@ -623,15 +788,12 @@ mod tests {
         let phi = g.param(&phi_store, phi_id);
         let h_cond = bb.hidden(&g, &store, Some(phi), &sent, &mut rng);
 
-        // Manually compute the unconditioned hidden state on a second graph.
+        // The unconditioned hidden state: the encode stage alone, on a
+        // second graph.
         let g2 = Graph::eval();
-        let ctx = TaskCtx {
-            global: None,
-            film: None,
-            active_t: None,
+        let Encoded::Hidden(h_plain) = bb.encode(&g2, &store, &sent, &mut rng) else {
+            panic!("FiLM encodes to hidden states");
         };
-        let x = bb.token_repr_ctx(&g2, &store, &ctx, &sent, &mut rng);
-        let h_plain = bb.encoder.apply(&g2, &store, x);
 
         let (a, b) = (g.value(h_cond), g2.value(h_plain));
         for (x, y) in a.data().iter().zip(b.data()) {
@@ -774,6 +936,31 @@ mod tests {
 
             let batched = bb.decode_task(&store, phi_ref, sents.iter(), &tags);
             assert_eq!(batched, reference, "conditioning {cond:?}");
+        }
+    }
+
+    #[test]
+    fn check_ways_follows_the_head() {
+        let dense = BackboneConfig::default_for(5);
+        assert!(dense.check_ways(5).is_ok());
+        for ways in [0, 1, 4, 6] {
+            assert!(
+                dense.check_ways(ways).is_err(),
+                "dense 5-way head, {ways} ways"
+            );
+        }
+        let slots = BackboneConfig {
+            head: HeadKind::SlotShared {
+                slot_dim: 8,
+                max_slots: 4,
+            },
+            ..BackboneConfig::default_for(5)
+        };
+        for ways in 1..=4 {
+            assert!(slots.check_ways(ways).is_ok(), "{ways} of 4 slots");
+        }
+        for ways in [0, 5] {
+            assert!(slots.check_ways(ways).is_err(), "{ways} of 4 slots");
         }
     }
 

@@ -653,12 +653,7 @@ impl Server {
         ways: usize,
         support: &[SupportSentence],
     ) -> Result<Vec<LabeledSentence>> {
-        let max = self.learner.backbone.config().max_ways();
-        if ways == 0 || ways > max {
-            return Err(Error::InvalidConfig(format!(
-                "ways must be in 1..={max}, got {ways}"
-            )));
-        }
+        self.learner.backbone.config().check_ways(ways)?;
         let tags = TagSet::new(ways)?;
         support
             .iter()

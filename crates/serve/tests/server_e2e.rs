@@ -114,6 +114,52 @@ fn protocol_round_trip_over_tcp() {
 }
 
 #[test]
+fn a_way_count_the_head_does_not_take_is_a_bad_request() {
+    // The tiny model's dense head is 2-way; a 1-way support set is within
+    // 1..=max_ways but would reach the head's shape assertion.
+    let (learner, enc, tasks) = common::tiny();
+    let task = &tasks[0];
+    let server = Server::new(learner, enc, ServeOptions::new(), ServerConfig::new()).unwrap();
+    let one_way = vec![SupportSentence {
+        tokens: vec!["x".to_string()],
+        tags: vec![fewner_text::Tag::B(0)],
+    }];
+    fn is_bad_request<T>(r: fewner_util::Result<T>) -> bool {
+        matches!(r, Err(Error::InvalidConfig(msg)) if msg.contains("bad_request"))
+    }
+
+    with_server(&server, |addr| {
+        let mut client = Client::connect(addr).unwrap();
+        assert!(is_bad_request(client.adapt(
+            "acme",
+            "t0",
+            1,
+            one_way.clone()
+        )));
+        client.ping().unwrap();
+        assert!(is_bad_request(client.extend(
+            "acme",
+            "t1",
+            1,
+            one_way.clone()
+        )));
+        client.ping().unwrap();
+        assert!(is_bad_request(client.predict_with_support(
+            "acme",
+            "t2",
+            &query_sentences(task),
+            1,
+            one_way.clone()
+        )));
+        client.ping().unwrap();
+        // The right way count still adapts on the same connection.
+        client
+            .adapt("acme", "t0", task.n_ways, wire_support(task))
+            .unwrap();
+    });
+}
+
+#[test]
 fn extend_grows_a_served_context_incrementally() {
     let (learner, enc, tasks) = common::tiny();
     let (task, task2) = (&tasks[0], &tasks[1]);
@@ -251,7 +297,7 @@ fn overload_sheds_with_typed_error_and_batching_merges_queued_work() {
     // long enough for queued predicts to pile up deterministically.
     let slow = {
         let cfg = MetaConfig {
-            inner_steps_test: 300,
+            inner_steps_test: 2_000,
             meta_batch: 2,
             ..MetaConfig::default()
         };

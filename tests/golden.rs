@@ -7,7 +7,11 @@
 //! * a tiny meta-trained checkpoint file (`Checkpoint::save`) — the tape's
 //!   forward and backward kernels and the optimizers;
 //! * the persisted φ of one adapted task (`AdaptedCtx::save`) — the inner
-//!   loop;
+//!   loop — and of that context extended by more support (`Fewner::extend`);
+//! * the persisted φ of one task adapted by two untrained learners, one
+//!   with ConcatInput conditioning and one with FiLM over a BiLSTM and a
+//!   slot-shared head — the inner loop under the other conditioning site,
+//!   encoder and head;
 //! * the decode of that task's query set under f32, f16 and i8 θ — the
 //!   Viterbi paths from `Fewner::predict` plus the bit patterns of each
 //!   query sentence's hidden states and NLL evaluated on the `Infer`
@@ -24,6 +28,7 @@
 use std::path::Path;
 
 use fewner::core::Checkpoint;
+use fewner::corpus::TypeSplit;
 use fewner::prelude::*;
 use fewner::tensor::{Exec, Infer, WeightFormat};
 use fewner::util::crc32;
@@ -33,6 +38,9 @@ const PHI_CRC: u32 = 0x4440_0377;
 const DECODE_F32_CRC: u32 = 0x2216_cbdf;
 const DECODE_F16_CRC: u32 = 0x7ea4_93aa;
 const DECODE_I8_CRC: u32 = 0x48b9_7252;
+const EXTEND_PHI_CRC: u32 = 0x8c59_cb43;
+const CONCAT_PHI_CRC: u32 = 0x0512_968d;
+const SLOT_LSTM_PHI_CRC: u32 = 0x3c49_884b;
 
 fn file_crc(path: &Path) -> u32 {
     crc32(&std::fs::read(path).unwrap())
@@ -66,8 +74,31 @@ fn decode_crc(learner: &Fewner, ctx: &AdaptedCtx, task: &Task, enc: &TokenEncode
     crc32(&bytes)
 }
 
-#[test]
-fn checkpoint_phi_and_decode_bytes_match_the_pinned_crcs() {
+/// Asserts every `(name, got, pinned)` triple matches, naming each drift.
+fn assert_pinned(actual: &[(&str, u32, u32)]) {
+    let drifted: Vec<String> = actual
+        .iter()
+        .filter(|(_, got, want)| got != want)
+        .map(|(name, got, want)| format!("{name}: got {got:#010x}, pinned {want:#010x}"))
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "golden bytes moved:\n{}",
+        drifted.join("\n")
+    );
+}
+
+struct Fixture {
+    split: TypeSplit,
+    enc: TokenEncoder,
+    bb: BackboneConfig,
+    meta: MetaConfig,
+    /// The 3-way 1-shot test-split task every φ here is adapted to.
+    task: Task,
+    dir: std::path::PathBuf,
+}
+
+fn fixture(name: &str) -> Fixture {
     let data = DatasetProfile::bionlp13cg().generate(0.02).unwrap();
     let split = split_types(&data, (8, 3, 5), 42).unwrap();
     let spec = EmbeddingSpec {
@@ -87,29 +118,62 @@ fn checkpoint_phi_and_decode_bytes_match_the_pinned_crcs() {
         meta_lr: 1e-2,
         ..MetaConfig::default()
     };
+    let task = EpisodeSampler::new(&split.test, 3, 1, 12)
+        .unwrap()
+        .eval_set(11, 1)
+        .unwrap()
+        .remove(0);
+    let dir = std::env::temp_dir().join(format!("fewner-golden-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    Fixture {
+        split,
+        enc,
+        bb,
+        meta,
+        task,
+        dir,
+    }
+}
+
+/// CRC of the φ file `ctx` saves to.
+fn phi_crc(ctx: &AdaptedCtx, path: &Path) -> u32 {
+    ctx.save(path).unwrap();
+    file_crc(path)
+}
+
+#[test]
+fn checkpoint_phi_and_decode_bytes_match_the_pinned_crcs() {
+    let Fixture {
+        split,
+        enc,
+        bb,
+        meta,
+        task,
+        dir,
+    } = fixture("trained");
     let mut learner = Fewner::new(bb, &enc, meta.clone()).unwrap();
     let schedule = TrainConfig::new(3, 1).iterations(6).query_size(4).seed(5);
     Trainer::new()
         .train(&mut learner, &split.train, &enc, &meta, &schedule)
         .unwrap();
 
-    let dir = std::env::temp_dir().join(format!("fewner-golden-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
     let ckpt = dir.join("model.json");
     Checkpoint::capture(&learner).save(&ckpt).unwrap();
 
-    let task = EpisodeSampler::new(&split.test, 3, 1, 12)
-        .unwrap()
-        .eval_set(11, 1)
-        .unwrap()
-        .remove(0);
-    let ctx = learner.adapt(&task, &enc, &ServeOptions::new()).unwrap();
-    let phi = dir.join("phi.json");
-    ctx.save(&phi).unwrap();
+    let opts = ServeOptions::new();
+    let ctx = learner.adapt(&task, &enc, &opts).unwrap();
+    // The extend wave: the task's first three labelled query sentences.
+    let wave = fewner::models::encode_batch(&enc, &task.query[..3], &task.tag_set());
+    let extended = learner.extend(&ctx, &wave, &opts).unwrap();
 
     let mut actual = vec![
         ("checkpoint", file_crc(&ckpt), CHECKPOINT_CRC),
-        ("phi", file_crc(&phi), PHI_CRC),
+        ("phi", phi_crc(&ctx, &dir.join("phi.json")), PHI_CRC),
+        (
+            "extend phi",
+            phi_crc(&extended, &dir.join("extend.json")),
+            EXTEND_PHI_CRC,
+        ),
         (
             "decode f32",
             decode_crc(&learner, &ctx, &task, &enc),
@@ -126,15 +190,40 @@ fn checkpoint_phi_and_decode_bytes_match_the_pinned_crcs() {
         learner.theta.restore(&pristine).unwrap();
     }
     std::fs::remove_dir_all(&dir).ok();
+    assert_pinned(&actual);
+}
 
-    let drifted: Vec<String> = actual
-        .iter()
-        .filter(|(_, got, want)| got != want)
-        .map(|(name, got, want)| format!("{name}: got {got:#010x}, pinned {want:#010x}"))
-        .collect();
-    assert!(
-        drifted.is_empty(),
-        "golden bytes moved:\n{}",
-        drifted.join("\n")
-    );
+#[test]
+fn untrained_concat_and_slot_lstm_phi_match_the_pinned_crcs() {
+    let Fixture {
+        enc,
+        bb,
+        meta,
+        task,
+        dir,
+        ..
+    } = fixture("untrained");
+    let concat = BackboneConfig {
+        conditioning: Conditioning::ConcatInput,
+        ..bb.clone()
+    };
+    let slot_lstm = BackboneConfig {
+        encoder: EncoderKind::BiLstm,
+        head: HeadKind::SlotShared {
+            slot_dim: 6,
+            max_slots: 4,
+        },
+        ..bb
+    };
+    let mut actual = Vec::new();
+    for (name, cfg, pinned) in [
+        ("concat phi", concat, CONCAT_PHI_CRC),
+        ("slot-shared bilstm phi", slot_lstm, SLOT_LSTM_PHI_CRC),
+    ] {
+        let learner = Fewner::new(cfg, &enc, meta.clone()).unwrap();
+        let ctx = learner.adapt(&task, &enc, &ServeOptions::new()).unwrap();
+        actual.push((name, phi_crc(&ctx, &dir.join("phi.json")), pinned));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert_pinned(&actual);
 }
