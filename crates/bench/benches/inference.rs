@@ -8,13 +8,17 @@
 //!   char-CNN + BiGRU + FiLM) for a single query sentence; the same math
 //!   runs on both executors, so the gap is pure executor overhead.
 //! * `forward_per_task` — the same forward swept over a task's full query
-//!   set; the tape builds a fresh graph per sentence (the pre-executor
-//!   inference pattern) while `Infer` reuses one arena via mark/reset.
+//!   set, one sentence at a time on both executors; the tape builds a
+//!   fresh graph per sentence while `Infer` reuses one arena via
+//!   mark/reset.
 //! * `decode_per_task` — the end-to-end serving cost: the tape side runs
-//!   `batch_loss`'s full forward (emissions + CRF partition) and the infer
-//!   side runs `decode_task` (emissions + Viterbi, φ-conditioned context
-//!   hoisted once per task). Same asymptotics on the lattice, so the gap
-//!   is tape bookkeeping plus repeated context work.
+//!   `batch_loss`'s full forward (emissions + CRF partition), one sentence
+//!   at a time, and the infer side runs `decode_task`: one batched pass
+//!   over the whole query set (char-CNN over every token's windows at
+//!   once, the BiGRU stepping all sentences together, emissions once over
+//!   all rows, φ-conditioned context hoisted once) plus Viterbi per
+//!   sentence. So the gap is tape bookkeeping, repeated context work and
+//!   per-sentence op dispatch.
 //!
 //! After the criterion samples, a tokens/sec summary (the unit used by
 //! `fewner predict` and the timing binary) is printed for the per-task

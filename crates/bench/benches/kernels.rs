@@ -93,7 +93,7 @@ fn bench_crf(c: &mut Criterion) {
         });
     });
     c.bench_function("viterbi_L14_T11", |bench| {
-        bench.iter(|| black_box(viterbi(&emissions, &trans, &start, &tags)));
+        bench.iter(|| black_box(viterbi(emissions.data(), &trans, &start, &tags)));
     });
 }
 

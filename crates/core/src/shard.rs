@@ -521,16 +521,22 @@ impl ShardCoordinator {
     }
 
     /// Accepts exactly one connection per shard within the rendezvous
-    /// budget.
+    /// budget. While no worker is waiting it polls with a pause that starts
+    /// at 100 µs and doubles up to 10 ms, and starts over after each
+    /// accept, so the run starts soon after the last worker connects.
     fn rendezvous(&self) -> Result<Vec<WorkerLink>> {
+        const FIRST_PAUSE: Duration = Duration::from_micros(100);
+        const MAX_PAUSE: Duration = Duration::from_millis(10);
         let deadline = Deadline::from_ms(CONNECT_TIMEOUT_MS);
         self.listener
             .set_nonblocking(true)
             .map_err(|e| wire_io(format!("set_nonblocking: {e}")))?;
         let mut links = Vec::with_capacity(self.shards);
+        let mut pause = FIRST_PAUSE;
         while links.len() < self.shards {
             match self.listener.accept() {
                 Ok((stream, _)) => {
+                    pause = FIRST_PAUSE;
                     stream
                         .set_nonblocking(false)
                         .map_err(|e| wire_io(format!("set_blocking: {e}")))?;
@@ -545,7 +551,8 @@ impl ShardCoordinator {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     deadline.check("shard rendezvous")?;
-                    std::thread::sleep(Duration::from_millis(10));
+                    std::thread::sleep(pause);
+                    pause = (pause * 2).min(MAX_PAUSE);
                 }
                 Err(e) => return Err(wire_io(format!("accept: {e}"))),
             }

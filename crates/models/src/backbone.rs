@@ -23,10 +23,22 @@
 //! emissions and the CRF. Under ConcatInput φ joins the recurrent input, so
 //! the encode stage stops at the word and char features and the head runs
 //! the recurrent layer. [`Backbone::nll`], [`Backbone::batch_loss`],
-//! [`Backbone::hidden`] and [`Backbone::decode_task`] compose the two on one
-//! executor; FEWNER's inner loop runs the encode stage once per support set
-//! ([`Backbone::encode_support`]) and only the head on every φ step
-//! ([`Backbone::encoded_loss`]).
+//! [`Backbone::hidden`] and [`Backbone::emissions`] compose the two on any
+//! executor, one sentence at a time; FEWNER's inner loop runs the encode
+//! stage once per support set ([`Backbone::encode_support`]) and only the
+//! head on every φ step ([`Backbone::encoded_loss`]).
+//!
+//! Where no gradient is needed, a call's sentences go through one
+//! **batched pass** on [`Infer`] instead ([`Backbone::hidden_task`], behind
+//! [`Backbone::decode_task`] and [`Backbone::encode_support`]): every op
+//! runs once over all tokens' rows, the char-CNN over all tokens'
+//! character windows and the recurrent layer over all sentences at once,
+//! longest first, each step over the sentences still running. Each
+//! sentence's rows are bitwise what the per-sentence path gives it, since
+//! every op involved computes each row on its own. The tape path stays per
+//! sentence: training's θ-gradient accumulation order follows the tape's
+//! node order, and the per-sentence tape is the reference the equivalence
+//! tests hold the batched pass to.
 
 use std::sync::Arc;
 
@@ -197,6 +209,13 @@ impl SeqEncoder {
             SeqEncoder::Lstm(e) => e.apply(g, store, x),
         }
     }
+
+    fn apply_batched(&self, ex: &Infer, store: &ParamStore, x: Var, lens: &[usize]) -> Var {
+        match self {
+            SeqEncoder::Gru(e) => e.apply_batched(ex, store, x, lens),
+            SeqEncoder::Lstm(e) => e.apply_batched(ex, store, x, lens),
+        }
+    }
 }
 
 /// One sentence's state where φ first enters the network: the output of
@@ -227,6 +246,42 @@ impl<T> Encoded<T> {
 pub struct EncodedSupport<'a> {
     support: &'a [LabeledSentence],
     states: Vec<Encoded<Arc<Array>>>,
+}
+
+/// Every sentence of one call after the batched pass on [`Infer`]: hidden
+/// states and emission scores, stacked in the caller's sentence order.
+/// Built by [`Backbone::hidden_task`].
+pub struct TaskRows {
+    /// Sentence `i` is rows `offsets[i]..offsets[i + 1]`.
+    offsets: Vec<usize>,
+    hidden: Arc<Array>,
+    emissions: Arc<Array>,
+}
+
+impl TaskRows {
+    /// Number of sentences.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// True when the call had no sentences.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Sentence `i`'s hidden states `[L, 2H]`, row-major.
+    pub fn hidden(&self, i: usize) -> &[f32] {
+        self.rows(&self.hidden, i)
+    }
+
+    /// Sentence `i`'s emission scores `[L, 2N+1]`, row-major.
+    pub fn emissions(&self, i: usize) -> &[f32] {
+        self.rows(&self.emissions, i)
+    }
+
+    fn rows<'a>(&self, a: &'a Array, i: usize) -> &'a [f32] {
+        &a.data()[self.offsets[i] * a.cols()..self.offsets[i + 1] * a.cols()]
+    }
 }
 
 /// Sentence-independent, φ-conditioned quantities for one task.
@@ -428,6 +483,46 @@ impl Backbone {
             }
             _ => None,
         };
+        self.encoded(g, words, chars, |x| self.recur(g, theta, x, rng))
+    }
+
+    /// [`Backbone::encode`] of every sentence at once on [`Infer`]: each op
+    /// runs once over all tokens' rows, stacked in the sentences' order
+    /// (`lens[i]` rows for sentence `i`). Dropout is inert on `Infer`, so
+    /// the recurrent layer runs without it.
+    fn encode_batched(
+        &self,
+        ex: &Infer,
+        theta: &ParamStore,
+        sents: &[&EncodedSentence],
+        lens: &[usize],
+    ) -> Encoded<Var> {
+        let word_ids: Vec<usize> = sents.iter().flat_map(|s| &s.word_ids).copied().collect();
+        let words = self.word_emb.apply(ex, theta, &word_ids);
+        let chars = match (&self.char_emb, &self.char_cnn) {
+            (Some(ce), Some(cnn)) => {
+                let tokens = || sents.iter().flat_map(|s| &s.char_ids);
+                let ids: Vec<usize> = tokens().flatten().copied().collect();
+                let widths: Vec<usize> = tokens().map(Vec::len).collect();
+                Some(cnn.apply_batched(ex, theta, ce.apply(ex, theta, &ids), &widths))
+            }
+            _ => None,
+        };
+        self.encoded(ex, words, chars, |x| {
+            self.encoder.apply_batched(ex, theta, x, lens)
+        })
+    }
+
+    /// The encode stage's state from the word and char features: the
+    /// features themselves under ConcatInput, else their concatenation run
+    /// through `recur`.
+    fn encoded<E: Exec>(
+        &self,
+        g: &E,
+        words: Var,
+        chars: Option<Var>,
+        recur: impl FnOnce(Var) -> Var,
+    ) -> Encoded<Var> {
         if self.cfg.conditioning == Conditioning::ConcatInput {
             return Encoded::Tokens(words, chars);
         }
@@ -435,7 +530,7 @@ impl Backbone {
             Some(chars) => g.concat_cols(&[words, chars]),
             None => words,
         };
-        Encoded::Hidden(self.recur(g, theta, x, rng))
+        Encoded::Hidden(recur(x))
     }
 
     /// The recurrent layer between its input and output dropouts:
@@ -446,16 +541,15 @@ impl Backbone {
         g.dropout(h, self.cfg.dropout, rng)
     }
 
-    /// The φ-conditioned head up to the hidden states `[L, 2H]`: FiLM on an
-    /// encoded `Hidden` state, or (ConcatInput) φ's rows joined to the
-    /// token features and run through the recurrent layer.
+    /// The φ-conditioned head up to the hidden states: FiLM on an encoded
+    /// `Hidden` state, or (ConcatInput) φ's row joined to every token's
+    /// features and run through the recurrent layer by `recur`.
     fn condition<E: Exec>(
         &self,
         g: &E,
-        theta: &ParamStore,
         ctx: &TaskCtx,
         x: Encoded<Var>,
-        rng: &mut Rng,
+        recur: impl FnOnce(Var) -> Var,
     ) -> Var {
         match x {
             Encoded::Hidden(h) => match ctx.film {
@@ -465,13 +559,13 @@ impl Backbone {
             Encoded::Tokens(words, chars) => {
                 let global = ctx.global.expect("ConcatInput conditioning requires phi");
                 // Broadcast φ over tokens by explicit row stacking.
-                let copies: Vec<Var> = (0..g.shape(words).0).map(|_| global).collect();
+                let copies = vec![global; g.shape(words).0];
                 let phi_rows = g.concat_rows(&copies);
                 let x = match chars {
                     Some(chars) => g.concat_cols(&[words, chars, phi_rows]),
                     None => g.concat_cols(&[words, phi_rows]),
                 };
-                self.recur(g, theta, x, rng)
+                recur(x)
             }
         }
     }
@@ -486,7 +580,7 @@ impl Backbone {
         rng: &mut Rng,
     ) -> Var {
         let x = self.encode(g, theta, sent, rng);
-        self.condition(g, theta, ctx, x, rng)
+        self.condition(g, ctx, x, |x| self.recur(g, theta, x, rng))
     }
 
     /// Contextual hidden states `[L, 2H]`, conditioned on φ when given.
@@ -503,6 +597,22 @@ impl Backbone {
     ) -> Var {
         let ctx = self.phi_ctx(g, theta, phi);
         self.hidden_ctx(g, theta, &ctx, sent, rng)
+    }
+
+    /// Emission scores `[L, 2N+1]` of one sentence, conditioned on φ when
+    /// given: the scores [`Backbone::nll`] and the decoders read.
+    pub fn emissions<E: Exec>(
+        &self,
+        g: &E,
+        theta: &ParamStore,
+        phi: Option<Var>,
+        sent: &EncodedSentence,
+        tags: &TagSet,
+        rng: &mut Rng,
+    ) -> Var {
+        let ctx = self.task_ctx(g, theta, phi, tags);
+        let h = self.hidden_ctx(g, theta, &ctx, sent, rng);
+        self.emissions_ctx(g, theta, &ctx, h, tags)
     }
 
     /// Emission scores including the per-slot context conditioning.
@@ -538,8 +648,9 @@ impl Backbone {
         g.add(base, g.concat_cols(&cols))
     }
 
-    /// Transition scores from the head.
-    fn head_transitions<E: Exec>(&self, g: &E, theta: &ParamStore, tags: &TagSet) -> (Var, Var) {
+    /// The head's transition scores `[T, T]` and start scores `[1, T]`
+    /// for a `T`-tag set.
+    pub fn transitions<E: Exec>(&self, g: &E, theta: &ParamStore, tags: &TagSet) -> (Var, Var) {
         use crate::crf::CrfHead as _;
         match &self.head {
             Head::Dense(c) => c.transitions(g, theta, tags),
@@ -559,9 +670,9 @@ impl Backbone {
         tags: &TagSet,
         rng: &mut Rng,
     ) -> Var {
-        let h = self.condition(g, theta, ctx, x, rng);
+        let h = self.condition(g, ctx, x, |x| self.recur(g, theta, x, rng));
         let e = self.emissions_ctx(g, theta, ctx, h, tags);
-        let (trans, start) = self.head_transitions(g, theta, tags);
+        let (trans, start) = self.transitions(g, theta, tags);
         crate::crf::crf_nll(g, e, trans, start, gold)
     }
 
@@ -602,28 +713,36 @@ impl Backbone {
         g.mean_all(total)
     }
 
-    /// Runs every support sentence through the φ-free encode stage on
-    /// [`Infer`], once, for [`Backbone::encoded_loss`] to start from.
+    /// Runs every support sentence through the φ-free encode stage once,
+    /// in one batched pass on [`Infer`], for [`Backbone::encoded_loss`] to
+    /// start from.
     pub fn encode_support<'a>(
         &self,
         theta: &ParamStore,
         support: &'a [LabeledSentence],
     ) -> EncodedSupport<'a> {
+        let sents: Vec<&EncodedSentence> = support.iter().map(|(sent, _)| sent).collect();
+        let lens = sentence_lens(&sents);
+        if sents.is_empty() {
+            return EncodedSupport {
+                support,
+                states: Vec::new(),
+            };
+        }
         let ex = Infer::new();
-        let mark = ex.mark();
-        let mut rng = Rng::new(0); // inference mode: dropout inert, rng unused
-        let states = support
-            .iter()
-            .map(|(sent, _)| {
-                let state = self
-                    .encode(&ex, theta, sent, &mut rng)
-                    .map(|&v| ex.value(v));
-                // The state now shares its buffer; the sentence's scratch
-                // goes back to the pool for the next sentence.
-                ex.reset_to(mark);
-                state
-            })
-            .collect();
+        let states = match self.encode_batched(&ex, theta, &sents, &lens) {
+            Encoded::Hidden(h) => split_rows(&ex.value(h), &lens)
+                .into_iter()
+                .map(Encoded::Hidden)
+                .collect(),
+            Encoded::Tokens(words, chars) => {
+                let mut chars = chars.map(|c| split_rows(&ex.value(c), &lens).into_iter());
+                split_rows(&ex.value(words), &lens)
+                    .into_iter()
+                    .map(|w| Encoded::Tokens(w, chars.as_mut().and_then(Iterator::next)))
+                    .collect()
+            }
+        };
         EncodedSupport { support, states }
     }
 
@@ -661,14 +780,59 @@ impl Backbone {
         g.mean_all(total)
     }
 
-    /// Viterbi-decodes every sentence of one adapted task on the
-    /// gradient-free [`Infer`] executor.
-    ///
-    /// The φ-conditioned projections (FiLM rows, slot contexts) and the
-    /// head's transition scores are computed **once** for the whole task;
-    /// per-sentence scratch buffers are recycled between sentences via the
-    /// arena's mark/reset. Paths are bitwise identical to decoding each
-    /// sentence on its own tape.
+    /// Hidden states and emission scores of every sentence of one call,
+    /// from one batched pass on [`Infer`]. The char-CNN runs over all
+    /// tokens' character windows at once, the recurrent layer steps all
+    /// sentences together (longest first, each step over the sentences
+    /// still running), and FiLM, the slot context and the emissions run
+    /// once over all tokens' rows. The φ-conditioned projections are
+    /// computed once per call. Each sentence's rows are bitwise what
+    /// [`Backbone::hidden`] and [`Backbone::emissions`] give it alone.
+    pub fn hidden_task<'a, I>(
+        &self,
+        theta: &ParamStore,
+        phi_store: Option<(&ParamStore, ParamId)>,
+        sents: I,
+        tags: &TagSet,
+    ) -> TaskRows
+    where
+        I: IntoIterator<Item = &'a EncodedSentence>,
+    {
+        let sents: Vec<&EncodedSentence> = sents.into_iter().collect();
+        let lens = sentence_lens(&sents);
+        let offsets = std::iter::once(0)
+            .chain(lens.iter().scan(0, |end, &len| {
+                *end += len;
+                Some(*end)
+            }))
+            .collect();
+        if sents.is_empty() {
+            let none = Arc::new(Array::zeros(0, 0));
+            return TaskRows {
+                offsets,
+                hidden: Arc::clone(&none),
+                emissions: none,
+            };
+        }
+        let ex = Infer::new();
+        let phi = phi_store.map(|(s, id)| ex.param(s, id));
+        let ctx = self.task_ctx(&ex, theta, phi, tags);
+        let x = self.encode_batched(&ex, theta, &sents, &lens);
+        let h = self.condition(&ex, &ctx, x, |x| {
+            self.encoder.apply_batched(&ex, theta, x, &lens)
+        });
+        let e = self.emissions_ctx(&ex, theta, &ctx, h, tags);
+        TaskRows {
+            offsets,
+            hidden: ex.value(h),
+            emissions: ex.value(e),
+        }
+    }
+
+    /// Viterbi-decodes every sentence of one call: [`Backbone::hidden_task`]
+    /// once, then Viterbi per sentence on that sentence's emission rows.
+    /// Paths are bitwise identical to decoding each sentence on its own
+    /// tape.
     pub fn decode_task<'a, I>(
         &self,
         theta: &ParamStore,
@@ -679,21 +843,13 @@ impl Backbone {
     where
         I: IntoIterator<Item = &'a EncodedSentence>,
     {
+        let rows = self.hidden_task(theta, phi_store, sents, tags);
         let ex = Infer::new();
-        let phi = phi_store.map(|(s, id)| ex.param(s, id));
-        let ctx = self.task_ctx(&ex, theta, phi, tags);
-        let (trans, start) = self.head_transitions(&ex, theta, tags);
+        let (trans, start) = self.transitions(&ex, theta, tags);
         let (trans, start) = (ex.value(trans), ex.value(start));
-        let mark = ex.mark();
-        let mut rng = Rng::new(0); // inference mode: dropout inert, rng unused
-        let mut paths = Vec::new();
-        for sent in sents {
-            let h = self.hidden_ctx(&ex, theta, &ctx, sent, &mut rng);
-            let e = self.emissions_ctx(&ex, theta, &ctx, h, tags);
-            paths.push(crate::crf::viterbi(&ex.value(e), &trans, &start, tags));
-            ex.reset_to(mark);
-        }
-        paths
+        (0..rows.len())
+            .map(|i| crate::crf::viterbi(rows.emissions(i), &trans, &start, tags))
+            .collect()
     }
 
     /// Viterbi-decodes one sentence to tag indices.
@@ -708,6 +864,30 @@ impl Backbone {
             .pop()
             .expect("decode_task returns one path per sentence")
     }
+}
+
+/// Each sentence's token count; a sentence must have at least one token.
+fn sentence_lens(sents: &[&EncodedSentence]) -> Vec<usize> {
+    sents
+        .iter()
+        .map(|sent| {
+            assert!(!sent.is_empty(), "empty sentence");
+            sent.len()
+        })
+        .collect()
+}
+
+/// Splits stacked rows into consecutive blocks of `lens[i]` rows.
+fn split_rows(a: &Array, lens: &[usize]) -> Vec<Arc<Array>> {
+    let cols = a.cols();
+    let mut first = 0;
+    lens.iter()
+        .map(|&len| {
+            let block = a.data()[first * cols..(first + len) * cols].to_vec();
+            first += len;
+            Arc::new(Array::from_vec(len, cols, block))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -929,8 +1109,8 @@ mod tests {
                     let ctx = bb.task_ctx(&g, &store, phi, &tags);
                     let h = bb.hidden_ctx(&g, &store, &ctx, sent, &mut rng);
                     let e = bb.emissions_ctx(&g, &store, &ctx, h, &tags);
-                    let (trans, start) = bb.head_transitions(&g, &store, &tags);
-                    crate::crf::viterbi(&g.value(e), &g.value(trans), &g.value(start), &tags)
+                    let (trans, start) = bb.transitions(&g, &store, &tags);
+                    crate::crf::viterbi(g.value(e).data(), &g.value(trans), &g.value(start), &tags)
                 })
                 .collect();
 

@@ -56,7 +56,12 @@ pub trait CrfHead {
     fn decode<E: Exec>(&self, g: &E, store: &ParamStore, h: Var, tags: &TagSet) -> Vec<usize> {
         let emissions = self.emissions(g, store, h, tags);
         let (trans, start) = self.transitions(g, store, tags);
-        viterbi(&g.value(emissions), &g.value(trans), &g.value(start), tags)
+        viterbi(
+            g.value(emissions).data(),
+            &g.value(trans),
+            &g.value(start),
+            tags,
+        )
     }
 }
 
@@ -89,47 +94,61 @@ pub fn crf_nll<E: Exec>(g: &E, emissions: Var, trans: Var, start: Var, gold: &[u
     g.sub(log_z, score)
 }
 
-/// Constrained Viterbi decoding on plain arrays.
-#[allow(clippy::needless_range_loop)]
-pub fn viterbi(emissions: &Array, trans: &Array, start: &Array, tags: &TagSet) -> Vec<usize> {
-    let (len, n_tags) = emissions.shape();
+/// Constrained Viterbi decoding of one sentence on plain arrays.
+///
+/// `emissions` holds the sentence's `[L, T]` emission rows, row-major, for
+/// the `T = trans.rows()` tags. The BIO legality of every tag pair is
+/// looked up once per call, and the recursion reuses two score rows and
+/// one flat back-pointer table. Each candidate scores
+/// `score + trans (+ FORBIDDEN if illegal)` and replaces the best only when
+/// strictly greater, so ties go to the lowest previous tag.
+pub fn viterbi(emissions: &[f32], trans: &Array, start: &Array, tags: &TagSet) -> Vec<usize> {
+    let n_tags = trans.rows();
     assert_eq!(trans.shape(), (n_tags, n_tags));
-    assert!(len > 0);
-
-    let allowed_start: Vec<bool> = (0..n_tags)
-        .map(|j| tags.allowed_at_start(tags.tag(j)))
+    assert!(
+        n_tags > 0 && !emissions.is_empty() && emissions.len().is_multiple_of(n_tags),
+        "viterbi: {} emission scores for {n_tags} tags",
+        emissions.len()
+    );
+    let len = emissions.len() / n_tags;
+    let tag: Vec<Tag> = (0..n_tags).map(|j| tags.tag(j)).collect();
+    // allowed[i * n_tags + j]: may tag i be followed by tag j?
+    let allowed: Vec<bool> = tag
+        .iter()
+        .flat_map(|&from| tag.iter().map(move |&to| tags.allowed(from, to)))
         .collect();
+
     let mut score: Vec<f32> = (0..n_tags)
         .map(|j| {
-            let base = emissions.at(0, j) + start.at(0, j);
-            if allowed_start[j] {
+            let base = emissions[j] + start.at(0, j);
+            if tags.allowed_at_start(tag[j]) {
                 base
             } else {
                 base + FORBIDDEN
             }
         })
         .collect();
-    let mut back: Vec<Vec<usize>> = Vec::with_capacity(len);
+    let mut next = vec![0.0f32; n_tags];
+    // back[(t - 1) * n_tags + j]: the best previous tag of tag j at step t.
+    let mut back = vec![0usize; (len - 1) * n_tags];
 
-    for t in 1..len {
-        let mut next = vec![f32::NEG_INFINITY; n_tags];
-        let mut ptr = vec![0usize; n_tags];
+    for (t, emit) in emissions.chunks_exact(n_tags).enumerate().skip(1) {
+        let ptr = &mut back[(t - 1) * n_tags..t * n_tags];
         for j in 0..n_tags {
-            let to = tags.tag(j);
+            let mut best = f32::NEG_INFINITY;
             for i in 0..n_tags {
                 let mut s = score[i] + trans.at(i, j);
-                if !tags.allowed(tags.tag(i), to) {
+                if !allowed[i * n_tags + j] {
                     s += FORBIDDEN;
                 }
-                if s > next[j] {
-                    next[j] = s;
+                if s > best {
+                    best = s;
                     ptr[j] = i;
                 }
             }
-            next[j] += emissions.at(t, j);
+            next[j] = best + emit[j];
         }
-        score = next;
-        back.push(ptr);
+        std::mem::swap(&mut score, &mut next);
     }
 
     let mut best = 0usize;
@@ -140,7 +159,7 @@ pub fn viterbi(emissions: &Array, trans: &Array, start: &Array, tags: &TagSet) -
     }
     let mut path = vec![best; len];
     for t in (1..len).rev() {
-        path[t - 1] = back[t - 1][path[t]];
+        path[t - 1] = back[(t - 1) * n_tags + path[t]];
     }
     path
 }
@@ -451,7 +470,7 @@ mod tests {
             let emissions = Array::uniform(4, 3, -1.0, 1.0, &mut r);
             let trans = Array::uniform(3, 3, -1.0, 1.0, &mut r);
             let start = Array::uniform(1, 3, -1.0, 1.0, &mut r);
-            let path = viterbi(&emissions, &trans, &start, &tags);
+            let path = viterbi(emissions.data(), &trans, &start, &tags);
 
             // Exhaustive search over *valid* sequences.
             let mut best_score = f64::NEG_INFINITY;
@@ -497,7 +516,7 @@ mod tests {
             let emissions = Array::uniform(6, 5, -2.0, 2.0, &mut rng);
             let trans = Array::uniform(5, 5, -1.0, 1.0, &mut rng);
             let start = Array::uniform(1, 5, -1.0, 1.0, &mut rng);
-            let path = viterbi(&emissions, &trans, &start, &tags);
+            let path = viterbi(emissions.data(), &trans, &start, &tags);
             let decoded: Vec<Tag> = path.iter().map(|&i| tags.tag(i)).collect();
             fewner_text::validate_tags(&decoded, &tags).unwrap();
         }
@@ -512,7 +531,7 @@ mod tests {
         let emissions = Array::zeros(5, 5);
         let trans = Array::zeros(5, 5);
         let start = Array::zeros(1, 5);
-        assert_eq!(viterbi(&emissions, &trans, &start, &tags), vec![0; 5]);
+        assert_eq!(viterbi(emissions.data(), &trans, &start, &tags), vec![0; 5]);
     }
 
     #[test]

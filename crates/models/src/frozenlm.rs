@@ -198,7 +198,7 @@ impl FrozenLm {
             .map(|sent| {
                 let feats = self.features(&ex, sent);
                 let e = self.head.emissions(&ex, head, feats, tags);
-                let path = crate::crf::viterbi(&ex.value(e), &trans, &start, tags);
+                let path = crate::crf::viterbi(ex.value(e).data(), &trans, &start, tags);
                 ex.reset_to(mark);
                 path
             })

@@ -25,7 +25,9 @@ pub mod prep;
 pub mod protonet;
 pub mod snail;
 
-pub use backbone::{Backbone, BackboneConfig, Conditioning, EncodedSupport, EncoderKind, HeadKind};
+pub use backbone::{
+    Backbone, BackboneConfig, Conditioning, EncodedSupport, EncoderKind, HeadKind, TaskRows,
+};
 pub use crf::{crf_nll, viterbi, CrfHead, DenseCrf, SlotSharedCrf};
 pub use encoding::{EncodedSentence, TokenEncoder};
 pub use frozenlm::{FrozenLm, LmFlavor};

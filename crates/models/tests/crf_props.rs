@@ -80,7 +80,7 @@ proptest! {
         let emissions = rand_array(len, t, seed ^ 4);
         let trans = rand_array(t, t, seed ^ 5);
         let start = rand_array(1, t, seed ^ 6);
-        let best = viterbi(&emissions, &trans, &start, &tags);
+        let best = viterbi(emissions.data(), &trans, &start, &tags);
         let best_score = path_score(&emissions, &trans, &start, &best);
         for _ in 0..20 {
             let candidate = random_valid_path(len, &tags, &mut rng);

@@ -5,13 +5,17 @@
 //! forward values and identical decoded paths to an evaluation-mode tape
 //! ([`Graph::eval`]). All paths here are dropout-off by construction: both
 //! executors report [`ExecMode::Eval`], so dropout is the identity.
+//!
+//! The backbone's batched pass ([`Backbone::hidden_task`], behind
+//! `decode_task`) runs all of a call's sentences through each op at once;
+//! its reference is always the per-sentence tape.
 
 use fewner_corpus::{split_types, DatasetProfile};
 use fewner_episode::EpisodeSampler;
 use fewner_models::backbone::EncoderKind;
 use fewner_models::{
-    encode_task, Backbone, BackboneConfig, Conditioning, FrozenLm, HeadKind, LabeledSentence,
-    ProtoNet, Snail, SnailConfig, TokenEncoder,
+    encode_task, viterbi, Backbone, BackboneConfig, Conditioning, EncodedSentence, FrozenLm,
+    HeadKind, LabeledSentence, ProtoNet, Snail, SnailConfig, TokenEncoder,
 };
 use fewner_tensor::{Array, Exec, Graph, Infer, ParamStore};
 use fewner_text::embed::EmbeddingSpec;
@@ -77,13 +81,44 @@ fn random_phi(bb: &Backbone, seed: u64) -> (ParamStore, fewner_tensor::ParamId) 
 
 fn assert_bitwise(a: &Array, b: &Array, what: &str) {
     assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()), "{what}: shape");
-    for (i, (x, y)) in a.data().iter().zip(b.data().iter()).enumerate() {
+    assert_bits(a.data(), b.data(), what);
+}
+
+fn assert_bits(a: &[f32], b: &[f32], what: &str) {
+    assert_eq!(a.len(), b.len(), "{what}: length");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
         assert_eq!(
             x.to_bits(),
             y.to_bits(),
             "{what}: element {i} differs ({x} vs {y})"
         );
     }
+}
+
+/// The first `len` tokens of `sent`.
+fn truncated(sent: &EncodedSentence, len: usize) -> EncodedSentence {
+    EncodedSentence {
+        word_ids: sent.word_ids[..len].to_vec(),
+        char_ids: sent.char_ids[..len].to_vec(),
+    }
+}
+
+/// `n` of the fixture's sentences. Mixed lengths keep each sentence whole
+/// but cut the one at `short` to a single token; equal lengths cut every
+/// sentence to the shortest one's length.
+fn sentence_set(f: &Fixture, n: usize, equal: bool, short: usize) -> Vec<EncodedSentence> {
+    let pool: Vec<&EncodedSentence> = f.support.iter().chain(&f.query).map(|(s, _)| s).collect();
+    let picked: Vec<&EncodedSentence> = (0..n).map(|i| pool[i % pool.len()]).collect();
+    let shortest = picked.iter().map(|s| s.len()).min().unwrap();
+    picked
+        .iter()
+        .enumerate()
+        .map(|(i, s)| match (equal, i == short % n) {
+            (true, _) => truncated(s, shortest),
+            (false, true) => truncated(s, 1),
+            (false, false) => (*s).clone(),
+        })
+        .collect()
 }
 
 const CONDITIONINGS: [Conditioning; 3] = [
@@ -134,9 +169,9 @@ proptest! {
         }
     }
 
-    /// `decode_task` (context hoisted once, arena recycled between
-    /// sentences) returns exactly the paths of decoding each sentence on
-    /// its own, for both head kinds.
+    /// `decode_task` (one batched pass, context hoisted once) returns
+    /// exactly the paths of decoding each sentence on its own tape, for
+    /// both head kinds; so does the one-sentence `decode`.
     #[test]
     fn decode_task_matches_per_sentence_decode(seed in 0u64..500, head_ix in 0usize..2) {
         let slot_shared = head_ix == 1;
@@ -161,11 +196,18 @@ proptest! {
             let phi = phi_ctx.as_ref().map(|(s, id)| (s, *id));
             let sents: Vec<_> = f.query.iter().map(|(s, _)| s).collect();
             let batched = bb.decode_task(&store, phi, sents.iter().copied(), &f.tags);
+            prop_assert_eq!(batched.len(), sents.len());
             for (sent, path) in sents.iter().zip(&batched) {
+                let g = Graph::eval();
+                let phi = phi.map(|(s, id)| g.param(s, id));
+                let e = bb.emissions(&g, &store, phi, sent, &f.tags, &mut Rng::new(0));
+                let (trans, start) = bb.transitions(&g, &store, &f.tags);
+                let tape = viterbi(g.value(e).data(), &g.value(trans), &g.value(start), &f.tags);
+                assert_eq!(path, &tape, "{conditioning:?} head {head:?}");
                 assert_eq!(
                     path,
-                    &bb.decode(&store, phi, sent, &f.tags),
-                    "{conditioning:?} head {head:?}"
+                    &bb.decode(&store, phi_ctx.as_ref().map(|(s, id)| (s, *id)), sent, &f.tags),
+                    "{conditioning:?} head {head:?}: decode"
                 );
             }
         }
@@ -250,6 +292,52 @@ proptest! {
         let batched = lm.predict_task_with(&lm.head_params, sents.iter().copied(), &f.tags);
         for (sent, path) in sents.iter().zip(&batched) {
             prop_assert_eq!(path, &lm.predict(sent, &f.tags));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The batched pass's hidden states and emission scores equal, bit for
+    /// bit, each sentence's own tape evaluation — for every conditioning,
+    /// both recurrent encoders and both heads, with the char-CNN on and
+    /// off, over 1–9 sentences of mixed lengths (one of them a single
+    /// token) or of equal lengths.
+    #[test]
+    fn batched_pass_matches_per_sentence_tape_bits(
+        seed in 0u64..500, n in 1usize..10, short in 0usize..9,
+    ) {
+        let f = fixture(4);
+        for equal in [false, true] {
+        let sents = sentence_set(&f, n, equal, short);
+        for conditioning in CONDITIONINGS {
+            for encoder in [EncoderKind::BiGru, EncoderKind::BiLstm] {
+                for head in [HeadKind::Dense { n_ways: 3 }, HeadKind::SlotShared { slot_dim: 6, max_slots: 8 }] {
+                    for use_char_cnn in [true, false] {
+                        let mut store = ParamStore::new();
+                        let cfg = BackboneConfig { use_char_cnn, ..config(conditioning, encoder, head) };
+                        let bb = Backbone::new(cfg, &f.enc, &mut store, &mut Rng::new(seed)).unwrap();
+                        let phi_ctx = (conditioning != Conditioning::None)
+                            .then(|| random_phi(&bb, seed ^ 0xB47C));
+                        let phi = phi_ctx.as_ref().map(|(s, id)| (s, *id));
+                        let rows = bb.hidden_task(&store, phi, &sents, &f.tags);
+                        prop_assert_eq!(rows.len(), sents.len());
+                        for (i, sent) in sents.iter().enumerate() {
+                            let what = format!(
+                                "{conditioning:?} {encoder:?} {head:?} char-CNN {use_char_cnn}, sentence {i} of {n}"
+                            );
+                            let g = Graph::eval();
+                            let phi = phi.map(|(s, id)| g.param(s, id));
+                            let h = bb.hidden(&g, &store, phi, sent, &mut Rng::new(0));
+                            let e = bb.emissions(&g, &store, phi, sent, &f.tags, &mut Rng::new(0));
+                            assert_bits(rows.hidden(i), g.value(h).data(), &format!("hidden, {what}"));
+                            assert_bits(rows.emissions(i), g.value(e).data(), &format!("emissions, {what}"));
+                        }
+                    }
+                }
+            }
+        }
         }
     }
 }

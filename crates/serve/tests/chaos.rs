@@ -27,6 +27,8 @@ use fewner_serve::{Client, RetryClient, RetryPolicy, Server, ServerConfig, Suppo
 use fewner_util::fault::{self, FaultPlan};
 use fewner_util::Error;
 
+use common::with_server;
+
 fn wire_support(task: &Task) -> Vec<SupportSentence> {
     task.support
         .iter()
@@ -45,32 +47,6 @@ fn query_sentences(task: &Task) -> Vec<Vec<String>> {
 /// that still need the process-wide serialisation `with_plan` provides.
 fn plan(spec: &str) -> FaultPlan {
     FaultPlan::parse(spec).expect("valid fault spec")
-}
-
-/// Boots `server` on an ephemeral port, runs `drive`, shuts down, joins.
-/// The final `expect` on `run` is itself an assertion: the daemon must
-/// drain and exit cleanly no matter what the drive closure (or an armed
-/// fault plan) did to it. A panicking drive closure still shuts the daemon
-/// down first — otherwise the scope would wait forever on the accept loop
-/// and a failed assertion would read as a hang.
-fn with_server<T: Send>(server: &Server, drive: impl FnOnce(&str) -> T + Send) -> T {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
-    std::thread::scope(|s| {
-        let daemon = s.spawn(|| server.run(listener));
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drive(&addr)));
-        if !server.shutting_down() {
-            Client::connect(&addr).and_then(|mut c| c.shutdown()).ok();
-        }
-        let drained = daemon.join().expect("daemon thread");
-        match out {
-            Ok(out) => {
-                drained.expect("clean drain");
-                out
-            }
-            Err(panic) => std::panic::resume_unwind(panic),
-        }
-    })
 }
 
 fn traced_server(cfg: ServerConfig) -> (Server, MemorySink) {

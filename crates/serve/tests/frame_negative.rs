@@ -6,29 +6,14 @@
 mod common;
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::Arc;
 
 use fewner_core::ServeOptions;
 use fewner_serve::{Client, Server, ServerConfig};
 use fewner_util::Json;
 
-/// Boots `server` on an ephemeral port, runs `drive`, shuts down, joins.
-fn with_server<T: Send>(server: &Server, drive: impl FnOnce(&str) -> T + Send) -> T {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
-    std::thread::scope(|s| {
-        let daemon = s.spawn(|| server.run(listener));
-        let out = drive(&addr);
-        if !server.shutting_down() {
-            Client::connect(&addr)
-                .and_then(|mut c| c.shutdown())
-                .expect("clean shutdown");
-        }
-        daemon.join().expect("daemon thread").expect("run");
-        out
-    })
-}
+use common::with_server;
 
 fn tiny_server(cfg: ServerConfig) -> Server {
     let (learner, enc, _tasks) = common::tiny();

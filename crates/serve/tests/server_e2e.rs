@@ -3,13 +3,13 @@
 
 mod common;
 
-use std::net::TcpListener;
-use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use fewner_core::{CachePolicy, MetaConfig, ServeOptions};
+use fewner_core::{CachePolicy, ServeOptions};
 use fewner_episode::Task;
 use fewner_obs::{MemorySink, MonotonicClock, TraceSummary, Tracer};
 use fewner_serve::{Client, Request, Response, Server, ServerConfig, SupportSentence};
+use fewner_util::fault::{self, FaultPlan};
 use fewner_util::Error;
 
 fn wire_support(task: &Task) -> Vec<SupportSentence> {
@@ -26,22 +26,12 @@ fn query_sentences(task: &Task) -> Vec<Vec<String>> {
     task.query.iter().map(|s| s.tokens.clone()).collect()
 }
 
-/// Boots `server` on an ephemeral port, runs `drive` against it, sends
-/// shutdown, and joins everything before returning.
+/// [`common::with_server`] under an empty fault plan. Fault plans are
+/// process-wide, so every test here holds the plan lock while its daemon
+/// runs: the stall the overload test arms can then only fire in its own
+/// adapt.
 fn with_server<T: Send>(server: &Server, drive: impl FnOnce(&str) -> T + Send) -> T {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
-    std::thread::scope(|s| {
-        let daemon = s.spawn(|| server.run(listener));
-        let out = drive(&addr);
-        if !server.shutting_down() {
-            Client::connect(&addr)
-                .and_then(|mut c| c.shutdown())
-                .expect("clean shutdown");
-        }
-        daemon.join().expect("daemon thread").expect("run");
-        out
-    })
+    fault::with_plan(FaultPlan::default(), || common::with_server(server, drive))
 }
 
 #[test]
@@ -288,86 +278,89 @@ fn restart_reuses_persisted_phi_with_identical_predictions() {
 
 #[test]
 fn overload_sheds_with_typed_error_and_batching_merges_queued_work() {
-    let (enc, tasks, learner) = {
-        let (l, e, t) = common::tiny();
-        (e, t, l)
-    };
+    let (learner, enc, tasks) = common::tiny();
     let task = &tasks[0];
-    // A deliberately slow adapt (many inner steps) wedges the single worker
-    // long enough for queued predicts to pile up deterministically.
-    let slow = {
-        let cfg = MetaConfig {
-            inner_steps_test: 2_000,
-            meta_batch: 2,
-            ..MetaConfig::default()
-        };
-        let mut bb = learner.backbone.config().clone();
-        bb.dropout = 0.0;
-        fewner_core::Fewner::new(bb, &enc, cfg).unwrap()
-    };
     let sink = MemorySink::new();
     let tracer = Tracer::new(MonotonicClock::new(), sink.clone());
-    let server = Arc::new(
-        Server::new(
-            slow,
-            enc,
-            ServeOptions::new().tracer(tracer).batch(64),
-            ServerConfig::new().workers(1).queue_limit(2),
-        )
-        .unwrap(),
-    );
+    let server = Server::new(
+        learner,
+        enc,
+        ServeOptions::new().tracer(tracer).batch(64),
+        ServerConfig::new().workers(1).queue_limit(2),
+    )
+    .unwrap();
 
-    let (ok, shed) = with_server(&server, |addr| {
-        // Request 1: adapt-on-miss — the worker starts the slow inner loop.
-        let addr = addr.to_string();
-        let opener = {
-            let addr = addr.clone();
-            let sentences = query_sentences(task);
-            let ways = task.n_ways;
-            let support = wire_support(task);
-            std::thread::spawn(move || {
-                let mut c = Client::connect(&addr).unwrap();
-                c.predict_with_support("acme", "slow", &sentences, ways, support)
-            })
-        };
-        // Give the worker time to dequeue request 1 and enter the adapt.
-        std::thread::sleep(std::time::Duration::from_millis(150));
-
-        // A burst of follow-up predicts: queue_limit is 2, so at most two
-        // queue behind the wedged worker and the rest shed immediately.
-        let burst = 6;
-        let results: Vec<_> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..burst)
-                .map(|_| {
-                    let addr = addr.clone();
-                    let sentences = query_sentences(task);
-                    s.spawn(move || {
-                        let mut c = Client::connect(&addr).unwrap();
-                        c.predict("acme", "slow", &sentences)
-                    })
+    // The wedge is the stall fault, not model slowness: the opener's
+    // adapt-on-miss is the first adapt, and the armed stall freezes the
+    // single worker in it for 400 ms while the burst arrives.
+    let stall = FaultPlan::parse("serve_adapt_stall:1").expect("valid fault spec");
+    let (ok, shed) = fault::with_plan(stall, || {
+        common::with_server(&server, |addr| {
+            // Request 1: adapt-on-miss — the worker enters the stalled adapt.
+            let addr = addr.to_string();
+            let opener = {
+                let addr = addr.clone();
+                let sentences = query_sentences(task);
+                let ways = task.n_ways;
+                let support = wire_support(task);
+                std::thread::spawn(move || {
+                    let mut c = Client::connect(&addr).unwrap();
+                    c.predict_with_support("acme", "slow", &sentences, ways, support)
                 })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        opener.join().unwrap().unwrap();
-
-        let mut ok = 0u64;
-        let mut shed = 0u64;
-        for r in results {
-            match r {
-                Ok(preds) => {
-                    assert_eq!(preds.len(), task.query.len());
-                    ok += 1;
+            };
+            // Wait until the worker has entered the stall: its counter
+            // ticks at stall start. Mid-run flushes are safe: counters
+            // re-emit as snapshots and the summary keeps the last one.
+            let stall_deadline = Instant::now() + Duration::from_secs(30);
+            loop {
+                server.tracer().flush().unwrap();
+                let summary = TraceSummary::parse(&sink.text()).unwrap();
+                if summary.counters.get("serve/fault_adapt_stall").copied() >= Some(1) {
+                    break;
                 }
-                Err(Error::Overloaded { queue_depth, limit }) => {
-                    assert_eq!(limit, 2, "limit travels over the wire");
-                    assert!(queue_depth >= limit);
-                    shed += 1;
-                }
-                Err(e) => panic!("unexpected error: {e}"),
+                assert!(
+                    Instant::now() < stall_deadline,
+                    "timed out waiting for the opener to enter the armed stall"
+                );
+                std::thread::sleep(Duration::from_millis(5));
             }
-        }
-        (ok, shed)
+
+            // A burst of follow-up predicts: queue_limit is 2, so at most two
+            // queue behind the wedged worker and the rest shed immediately.
+            let burst = 6;
+            let results: Vec<_> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..burst)
+                    .map(|_| {
+                        let addr = addr.clone();
+                        let sentences = query_sentences(task);
+                        s.spawn(move || {
+                            let mut c = Client::connect(&addr).unwrap();
+                            c.predict("acme", "slow", &sentences)
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            opener.join().unwrap().unwrap();
+
+            let mut ok = 0u64;
+            let mut shed = 0u64;
+            for r in results {
+                match r {
+                    Ok(preds) => {
+                        assert_eq!(preds.len(), task.query.len());
+                        ok += 1;
+                    }
+                    Err(Error::Overloaded { queue_depth, limit }) => {
+                        assert_eq!(limit, 2, "limit travels over the wire");
+                        assert!(queue_depth >= limit);
+                        shed += 1;
+                    }
+                    Err(e) => panic!("unexpected error: {e}"),
+                }
+            }
+            (ok, shed)
+        })
     });
 
     assert!(shed >= 1, "bounded queue must shed under overload");

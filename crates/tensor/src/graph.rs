@@ -481,7 +481,10 @@ impl Graph {
 
     /// Column-wise max: `[r, c] → [1, c]` (used for CNN max-over-time pooling).
     pub fn col_max(&self, a: Var) -> Var {
-        let (value, arg) = kernels::max_cols(&self.nodes.borrow()[a.0].value);
+        let (value, arg) = {
+            let src = &self.nodes.borrow()[a.0].value;
+            kernels::max_cols(src, &[src.rows()])
+        };
         self.push(Op::ColMax(a.0, arg), value)
     }
 
@@ -511,7 +514,10 @@ impl Graph {
 
     /// Sliding-window unfold (im2col for 1-D convolution).
     pub fn unfold(&self, a: Var, k: usize) -> Var {
-        let value = kernels::unfold(&self.nodes.borrow()[a.0].value, k);
+        let value = {
+            let src = &self.nodes.borrow()[a.0].value;
+            kernels::unfold(src, k, &[src.rows()])
+        };
         self.push(Op::Unfold { src: a.0, k }, value)
     }
 

@@ -6,12 +6,17 @@
 //! pool of `Vec<f32>` allocations instead of being freshly allocated per op.
 //!
 //! The intended use is FEWNER's serving shape — adapt once per task, then
-//! predict over many query sentences. Per-task values (bound parameters,
-//! CRF transitions, FiLM projections) are computed first; [`Infer::mark`]
-//! then fences the arena, and after each sentence [`Infer::reset_to`]
-//! truncates back to the fence, returning every sentence-local buffer to the
-//! pool for the next sentence to reuse. Across a whole task, steady-state
-//! inference performs no per-sentence heap allocation for arena slots.
+//! predict over many query sentences. The backbone decodes all of a call's
+//! sentences in one batched pass: each op runs once over every token's
+//! rows, and the char-CNN's windows are unfolded and max-pooled per token
+//! with the segmented forms [`Infer::unfold_segments`] and
+//! [`Infer::col_max_segments`]; [`Infer::scoped`] returns each recurrent
+//! step's and each filter bank's scratch to the pool as soon as its result
+//! is out. Per-sentence sweeps (ProtoNet, SNAIL, the frozen-LM baselines)
+//! compute per-task values first, fence the arena with [`Infer::mark`],
+//! and after each sentence [`Infer::reset_to`] truncates back to the
+//! fence, returning every sentence-local buffer to the pool for the next
+//! sentence to reuse.
 //!
 //! Values are **bitwise identical** to the tape's forward pass: both
 //! executors evaluate the same op vocabulary by calling the same kernels
@@ -158,6 +163,21 @@ impl Infer {
         self.bound.borrow_mut().retain(|_, v| v.0 < mark);
     }
 
+    /// Runs `f`, then recycles every buffer it allocated into the pool
+    /// except those of the values it returns, which move to fresh slots.
+    /// `Var`s issued inside `f` are invalid afterwards; the returned ones
+    /// (and every `Var` from before the call) stay usable. Parameters bound
+    /// inside `f` are unbound again, so a loop of scopes should bind its
+    /// parameters before the first one.
+    pub fn scoped<const K: usize>(&self, f: impl FnOnce() -> [Var; K]) -> [Var; K] {
+        let mark = self.mark();
+        let kept = f().map(|v| self.value(v));
+        self.reset_to(mark);
+        // The arena's handles are gone, so a buffer made inside `f` moves
+        // back in uncopied; one from before the call is copied.
+        kept.map(|value| self.constant(Arc::unwrap_or_clone(value)))
+    }
+
     /// Number of live slots (diagnostics / tests).
     pub fn len(&self) -> usize {
         self.slots.borrow().len()
@@ -171,6 +191,21 @@ impl Infer {
     /// Number of buffers currently parked in the free pool (tests).
     pub fn pooled_buffers(&self) -> usize {
         self.pool.borrow().len()
+    }
+
+    /// [`Exec::unfold`] over stacked row segments: every segment's
+    /// windows, in order, none crossing a segment boundary
+    /// ([`kernels::unfold`]).
+    pub fn unfold_segments(&self, a: Var, k: usize, segments: &[usize]) -> Var {
+        let value = kernels::unfold(self.slots.borrow()[a.0].array(), k, segments);
+        self.push(value)
+    }
+
+    /// [`Exec::col_max`] per stacked row segment:
+    /// `[Σr, c] → [segments.len(), c]` ([`kernels::max_cols`]).
+    pub fn col_max_segments(&self, a: Var, segments: &[usize]) -> Var {
+        let (value, _arg) = kernels::max_cols(self.slots.borrow()[a.0].array(), segments);
+        self.push(value)
     }
 
     /// A zero-filled `rows × cols` array, reusing a pooled buffer when one
@@ -458,8 +493,8 @@ impl Exec for Infer {
     }
 
     fn col_max(&self, a: Var) -> Var {
-        let (value, _arg) = kernels::max_cols(self.slots.borrow()[a.0].array());
-        self.push(value)
+        let rows = self.shape(a).0;
+        self.col_max_segments(a, &[rows])
     }
 
     fn col_lse(&self, a: Var) -> Var {
@@ -485,8 +520,8 @@ impl Exec for Infer {
     }
 
     fn unfold(&self, a: Var, k: usize) -> Var {
-        let value = kernels::unfold(self.slots.borrow()[a.0].array(), k);
-        self.push(value)
+        let rows = self.shape(a).0;
+        self.unfold_segments(a, k, &[rows])
     }
 
     fn gather_rows(&self, a: Var, indices: &[usize]) -> Var {
@@ -560,6 +595,23 @@ mod tests {
         let b = ex.add_scalar(base, 2.0);
         assert_eq!(ex.pooled_buffers(), 1);
         assert_eq!(ex.value(b).data(), &[3.0; 6]);
+    }
+
+    #[test]
+    fn scoped_keeps_only_the_returned_values() {
+        let ex = Infer::new();
+        let base = ex.constant(Array::full(2, 2, 1.0));
+        let [kept] = ex.scoped(|| {
+            let a = ex.add_scalar(base, 1.0);
+            [ex.mul(a, a)]
+        });
+        assert_eq!(ex.len(), 2, "the base and the kept value");
+        assert_eq!(ex.pooled_buffers(), 1, "the scratch went back to the pool");
+        assert_eq!(ex.value(kept).data(), &[4.0; 4]);
+        // A value from before the scope comes back as a copy; both stay valid.
+        let [copy] = ex.scoped(|| [base]);
+        assert_ne!(copy, base);
+        assert_eq!(ex.value(copy).data(), ex.value(base).data());
     }
 
     #[test]

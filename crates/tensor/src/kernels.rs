@@ -159,20 +159,37 @@ pub fn softmax_rows(a: &Array) -> Array {
     out
 }
 
-/// Unfolds a `[r, c]` array into sliding windows of `k` rows: `[r-k+1, k*c]`.
+/// Unfolds stacked row segments into sliding windows of `k` rows.
 ///
-/// Window `i` is rows `i..i+k` concatenated — the im2col step for 1-D
-/// convolution over a character sequence.
-pub fn unfold(a: &Array, k: usize) -> Array {
-    let (r, c) = a.shape();
-    assert!(k >= 1 && k <= r, "unfold: window {k} over {r} rows");
-    let out_rows = r - k + 1;
+/// `a` stacks segments of `segments[s]` rows each. A segment of `r` rows
+/// contributes its `r - k + 1` windows, in order, and no window crosses a
+/// segment boundary. Window `i` of a segment is its rows `i..i+k`
+/// concatenated — the im2col step for 1-D convolution over a character
+/// sequence. One segment of every row is the plain unfold
+/// `[r, c] → [r-k+1, k*c]`.
+pub fn unfold(a: &Array, k: usize, segments: &[usize]) -> Array {
+    let c = a.cols();
+    assert_eq!(
+        segments.iter().sum::<usize>(),
+        a.rows(),
+        "unfold: segments must cover the rows"
+    );
+    let windows = |r: usize| {
+        assert!(k >= 1 && k <= r, "unfold: window {k} over {r} rows");
+        r - k + 1
+    };
+    let out_rows = segments.iter().map(|&r| windows(r)).sum();
     let mut out = Array::zeros(out_rows, k * c);
-    for i in 0..out_rows {
-        let orow = out.row_mut(i);
-        for j in 0..k {
-            orow[j * c..(j + 1) * c].copy_from_slice(a.row(i + j));
+    let (mut src, mut dst) = (0, 0);
+    for &r in segments {
+        for i in 0..windows(r) {
+            // Rows `src+i .. src+i+k` are contiguous in row-major storage.
+            let first = (src + i) * c;
+            out.row_mut(dst + i)
+                .copy_from_slice(&a.data()[first..first + k * c]);
         }
+        src += r;
+        dst += windows(r);
     }
     out
 }
@@ -193,23 +210,39 @@ pub fn unfold_backward(grad: &Array, k: usize, src_shape: (usize, usize), into: 
     }
 }
 
-/// Column-wise max with argmax indices: `[r, c] → ([1, c], argmax rows)`.
-#[allow(clippy::needless_range_loop)]
-pub fn max_cols(a: &Array) -> (Array, Vec<usize>) {
-    let (r, c) = a.shape();
-    assert!(r > 0, "max_cols on empty array");
-    let mut out = Array::zeros(1, c);
-    let mut arg = vec![0usize; c];
-    for j in 0..c {
-        let mut best = a.at(0, j);
-        for i in 1..r {
-            let v = a.at(i, j);
-            if v > best {
-                best = v;
-                arg[j] = i;
+/// Column-wise max over each stacked row segment, with argmax rows:
+/// `[Σr, c] → ([segments.len(), c], argmax)`.
+///
+/// Output row `s` holds segment `s`'s column maxima, and `arg[s * c + j]`
+/// is the row of `a` that holds the maximum of column `j` in segment `s`.
+/// Rows are visited in ascending order with a strict `>`, so a tie (also
+/// `-0.0` against `0.0`) goes to the first row. One segment of every row is
+/// the plain `[r, c] → [1, c]` max.
+pub fn max_cols(a: &Array, segments: &[usize]) -> (Array, Vec<usize>) {
+    let c = a.cols();
+    assert_eq!(
+        segments.iter().sum::<usize>(),
+        a.rows(),
+        "max_cols: segments must cover the rows"
+    );
+    let mut out = Array::zeros(segments.len(), c);
+    let mut arg = vec![0usize; segments.len() * c];
+    let mut start = 0;
+    for (s, &r) in segments.iter().enumerate() {
+        assert!(r > 0, "max_cols on an empty segment");
+        let best = out.row_mut(s);
+        best.copy_from_slice(a.row(start));
+        let best_at = &mut arg[s * c..(s + 1) * c];
+        best_at.fill(start);
+        for i in start + 1..start + r {
+            for (j, &v) in a.row(i).iter().enumerate() {
+                if v > best[j] {
+                    best[j] = v;
+                    best_at[j] = i;
+                }
             }
         }
-        *out.at_mut(0, j) = best;
+        start += r;
     }
     (out, arg)
 }
@@ -281,7 +314,7 @@ mod tests {
     fn unfold_matches_hand_layout() {
         // rows: [1,2] [3,4] [5,6]; k=2 -> [[1,2,3,4],[3,4,5,6]]
         let a = Array::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
-        let u = unfold(&a, 2);
+        let u = unfold(&a, 2, &[3]);
         assert_eq!(u.shape(), (2, 4));
         assert_eq!(u.data(), &[1., 2., 3., 4., 3., 4., 5., 6.]);
     }
@@ -298,8 +331,20 @@ mod tests {
     #[test]
     fn max_cols_tracks_argmax() {
         let a = Array::from_vec(3, 2, vec![1., 9., 5., 2., 3., 4.]);
-        let (m, arg) = max_cols(&a);
+        let (m, arg) = max_cols(&a, &[3]);
         assert_eq!(m.data(), &[5., 9.]);
         assert_eq!(arg, vec![1, 0]);
+    }
+
+    #[test]
+    fn segments_do_not_mix() {
+        // Segments of 2 and 3 rows: windows stay inside their segment, and
+        // each segment's max comes from its own rows.
+        let a = Array::from_vec(5, 1, vec![1., 2., 9., 3., 4.]);
+        let u = unfold(&a, 2, &[2, 3]);
+        assert_eq!(u.data(), &[1., 2., 9., 3., 3., 4.]);
+        let (m, arg) = max_cols(&a, &[2, 3]);
+        assert_eq!(m.data(), &[2., 9.]);
+        assert_eq!(arg, vec![1, 2]);
     }
 }

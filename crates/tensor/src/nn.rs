@@ -5,12 +5,24 @@
 //! of the computation graph for every forward pass (define-by-run). The
 //! NER-specific assemblies (backbone, CRF, baselines) live in
 //! `fewner-models`; this module holds only the generic building blocks:
-//! [`Linear`], [`Embedding`], [`GruCell`], [`BiGru`] and [`Conv1d`].
+//! [`Linear`], [`Embedding`], [`GruCell`], [`BiGru`], [`LstmCell`],
+//! [`BiLstm`] and [`Conv1d`].
+//!
+//! `apply` takes one sequence (one word, for [`Conv1d`]) on any executor.
+//! [`BiGru::apply_batched`], [`BiLstm::apply_batched`] and
+//! [`Conv1d::apply_batched`] take a stack of them on [`Infer`] and run
+//! every op once over all their rows. Each output row equals, bit for bit,
+//! what `apply` gives its sequence alone: `matmul_into` computes every
+//! output row on its own accumulation chain, and every other op involved
+//! works row by row or element by element.
+
+use std::cmp::Reverse;
 
 use fewner_util::Rng;
 
 use crate::array::Array;
 use crate::exec::{Exec, Var};
+use crate::infer::Infer;
 use crate::params::{ParamId, ParamStore};
 
 /// Fully-connected layer `y = x·W (+ b)`.
@@ -210,9 +222,142 @@ impl BiGru {
         g.concat_rows(&rows)
     }
 
+    /// [`BiGru::apply`] over a stack of sequences: `x` holds sequence `i`'s
+    /// `lens[i]` rows after the rows of the sequences before it, and output
+    /// row `r` is what `apply` gives row `r`'s sequence alone.
+    pub fn apply_batched(&self, ex: &Infer, store: &ParamStore, x: Var, lens: &[usize]) -> Var {
+        let batch = SeqBatch::new(lens);
+        for cell in [&self.fwd, &self.bwd] {
+            for id in [cell.wx, cell.wh, cell.b] {
+                ex.param(store, id); // bound once, outside the per-step scopes
+            }
+        }
+        let fwd = batch.run(ex, x, self.hidden, false, |xt, [h]| {
+            [self.fwd.step(ex, store, xt, h)]
+        });
+        let bwd = batch.run(ex, x, self.hidden, true, |xt, [h]| {
+            [self.bwd.step(ex, store, xt, h)]
+        });
+        ex.concat_cols(&[fwd, bwd])
+    }
+
     /// Output feature dimension (`2H`).
     pub fn out_dim(&self) -> usize {
         2 * self.hidden
+    }
+}
+
+/// How a stack of sequences steps through a recurrent layer together.
+///
+/// Sequences are sorted longest first (ties keep the caller's order), so
+/// the sequences still running at step `t` are always a prefix of that
+/// order and the carried state shrinks by keeping its first rows.
+struct SeqBatch {
+    /// First row of each sequence in the stack.
+    offsets: Vec<usize>,
+    lens: Vec<usize>,
+    /// Sequence indices, longest first.
+    order: Vec<usize>,
+    /// `rank[s]`: the position of sequence `s` in `order`.
+    rank: Vec<usize>,
+    /// `active[t]`: how many sequences are longer than `t`.
+    active: Vec<usize>,
+    /// `first[t]`: the row of step `t`'s first state once every step's
+    /// states are stacked in step order.
+    first: Vec<usize>,
+}
+
+impl SeqBatch {
+    fn new(lens: &[usize]) -> SeqBatch {
+        assert!(
+            !lens.is_empty() && !lens.contains(&0),
+            "recurrent layer over an empty sequence"
+        );
+        let offsets = lens
+            .iter()
+            .scan(0, |next, &len| {
+                let at = *next;
+                *next += len;
+                Some(at)
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..lens.len()).collect();
+        order.sort_by_key(|&s| Reverse(lens[s]));
+        let mut rank = vec![0; lens.len()];
+        for (r, &s) in order.iter().enumerate() {
+            rank[s] = r;
+        }
+        let active: Vec<usize> = (0..lens[order[0]])
+            .map(|t| order.iter().take_while(|&&s| lens[s] > t).count())
+            .collect();
+        let first = active
+            .iter()
+            .scan(0, |next, &b| {
+                let at = *next;
+                *next += b;
+                Some(at)
+            })
+            .collect();
+        SeqBatch {
+            offsets,
+            lens: lens.to_vec(),
+            order,
+            rank,
+            active,
+            first,
+        }
+    }
+
+    /// The position sequence `s` reads at step `t`: `t` forward,
+    /// `len − 1 − t` backward.
+    fn position(&self, s: usize, t: usize, reverse: bool) -> usize {
+        if reverse {
+            self.lens[s] - 1 - t
+        } else {
+            t
+        }
+    }
+
+    /// Steps one direction over every sequence and returns its states,
+    /// row-aligned with the stacked input. `step` maps an input `[b, in]`
+    /// and a state `[b, ·]` tuple to the next one; element 0 of the state
+    /// is the output.
+    fn run<const K: usize>(
+        &self,
+        ex: &Infer,
+        x: Var,
+        hidden: usize,
+        reverse: bool,
+        step: impl Fn(Var, [Var; K]) -> [Var; K],
+    ) -> Var {
+        let zero = ex.constant(Array::zeros(self.order.len(), hidden));
+        let mut state = [zero; K];
+        let mut outs = Vec::with_capacity(self.active.len());
+        for (t, &b) in self.active.iter().enumerate() {
+            // Only the next state outlives the step; its scratch goes back
+            // to the pool for the next step.
+            state = ex.scoped(|| {
+                let mut state = state;
+                if ex.shape(state[0]).0 > b {
+                    let keep: Vec<usize> = (0..b).collect();
+                    state = state.map(|v| ex.gather_rows(v, &keep));
+                }
+                let rows: Vec<usize> = self.order[..b]
+                    .iter()
+                    .map(|&s| self.offsets[s] + self.position(s, t, reverse))
+                    .collect();
+                step(ex.gather_rows(x, &rows), state)
+            });
+            outs.push(state[0]);
+        }
+        // Step t's state for sequence s sits at row first[t] + rank[s].
+        let back: Vec<usize> = (0..self.lens.len())
+            .flat_map(|s| {
+                (0..self.lens[s])
+                    .map(move |p| self.first[self.position(s, p, reverse)] + self.rank[s])
+            })
+            .collect();
+        ex.gather_rows(ex.concat_rows(&outs), &back)
     }
 }
 
@@ -337,6 +482,26 @@ impl BiLstm {
         g.concat_rows(&rows)
     }
 
+    /// [`BiLstm::apply`] over a stack of sequences (see
+    /// [`BiGru::apply_batched`]).
+    pub fn apply_batched(&self, ex: &Infer, store: &ParamStore, x: Var, lens: &[usize]) -> Var {
+        let batch = SeqBatch::new(lens);
+        for cell in [&self.fwd, &self.bwd] {
+            for id in [cell.wx, cell.wh, cell.b] {
+                ex.param(store, id); // bound once, outside the per-step scopes
+            }
+        }
+        let fwd = batch.run(ex, x, self.hidden, false, |xt, [h, c]| {
+            let (h, c) = self.fwd.step(ex, store, xt, h, c);
+            [h, c]
+        });
+        let bwd = batch.run(ex, x, self.hidden, true, |xt, [h, c]| {
+            let (h, c) = self.bwd.step(ex, store, xt, h, c);
+            [h, c]
+        });
+        ex.concat_cols(&[fwd, bwd])
+    }
+
     /// Output feature dimension (`2H`).
     pub fn out_dim(&self) -> usize {
         2 * self.hidden
@@ -407,6 +572,33 @@ impl Conv1d {
             })
             .collect();
         g.concat_cols(&pooled)
+    }
+
+    /// [`Conv1d::apply`] over a stack of inputs: `x` holds input `i`'s
+    /// `lens[i]` rows (each ≥ [`Conv1d::max_width`]) after the rows of the
+    /// inputs before it, and output row `i` is what `apply` gives input `i`
+    /// alone. Each filter bank is one unfold, matmul, bias add and ReLU over
+    /// every input's windows, then a column max per input.
+    pub fn apply_batched(&self, ex: &Infer, store: &ParamStore, x: Var, lens: &[usize]) -> Var {
+        assert!(
+            lens.iter().all(|&rows| rows >= self.max_width()),
+            "Conv1d input shorter than widest filter {}",
+            self.max_width()
+        );
+        let pooled: Vec<Var> = self
+            .banks
+            .iter()
+            .map(|(k, lin)| {
+                let [pooled] = ex.scoped(|| {
+                    let windows = ex.unfold_segments(x, *k, lens);
+                    let feats = ex.relu(lin.apply(ex, store, windows));
+                    let per_input: Vec<usize> = lens.iter().map(|rows| rows - k + 1).collect();
+                    [ex.col_max_segments(feats, &per_input)]
+                });
+                pooled
+            })
+            .collect();
+        ex.concat_cols(&pooled)
     }
 
     /// Total output features.

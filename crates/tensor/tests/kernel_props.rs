@@ -5,7 +5,8 @@
 //! 1. **Algebraic laws** of the kernels — broadcast-shape laws, log-sum-exp
 //!    against a naive shifted-sum oracle (computed in `f64`), the
 //!    unfold/unfold-backward adjoint, `reduce_into` against transposed
-//!    brute force, and first-max-wins ties in `max_cols`.
+//!    brute force, first-max-wins ties in `max_cols`, and segmented
+//!    `unfold`/`max_cols` against one call per segment.
 //! 2. **The blocked matmul against the scalar loop** — `matmul_into` is
 //!    the one kernel with a cache-blocked body, and it must produce
 //!    *bitwise identical* results to the plain i–k–j loop kept below as
@@ -133,7 +134,7 @@ proptest! {
     ) {
         let a = rand_array(r, c, seed);
         let k = 1 + k_off % r;
-        let u = kernels::unfold(&a, k);
+        let u = kernels::unfold(&a, k, &[r]);
         prop_assert_eq!(u.shape(), (r - k + 1, k * c));
 
         let g = rand_array(r - k + 1, k * c, seed ^ 21);
@@ -221,6 +222,49 @@ fn all_neg_inf_inputs_stay_neg_inf() {
         kernels::logsumexp_all(&a.map(|_| f32::NEG_INFINITY)),
         f32::NEG_INFINITY
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `unfold` and `max_cols` over stacked segments equal one call per
+    /// segment, bit for bit: the same windows in the same order, the same
+    /// maxima, and the same argmax rows offset by the segment's first row.
+    /// Values sit on a coarse grid so ties are common, and column 0 holds
+    /// only `0.0` and `-0.0`, so a tie must keep the first row's sign.
+    #[test]
+    fn segmented_kernels_equal_one_call_per_segment(
+        seed in 0u64..10_000, c in 1usize..5, k in 1usize..4,
+        extra in collection::vec(0usize..6, 1..8),
+    ) {
+        let lens: Vec<usize> = extra.iter().map(|e| e + k).collect();
+        let total: usize = lens.iter().sum();
+        let mut rng = Rng::new(seed);
+        let mut a = Array::uniform(total, c, -2.0, 2.0, &mut rng).map(|v| (v * 2.0).round() / 2.0);
+        for i in 0..total {
+            *a.at_mut(i, 0) = if rng.below(2) == 0 { 0.0 } else { -0.0 };
+        }
+
+        let windows = kernels::unfold(&a, k, &lens);
+        let (maxima, args) = kernels::max_cols(&a, &lens);
+        prop_assert_eq!(maxima.shape(), (lens.len(), c));
+        let (mut first, mut first_window) = (0, 0);
+        for (s, &r) in lens.iter().enumerate() {
+            let seg = Array::from_vec(r, c, a.data()[first * c..(first + r) * c].to_vec());
+            let alone = kernels::unfold(&seg, k, &[r]);
+            let n = r - k + 1;
+            let got = Array::from_vec(n, k * c, windows.data()[first_window * k * c..(first_window + n) * k * c].to_vec());
+            assert_bitwise(&got, &alone, &format!("unfold, segment {s}"));
+
+            let (max, arg) = kernels::max_cols(&seg, &[r]);
+            let got = Array::from_vec(1, c, maxima.row(s).to_vec());
+            assert_bitwise(&got, &max, &format!("max_cols, segment {s}"));
+            let shifted: Vec<usize> = arg.iter().map(|i| i + first).collect();
+            prop_assert_eq!(&args[s * c..(s + 1) * c], &shifted[..]);
+            first += r;
+            first_window += n;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -340,7 +384,7 @@ fn max_cols_ties_break_to_the_first_row() {
             1.0, 9.0, 7.0, -2.0,
         ],
     );
-    let (vals, args) = kernels::max_cols(&a);
+    let (vals, args) = kernels::max_cols(&a, &[4]);
     assert_eq!(args, vec![0, 1, 0, 0], "argmax");
     assert_eq!(vals.data(), &[5.0, 9.0, 7.0, -0.0], "values");
     // The -0.0 winner keeps its sign bit: the *row-0 value* is taken.
@@ -367,7 +411,7 @@ fn max_cols_first_max_wins_under_random_duplication() {
             }
             let dup = rng.below(r);
             *a.at_mut(dup, j) = max;
-            let (_, args) = kernels::max_cols(&a);
+            let (_, args) = kernels::max_cols(&a, &[r]);
             assert_eq!(args[j], arg.min(dup), "column {j}");
         }
     }

@@ -63,10 +63,19 @@ fn decode_crc(learner: &Fewner, ctx: &AdaptedCtx, task: &Task, enc: &TokenEncode
     let (store, id) = ctx.phi();
     let phi = ex.param(store, id);
     let mut rng = Rng::new(0);
-    for (sent, gold) in &query {
-        let bb = &learner.backbone;
+    let bb = &learner.backbone;
+    // The batched pass behind `predict` must give every sentence the
+    // hidden states it gets alone.
+    let batched = bb.hidden_task(&learner.theta, Some(ctx.phi()), &sents, &tags);
+    for (i, (sent, gold)) in query.iter().enumerate() {
         let hidden = bb.hidden(&ex, &learner.theta, Some(phi), sent, &mut rng);
         let nll = bb.nll(&ex, &learner.theta, Some(phi), sent, gold, &tags, &mut rng);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(batched.hidden(i)),
+            bits(ex.value(hidden).data()),
+            "query sentence {i}: batched hidden states"
+        );
         for v in ex.value(hidden).data().iter().chain(ex.value(nll).data()) {
             bytes.extend(v.to_bits().to_le_bytes());
         }

@@ -94,7 +94,7 @@ proptest! {
         let emissions = fewner::tensor::Array::uniform(len, 5, -3.0, 3.0, &mut rng);
         let trans = fewner::tensor::Array::uniform(5, 5, -2.0, 2.0, &mut rng);
         let start = fewner::tensor::Array::uniform(1, 5, -2.0, 2.0, &mut rng);
-        let path = fewner::models::viterbi(&emissions, &trans, &start, &tags);
+        let path = fewner::models::viterbi(emissions.data(), &trans, &start, &tags);
         let decoded: Vec<Tag> = path.iter().map(|&i| tags.tag(i)).collect();
         validate_tags(&decoded, &tags).unwrap();
     }
