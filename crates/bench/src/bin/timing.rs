@@ -8,6 +8,12 @@
 //! two costs are reported apart: the encode is timed on its own, and a step
 //! as (K-step adapt − 1-step adapt) / (K − 1).
 //!
+//! Every figure is sampled [`ROUNDS`] times and printed as the median with
+//! its first and third quartiles. A round samples every figure once, so
+//! each figure's samples spread over the whole run: a shared host's speed
+//! drifts by up to 2× within a minute, and samples taken back to back
+//! would all land in one phase of that drift and hide it.
+//!
 //! Hardware differs from the paper (CPU vs V100), so the claims under test
 //! are the *relative* ones: adaptation ≪ training, inner-step cost roughly
 //! independent of K, linear growth with data size.
@@ -17,12 +23,100 @@ use std::time::Instant;
 use fewner_bench::{backbone_config, embedding_spec, meta_config, Scale, EVAL_SEED};
 use fewner_core::{EpisodicLearner, Fewner, Maml, ParallelTrainer};
 use fewner_corpus::{split_types, DatasetProfile};
-use fewner_episode::EpisodeSampler;
-use fewner_eval::{measure_predictions, Throughput};
+use fewner_episode::{EpisodeSampler, Task};
 use fewner_models::{encode_task, Conditioning, LabeledSentence, TokenEncoder};
+use fewner_obs::Tracer;
 use fewner_tensor::Graph;
 use fewner_text::TagSet;
 use fewner_util::Rng;
+
+/// How many times every figure is sampled (once per round).
+const ROUNDS: usize = 9;
+
+/// How a figure's samples read.
+#[derive(Clone, Copy)]
+enum Unit {
+    /// Seconds, printed as milliseconds.
+    Ms,
+    /// Tokens per second.
+    TokensPerSec,
+}
+
+/// A row of the report: a line of text, or a figure sampled once per round.
+enum Row<'a> {
+    Text(String),
+    Figure {
+        label: String,
+        unit: Unit,
+        sample: Box<dyn FnMut() -> f64 + 'a>,
+        samples: Vec<f64>,
+    },
+}
+
+/// The report's rows, in print order.
+#[derive(Default)]
+struct Report<'a>(Vec<Row<'a>>);
+
+impl<'a> Report<'a> {
+    fn text(&mut self, line: impl Into<String>) {
+        self.0.push(Row::Text(line.into()));
+    }
+
+    fn figure(&mut self, label: impl Into<String>, unit: Unit, sample: impl FnMut() -> f64 + 'a) {
+        self.0.push(Row::Figure {
+            label: label.into(),
+            unit,
+            sample: Box::new(sample),
+            samples: Vec::with_capacity(ROUNDS),
+        });
+    }
+
+    /// Samples every figure once per round, for [`ROUNDS`] rounds.
+    fn measure(&mut self) {
+        for _ in 0..ROUNDS {
+            for row in &mut self.0 {
+                if let Row::Figure {
+                    sample, samples, ..
+                } = row
+                {
+                    samples.push(sample());
+                }
+            }
+        }
+    }
+
+    /// The rows as text, each figure as its median [q1–q3].
+    fn render(&self) -> Vec<String> {
+        self.0
+            .iter()
+            .map(|row| match row {
+                Row::Text(line) => line.clone(),
+                Row::Figure {
+                    label,
+                    unit,
+                    samples,
+                    ..
+                } => {
+                    let mut xs = samples.clone();
+                    xs.sort_by(f64::total_cmp);
+                    let at = |q: f64| xs[((xs.len() - 1) as f64 * q).round() as usize];
+                    let (q1, median, q3) = (at(0.25), at(0.5), at(0.75));
+                    match unit {
+                        Unit::Ms => format!(
+                            "  {label:<28} {:.2} ms [{:.2}–{:.2}]",
+                            median * 1e3,
+                            q1 * 1e3,
+                            q3 * 1e3
+                        ),
+                        Unit::TokensPerSec => {
+                            format!("  {label:<28} {median:.0} tokens/sec [{q1:.0}–{q3:.0}]")
+                        }
+                    }
+                }
+            })
+            .collect()
+    }
+}
 
 /// Mean wall seconds of one `f()` call over `reps` calls.
 fn mean_secs(reps: usize, mut f: impl FnMut()) -> f64 {
@@ -33,26 +127,50 @@ fn mean_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     t0.elapsed().as_secs_f64() / reps as f64
 }
 
-/// (support encode, one inner step) in seconds for `support`. The step is
-/// (K-step adapt − 1-step adapt) / (K − 1), which cancels the encode every
-/// adapt pays once.
-fn inner_loop_costs(
-    learner: &Fewner,
-    support: &[LabeledSentence],
-    tags: &TagSet,
+/// Mean wall seconds per task of `f` over `tasks`.
+fn per_task(tasks: &[Task], f: impl FnMut(&Task)) -> f64 {
+    let t0 = Instant::now();
+    tasks.iter().for_each(f);
+    t0.elapsed().as_secs_f64() / tasks.len() as f64
+}
+
+/// Adds the support encode and one inner step for `support` to `report`.
+/// A step sample is (K-step adapt − 1-step adapt) / (K − 1), which cancels
+/// the encode every adapt pays once.
+fn inner_loop_figures<'a>(
+    report: &mut Report<'a>,
+    prefix: &str,
+    learner: &'a Fewner,
+    support: &'a [LabeledSentence],
+    tags: &'a TagSet,
     k: usize,
     reps: usize,
-) -> (f64, f64) {
-    let encode = mean_secs(reps, || {
-        std::hint::black_box(learner.backbone.encode_support(&learner.theta, support));
+) {
+    report.figure(format!("{prefix}support encode"), Unit::Ms, move || {
+        mean_secs(reps, || {
+            std::hint::black_box(learner.backbone.encode_support(&learner.theta, support));
+        })
     });
-    let adapt = |steps| {
+    let adapt = move |steps| {
         mean_secs(reps, || {
             learner.adapt_context(support, tags, steps).unwrap();
         })
     };
-    let one = adapt(1);
-    (encode, (adapt(k) - one) / (k - 1) as f64)
+    report.figure(format!("{prefix}inner step"), Unit::Ms, move || {
+        let one = adapt(1);
+        (adapt(k) - one) / (k - 1) as f64
+    });
+}
+
+/// One shot setting's fixtures: a learner, a training meta-batch, its
+/// first task's support set, and held-out tasks to adapt and evaluate.
+struct Shots {
+    k: usize,
+    learner: Fewner,
+    tasks: Vec<Task>,
+    support: Vec<LabeledSentence>,
+    tags: TagSet,
+    eval_tasks: Vec<Task>,
 }
 
 fn main() {
@@ -62,186 +180,216 @@ fn main() {
     let split = split_types(&d, (52, 10, 15), 42).expect("split");
     let enc = TokenEncoder::build(&[&d], &embedding_spec(), 4);
     let meta = meta_config();
+    let fresh_fewner =
+        || Fewner::new(backbone_config(5, Conditioning::Film), &enc, meta.clone()).expect("build");
 
-    println!("Timing analysis (§4.5.2), NNE intra-domain, CPU\n");
-    let mut lines = Vec::new();
-    for k in [1usize, 5] {
-        let learner =
-            Fewner::new(backbone_config(5, Conditioning::Film), &enc, meta.clone()).expect("build");
-        let sampler = EpisodeSampler::new(&split.train, 5, k, scale.query_size).expect("sampler");
-        let mut rng = Rng::new(3);
-        let tasks: Vec<_> = (0..meta.meta_batch)
-            .map(|_| sampler.sample(&mut rng).unwrap())
-            .collect();
+    // Every fixture is built before any timing starts.
+    let shots: Vec<Shots> = [1usize, 5]
+        .into_iter()
+        .map(|k| {
+            let sampler =
+                EpisodeSampler::new(&split.train, 5, k, scale.query_size).expect("sampler");
+            let mut rng = Rng::new(3);
+            let tasks: Vec<Task> = (0..meta.meta_batch)
+                .map(|_| sampler.sample(&mut rng).unwrap())
+                .collect();
+            let (support, _) = encode_task(&enc, &tasks[0]);
+            let tags = tasks[0].tag_set();
+            let eval_tasks = EpisodeSampler::new(&split.test, 5, k, scale.query_size)
+                .expect("sampler")
+                .eval_set(EVAL_SEED, 5)
+                .expect("eval set");
+            Shots {
+                k,
+                learner: fresh_fewner(),
+                tasks,
+                support,
+                tags,
+                eval_tasks,
+            }
+        })
+        .collect();
 
+    let fewner = fresh_fewner();
+    let maml =
+        Maml::new(backbone_config(5, Conditioning::None), &enc, meta.clone()).expect("build");
+    let one_shot_eval = EpisodeSampler::new(&split.test, 5, 1, scale.query_size)
+        .expect("sampler")
+        .eval_set(EVAL_SEED, 4)
+        .expect("eval set");
+
+    let serving = fresh_fewner();
+    let serve_task = EpisodeSampler::new(&split.test, 5, 1, scale.query_size)
+        .expect("sampler")
+        .eval_set(EVAL_SEED, 1)
+        .expect("eval set")
+        .remove(0);
+    let (serve_support, query) = encode_task(&enc, &serve_task);
+    let serve_tags = serve_task.tag_set();
+    let (phi_store, phi_id, _) = serving
+        .adapt_context(&serve_support, &serve_tags, meta.inner_steps_test)
+        .expect("adapt");
+
+    let linear = fresh_fewner();
+    let linear_task = EpisodeSampler::new(&split.train, 5, 1, scale.query_size)
+        .expect("sampler")
+        .sample(&mut Rng::new(4))
+        .unwrap();
+    let (linear_support, _) = encode_task(&enc, &linear_task);
+    let linear_tags = linear_task.tag_set();
+    let supports: Vec<Vec<LabeledSentence>> = [1usize, 2, 4]
+        .into_iter()
+        .map(|mult| {
+            linear_support
+                .iter()
+                .cycle()
+                .take(linear_support.len() * mult)
+                .cloned()
+                .collect()
+        })
+        .collect();
+
+    let (enc, meta) = (&enc, &meta);
+    let mut report = Report::default();
+    report.text("Timing analysis (§4.5.2), NNE intra-domain, CPU");
+    report.text(format!(
+        "Every figure: median [q1–q3] of {ROUNDS} rounds; a round samples every figure once."
+    ));
+    for s in &shots {
+        report.text(format!("\n5-way {}-shot:", s.k));
         // Inner-loop cost on a support set: its one-off encode and one φ
         // gradient step.
-        let (support, _) = encode_task(&enc, &tasks[0]);
-        let tags = tasks[0].tag_set();
-        let (encode, inner_step) =
-            inner_loop_costs(&learner, &support, &tags, meta.inner_steps_test, 10);
-
-        // Outer loop: one full meta-batch, serially and fanned over worker
-        // threads (fresh learners so the runs are comparable — both start
-        // from the same initialisation and consume the same step seed).
-        let mut trainee =
-            Fewner::new(backbone_config(5, Conditioning::Film), &enc, meta.clone()).expect("build");
-        let t0 = Instant::now();
-        trainee.meta_step(&tasks, &enc).unwrap();
-        let outer = t0.elapsed().as_secs_f64();
-
-        let pool = ParallelTrainer::new(4);
-        let mut trainee =
-            Fewner::new(backbone_config(5, Conditioning::Film), &enc, meta.clone()).expect("build");
-        let t0 = Instant::now();
-        pool.meta_step(&mut trainee, &tasks, &enc).unwrap();
-        let outer_parallel = t0.elapsed().as_secs_f64();
-
-        // Test-time adaptation + evaluation per task.
-        let eval_sampler =
-            EpisodeSampler::new(&split.test, 5, k, scale.query_size).expect("sampler");
-        let eval_tasks = eval_sampler.eval_set(EVAL_SEED, 5).expect("eval set");
-        let t0 = Instant::now();
-        for task in &eval_tasks {
-            let (support, _) = encode_task(&enc, task);
-            learner
-                .adapt_context(&support, &task.tag_set(), meta.inner_steps_test)
-                .unwrap();
-        }
-        let adapt = t0.elapsed().as_secs_f64() / eval_tasks.len() as f64;
-        let t0 = Instant::now();
-        for task in &eval_tasks {
-            learner.adapt_and_predict(task, &enc).unwrap();
-        }
-        let eval_per_task = t0.elapsed().as_secs_f64() / eval_tasks.len() as f64;
-
-        let line = format!(
-            "5-way {k}-shot: support encode {:.4}s + inner step {:.4}s | outer meta-batch {:.2}s serial / {:.2}s on {} threads | adapt/task {:.3}s | evaluate/task {:.3}s",
-            encode, inner_step, outer, outer_parallel, pool.threads(), adapt, eval_per_task
+        inner_loop_figures(
+            &mut report,
+            "",
+            &s.learner,
+            &s.support,
+            &s.tags,
+            meta.inner_steps_test,
+            10,
         );
-        println!("{line}");
-        lines.push(line);
+        // Outer loop: one full meta-batch through the trainer's step, on
+        // one thread (the path serial training runs) and fanned over four.
+        // Each sample starts from a fresh learner, so every one pays for
+        // the same initialisation and step seed.
+        for threads in [1usize, 4] {
+            let unit = if threads == 1 { "thread" } else { "threads" };
+            report.figure(
+                format!("outer meta-batch, {threads} {unit}"),
+                Unit::Ms,
+                move || {
+                    let mut trainee =
+                        Fewner::new(backbone_config(5, Conditioning::Film), enc, meta.clone())
+                            .expect("build");
+                    let pool = ParallelTrainer::new(threads);
+                    let t0 = Instant::now();
+                    pool.meta_step(&mut trainee, &s.tasks, enc, &Tracer::disabled())
+                        .unwrap();
+                    t0.elapsed().as_secs_f64()
+                },
+            );
+        }
+        // Test-time adaptation + evaluation per task.
+        report.figure("adapt / task", Unit::Ms, move || {
+            per_task(&s.eval_tasks, |task| {
+                let (support, _) = encode_task(enc, task);
+                s.learner
+                    .adapt_context(&support, &task.tag_set(), meta.inner_steps_test)
+                    .unwrap();
+            })
+        });
+        report.figure("evaluate / task", Unit::Ms, move || {
+            per_task(&s.eval_tasks, |task| {
+                s.learner.adapt_and_predict(task, enc).unwrap();
+            })
+        });
     }
 
     // FEWNER vs MAML adaptation cost — the paper's efficiency argument:
     // FEWNER updates |φ| scalars per step, MAML the whole network.
-    println!("\nAdaptation cost, FEWNER vs MAML (5-way 1-shot, per task):");
-    {
-        let fewner =
-            Fewner::new(backbone_config(5, Conditioning::Film), &enc, meta.clone()).expect("build");
-        let maml =
-            Maml::new(backbone_config(5, Conditioning::None), &enc, meta.clone()).expect("build");
-        let eval_sampler =
-            EpisodeSampler::new(&split.test, 5, 1, scale.query_size).expect("sampler");
-        let eval_tasks = eval_sampler.eval_set(EVAL_SEED, 4).expect("eval set");
-        for (name, learner) in [
-            ("FewNER", &fewner as &dyn EpisodicLearner),
-            ("MAML", &maml as &dyn EpisodicLearner),
-        ] {
-            let t0 = Instant::now();
-            for task in &eval_tasks {
-                learner.adapt_and_predict(task, &enc).unwrap();
-            }
-            let per_task = t0.elapsed().as_secs_f64() / eval_tasks.len() as f64;
-            let line = format!("  {name:<7} adapt+predict: {per_task:.3}s / task");
-            println!("{line}");
-            lines.push(line);
-        }
-        let line = format!(
-            "  adapted scalars: FEWNER {} vs MAML {}",
-            fewner.backbone.config().phi_total(),
-            maml.theta.num_scalars()
+    report.text("\nAdaptation cost, FEWNER vs MAML (5-way 1-shot):");
+    for (name, learner) in [
+        ("FewNER", &fewner as &dyn EpisodicLearner),
+        ("MAML", &maml as &dyn EpisodicLearner),
+    ] {
+        let tasks = &one_shot_eval;
+        report.figure(
+            format!("{name} adapt+predict / task"),
+            Unit::Ms,
+            move || {
+                per_task(tasks, |task| {
+                    learner.adapt_and_predict(task, enc).unwrap();
+                })
+            },
         );
-        println!("{line}");
-        lines.push(line);
     }
+    report.text(format!(
+        "  adapted scalars: FEWNER {} vs MAML {}",
+        fewner.backbone.config().phi_total(),
+        maml.theta.num_scalars()
+    ));
 
     // Inference throughput: the serving path's gradient-free executor
     // (`decode_task` on `Infer`, context hoisted per task) vs the tape's
     // full forward (`batch_loss` on an eval-mode `Graph`) over the same
-    // adapted task — the unit `fewner predict` reports.
-    println!("\nInference throughput (5-way 1-shot query sweep, tape vs Infer):");
-    {
-        let learner = Fewner::new(backbone_config(5, Conditioning::Film), &enc, meta_config())
-            .expect("build");
-        let eval_sampler =
-            EpisodeSampler::new(&split.test, 5, 1, scale.query_size).expect("sampler");
-        let task = eval_sampler
-            .eval_set(EVAL_SEED, 1)
-            .expect("eval set")
-            .remove(0);
-        let (support, query) = encode_task(&enc, &task);
-        let tags = task.tag_set();
-        let (phi_store, phi_id, _) = learner
-            .adapt_context(&support, &tags, meta_config().inner_steps_test)
-            .expect("adapt");
-        let reps = 30;
-
-        let mut infer_t = Throughput::default();
+    // adapted task — the unit `fewner predict` reports. A sample is the
+    // rate over 30 sweeps of the query set.
+    let reps = 30;
+    let tokens: usize = query.iter().map(|(s, _)| s.len()).sum();
+    report.text(format!(
+        "\nInference throughput (5-way 1-shot query sweep of {tokens} tokens in {} sentences):",
+        query.len()
+    ));
+    let (serving, phi_store, query, serve_tags) = (&serving, &phi_store, &query, &serve_tags);
+    report.figure("Infer decode_task", Unit::TokensPerSec, move || {
+        let t0 = Instant::now();
         for _ in 0..reps {
-            let (paths, t) = measure_predictions(|| {
-                Ok(learner.backbone.decode_task(
-                    &learner.theta,
-                    Some((&phi_store, phi_id)),
-                    query.iter().map(|(s, _)| s),
-                    &tags,
-                ))
-            })
-            .expect("decode");
-            std::hint::black_box(paths);
-            infer_t.merge(&t);
+            std::hint::black_box(serving.backbone.decode_task(
+                &serving.theta,
+                Some((phi_store, phi_id)),
+                query.iter().map(|(s, _)| s),
+                serve_tags,
+            ));
         }
-
-        let tokens: usize = query.iter().map(|(s, _)| s.len()).sum();
+        (tokens * reps) as f64 / t0.elapsed().as_secs_f64()
+    });
+    report.figure("tape batch forward", Unit::TokensPerSec, move || {
         let t0 = Instant::now();
         for _ in 0..reps {
             let g = Graph::eval();
-            let phi = g.param(&phi_store, phi_id);
+            let phi = g.param(phi_store, phi_id);
             let mut rng = Rng::new(0);
-            let loss =
-                learner
-                    .backbone
-                    .batch_loss(&g, &learner.theta, Some(phi), &query, &tags, &mut rng);
+            let loss = serving.backbone.batch_loss(
+                &g,
+                &serving.theta,
+                Some(phi),
+                query,
+                serve_tags,
+                &mut rng,
+            );
             std::hint::black_box(g.value(loss).scalar_value());
         }
-        let tape_t = Throughput {
-            tokens: tokens * reps,
-            sentences: query.len() * reps,
-            seconds: t0.elapsed().as_secs_f64(),
-        };
-
-        for (name, t) in [
-            ("Infer decode_task", &infer_t),
-            ("tape batch forward", &tape_t),
-        ] {
-            let line = format!("  {name:<20} {}", t.render());
-            println!("{line}");
-            lines.push(line);
-        }
-    }
+        (tokens * reps) as f64 / t0.elapsed().as_secs_f64()
+    });
 
     // Linearity in data size: adaptation time vs support-set multiples.
-    println!("\nLinearity check (inner-loop time vs support sentences):");
-    let k = meta.inner_steps_test;
-    let learner = Fewner::new(backbone_config(5, Conditioning::Film), &enc, meta).expect("build");
-    let sampler = EpisodeSampler::new(&split.train, 5, 1, scale.query_size).expect("sampler");
-    let task = sampler.sample(&mut Rng::new(4)).unwrap();
-    let (support, _) = encode_task(&enc, &task);
-    let tags = task.tag_set();
-    for mult in [1usize, 2, 4] {
-        let big: Vec<_> = support
-            .iter()
-            .cycle()
-            .take(support.len() * mult)
-            .cloned()
-            .collect();
-        let (encode, step) = inner_loop_costs(&learner, &big, &tags, k, 5);
-        let line = format!(
-            "  {} sentences: encode {encode:.4}s + {step:.4}s / inner step",
-            big.len()
+    report.text("\nLinearity check (inner-loop time vs support sentences):");
+    for support in &supports {
+        inner_loop_figures(
+            &mut report,
+            &format!("{} sentences: ", support.len()),
+            &linear,
+            support,
+            &linear_tags,
+            meta.inner_steps_test,
+            5,
         );
+    }
+
+    report.measure();
+    let lines = report.render();
+    for line in &lines {
         println!("{line}");
-        lines.push(line);
     }
     let path = fewner_bench::write_report("timing.txt", &lines.join("\n")).expect("report");
     println!("\nwrote {}", path.display());

@@ -458,7 +458,7 @@ mod tests {
     fn meta_step_runs_and_updates_theta() {
         let (enc, tasks, mut fewner) = tiny_setup();
         let before = fewner.theta.snapshot();
-        let loss = fewner.meta_step(&tasks, &enc).unwrap();
+        let loss = crate::serial_meta_step(&mut fewner, &tasks, &enc).unwrap();
         assert!(loss.is_finite() && loss > 0.0);
         let after = fewner.theta.snapshot();
         assert!(
@@ -621,7 +621,7 @@ mod tests {
             ..MetaConfig::default()
         };
         let mut fewner = Fewner::new(bb_cfg, &enc, cfg).unwrap();
-        let loss = fewner.meta_step(&tasks[..2], &enc).unwrap();
+        let loss = crate::serial_meta_step(&mut fewner, &tasks[..2], &enc).unwrap();
         assert!(loss.is_finite());
     }
 

@@ -19,10 +19,13 @@
 //! 3. [`EpisodicLearner::apply_meta_grads`] — the serial epilogue: the
 //!    summed per-task gradients are averaged and fed to the optimizer.
 //!
-//! The provided [`EpisodicLearner::meta_step`] composes the three phases
-//! serially; the parallel trainer (`fewner_core::ParallelTrainer`) fans
-//! `task_grad` across scoped threads and reduces with the identical
-//! fixed-order code, so both paths are bitwise-identical for a fixed seed.
+//! Every training step composes the three phases the same way: the
+//! trainer (`fewner_core::ParallelTrainer`) fans `task_grad` across scoped
+//! threads (or runs it on the calling thread) and reduces with the one
+//! fixed-order code, and a shard worker does the same for its part of the
+//! batch. [`serial_meta_step`] is the plain serial composition, kept as
+//! the reference every path is checked against: all are bitwise-identical
+//! for a fixed seed.
 
 use fewner_episode::Task;
 use fewner_models::TokenEncoder;
@@ -44,9 +47,9 @@ impl TaskOutcome {
     /// mean loss and the gradient sum (unscaled —
     /// [`EpisodicLearner::apply_meta_grads`] divides by the task count).
     ///
-    /// The serial default [`EpisodicLearner::meta_step`], the threaded
-    /// trainer, and the sharded trainer all reduce through the one fixed
-    /// plan in [`crate::reduce`]. Floating-point addition is not
+    /// The serial reference [`serial_meta_step`], the threaded trainer,
+    /// and the sharded trainer all reduce through the one fixed plan in
+    /// [`crate::reduce`]. Floating-point addition is not
     /// associative, so the shared fixed-shape reduction is precisely what
     /// makes every execution topology bitwise-identical.
     pub fn reduce(outcomes: Vec<TaskOutcome>) -> Result<(f32, ParamGrads)> {
@@ -91,28 +94,6 @@ pub trait EpisodicLearner {
     /// scales by `1 / n_tasks` and takes one optimizer step.
     fn apply_meta_grads(&mut self, grads: ParamGrads, n_tasks: usize) -> Result<()>;
 
-    /// One meta-iteration over a batch of training tasks; returns the
-    /// iteration's mean task loss.
-    ///
-    /// The provided implementation composes [`EpisodicLearner::step_seed`],
-    /// [`EpisodicLearner::task_grad`] and
-    /// [`EpisodicLearner::apply_meta_grads`] serially. Override only for
-    /// methods whose outer loop is not a per-task gradient average.
-    fn meta_step(&mut self, tasks: &[Task], enc: &TokenEncoder) -> Result<f32> {
-        if tasks.is_empty() {
-            return Err(Error::InvalidConfig("empty meta batch".into()));
-        }
-        let step_seed = self.step_seed();
-        let mut outcomes = Vec::with_capacity(tasks.len());
-        for (index, task) in tasks.iter().enumerate() {
-            let mut rng = task_rng(step_seed, index);
-            outcomes.push(self.task_grad(task, enc, &mut rng)?);
-        }
-        let (loss, grads) = TaskOutcome::reduce(outcomes)?;
-        self.apply_meta_grads(grads, tasks.len())?;
-        Ok(loss)
-    }
-
     /// Adapts to a held-out task on its support set and predicts tag
     /// indices for every query sentence.
     ///
@@ -142,6 +123,32 @@ pub trait EpisodicLearner {
             self.name()
         )))
     }
+}
+
+/// One meta-iteration over a batch of training tasks, computed serially;
+/// returns the iteration's mean task loss.
+///
+/// Composes [`EpisodicLearner::step_seed`], [`EpisodicLearner::task_grad`]
+/// per task in index order and [`EpisodicLearner::apply_meta_grads`]. This
+/// is the reference the trainer is checked against: a training step
+/// (`fewner_core::ParallelTrainer::meta_step`, at any thread count, or a
+/// sharded round) must leave bitwise the same θ.
+pub fn serial_meta_step<L>(learner: &mut L, tasks: &[Task], enc: &TokenEncoder) -> Result<f32>
+where
+    L: EpisodicLearner + ?Sized,
+{
+    if tasks.is_empty() {
+        return Err(Error::InvalidConfig("empty meta batch".into()));
+    }
+    let step_seed = learner.step_seed();
+    let mut outcomes = Vec::with_capacity(tasks.len());
+    for (index, task) in tasks.iter().enumerate() {
+        let mut rng = task_rng(step_seed, index);
+        outcomes.push(learner.task_grad(task, enc, &mut rng)?);
+    }
+    let (loss, grads) = TaskOutcome::reduce(outcomes)?;
+    learner.apply_meta_grads(grads, tasks.len())?;
+    Ok(loss)
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@ pub use checkpoint::Checkpoint;
 pub use config::{MetaConfig, SecondOrder};
 pub use conventional::{FineTuneLearner, FrozenLmLearner, ProtoLearner, SnailLearner};
 pub use fewner::Fewner;
-pub use learner::{task_rng, EpisodicLearner, TaskOutcome};
+pub use learner::{serial_meta_step, task_rng, EpisodicLearner, TaskOutcome};
 pub use maml::Maml;
 pub use reduce::{GradPartial, GradReduce};
 pub use serve::{AdaptedCtx, CachePolicy, ServeOptions};

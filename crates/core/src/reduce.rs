@@ -1,7 +1,7 @@
 //! The canonical, transport-agnostic gradient reduction.
 //!
-//! Every execution topology — the serial default
-//! [`EpisodicLearner::meta_step`], the threaded
+//! Every execution topology — the serial reference
+//! [`serial_meta_step`](crate::serial_meta_step), the trainer's
 //! [`ParallelTrainer`](crate::ParallelTrainer), and the multi-process
 //! sharded trainer ([`crate::shard`]) — must produce bitwise-identical
 //! checkpoints. Floating-point addition is not associative, so "sum the
@@ -29,8 +29,6 @@
 //! Elastic resume falls out of the same property: when a shard dies, its
 //! subtree is reassigned to a surviving worker, which folds it with the
 //! same code over the same leaves — the merged result cannot differ.
-//!
-//! [`EpisodicLearner::meta_step`]: crate::EpisodicLearner::meta_step
 
 use std::ops::Range;
 
@@ -47,7 +45,7 @@ use crate::learner::TaskOutcome;
 /// ([`ParamGrads::encode_into`]); see [`crate::shard`]. The JSON impls
 /// below are not used by the wire any more. They stay for tools that
 /// replay the exchange as text, and f32 values survive them bit-exactly
-/// too (see [`fewner_util::json`]).
+/// too (see [`fewner_util::json`](mod@fewner_util::json)).
 #[derive(Debug, Clone)]
 pub struct GradPartial {
     /// First task index covered (inclusive).

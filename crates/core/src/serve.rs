@@ -5,9 +5,9 @@
 //! off operationally if an adapted φ is **reused** across requests instead
 //! of recomputed per call. This module makes that reuse structural:
 //!
-//! * [`Fewner::adapt`] runs the inner loop once and returns an
+//! * [`Fewner::adapt`](crate::Fewner::adapt) runs the inner loop once and returns an
 //!   [`AdaptedCtx`] — a first-class, serialisable handle to the adapted φ.
-//! * [`Fewner::predict`] decodes any number of query sentences under a
+//! * [`Fewner::predict`](crate::Fewner::predict) decodes any number of query sentences under a
 //!   borrowed [`AdaptedCtx`] on the gradient-free `Infer` executor.
 //! * [`ServeOptions`] carries the cross-cutting serving knobs (tracer,
 //!   cache policy, micro-batch size) so entry points stay stable as knobs
@@ -262,9 +262,9 @@ impl AdaptedCtx {
 
     /// Deserialises a context written by [`AdaptedCtx::to_json`]. The φ
     /// values round-trip bitwise; shape compatibility with a particular
-    /// model is checked at [`Fewner::predict`] time, not here. Version-1
-    /// files (no revision, no retained support) load as revision 1 with an
-    /// empty support set.
+    /// model is checked at [`Fewner::predict`](crate::Fewner::predict)
+    /// time, not here. Version-1 files (no revision, no retained support)
+    /// load as revision 1 with an empty support set.
     pub fn from_json(json: &Json) -> Result<AdaptedCtx> {
         let version = json.field("version")?.as_u64()? as u32;
         if version == 0 || version > ADAPTED_CTX_VERSION {

@@ -31,7 +31,7 @@
 //! holds the merged gradient. Gradient bodies use the row-sparse binary
 //! encoding of [`ParamGrads::encode_into`], which keeps every f32 bit
 //! pattern; `loss_sum` and `loss` are JSON f32s, which are bit-exact too
-//! (see [`fewner_util::json`]).
+//! (see [`fewner_util::json`](mod@fewner_util::json)).
 //!
 //! # Fault tolerance
 //!

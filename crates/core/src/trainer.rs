@@ -27,10 +27,11 @@
 //! [`TrainingSnapshot`] (θ, optimizer moments, both RNG streams, counters,
 //! decay position) into [`TrainConfig::checkpoint_dir`] every n completed
 //! iterations, as a rolling pair of durable files (per shard, when
-//! sharded). [`Trainer::resume`] restarts
-//! from the newest valid snapshot and — because every source of
-//! randomness is part of the snapshot — produces the bitwise-identical
-//! model a straight-through run would have, at any thread count.
+//! sharded). A trainer built with [`Trainer::resume_from`] starts the same
+//! loop from the newest valid snapshot instead of iteration 0 and —
+//! because every source of randomness is part of the snapshot — produces
+//! the bitwise-identical model a straight-through run would have, at any
+//! thread count.
 //!
 //! Non-finite meta-batches are skipped, and
 //! [`MetaConfig::max_consecutive_skips`] bounds how many may be skipped
@@ -98,13 +99,15 @@ pub struct TrainConfig {
     /// identical with tracing on or off, at any thread count.
     pub trace_path: Option<PathBuf>,
     /// Total worker processes of a sharded run (`1`, the default, trains
-    /// in-process). With `shards > 1` this process computes only its
-    /// subtree of each meta-batch and exchanges gradients through the
-    /// coordinator at [`TrainConfig::coordinator`].
+    /// in-process; `0` is refused). With `shards > 1` this process computes
+    /// only its subtree of each meta-batch and exchanges gradients through
+    /// the coordinator at [`TrainConfig::coordinator`].
     pub shards: usize,
-    /// This worker's shard id, `0 ≤ shard_id < shards`.
+    /// This worker's shard id, `0 ≤ shard_id < shards` (must stay `0` when
+    /// `shards` is 1).
     pub shard_id: usize,
-    /// `host:port` of the shard coordinator (required when `shards > 1`).
+    /// `host:port` of the shard coordinator (required when `shards > 1`,
+    /// refused otherwise).
     pub coordinator: Option<String>,
 }
 
@@ -127,11 +130,6 @@ impl TrainConfig {
             shard_id: 0,
             coordinator: None,
         }
-    }
-
-    /// A small default schedule used by tests and smoke benchmarks.
-    pub fn smoke(n_ways: usize, k_shots: usize) -> TrainConfig {
-        TrainConfig::new(n_ways, k_shots).iterations(30)
     }
 
     /// Sets the number of meta-iterations.
@@ -204,10 +202,27 @@ impl TrainConfig {
         }
     }
 
-    /// The effective thread count: the `threads` field with `0` resolved
-    /// to the machine's available parallelism.
-    pub fn resolved_threads(&self) -> usize {
-        resolve_threads(self.threads)
+    /// Refuses shard fields that the topology would otherwise silently
+    /// ignore: a run never reads `shards: 0` as 1, nor trains in-process
+    /// while a shard id or coordinator says it is one worker of many.
+    fn check_topology(&self) -> Result<()> {
+        if self.shards == 0 {
+            return Err(Error::InvalidConfig(
+                "shards must be at least 1 (1 trains in-process), got 0".into(),
+            ));
+        }
+        if self.shards == 1 && self.shard_id != 0 {
+            return Err(Error::InvalidConfig(format!(
+                "shard_id {} needs shards > 1; a 1-shard schedule trains in-process",
+                self.shard_id
+            )));
+        }
+        match &self.coordinator {
+            Some(addr) if self.shards == 1 => Err(Error::InvalidConfig(format!(
+                "coordinator {addr} needs shards > 1; a 1-shard schedule trains in-process"
+            ))),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -258,8 +273,8 @@ fn check_task_fault() -> Result<()> {
 /// Work is split into contiguous per-thread chunks of task indices; every
 /// worker returns its outcomes keyed by those indices, and the reduction
 /// ([`TaskOutcome::reduce`]) runs on the calling thread in task-index
-/// order. The result is bitwise-identical to the serial
-/// [`EpisodicLearner::meta_step`] for any thread count.
+/// order. The result is bitwise-identical to
+/// [`serial_meta_step`](crate::serial_meta_step) for any thread count.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelTrainer {
     threads: usize,
@@ -278,33 +293,19 @@ impl ParallelTrainer {
         self.threads
     }
 
-    /// One meta-iteration with the per-task work fanned across workers.
+    /// One meta-iteration: [`EpisodicLearner::step_seed`], the batch's task
+    /// gradients through [`ParallelTrainer::range_outcomes`], the canonical
+    /// reduction, then [`EpisodicLearner::apply_meta_grads`]. Every
+    /// in-process step of a training run takes this one path, at any thread
+    /// count, traced or not. Per-task losses and the meta-gradient norm are
+    /// recorded into `tracer` ([`Tracer::disabled`] records nothing).
     ///
-    /// Falls back to the learner's own (serial) `meta_step` for one thread
-    /// or one task. A panicking worker surfaces as
-    /// [`fewner_util::Error::WorkerPanic`].
-    ///
-    /// When a [`fault::FaultPlan`] is armed the serial fall-back runs the
-    /// same decomposed loop as the parallel path so per-task fault hooks
-    /// fire on it too — there, an injected panic unwinds the calling
-    /// thread (i.e. kills the process), which is exactly the crash the CI
-    /// kill-and-resume smoke test wants.
-    pub fn meta_step<L>(&self, learner: &mut L, tasks: &[Task], enc: &TokenEncoder) -> Result<f32>
-    where
-        L: EpisodicLearner + Sync + ?Sized,
-    {
-        self.meta_step_traced(learner, tasks, enc, &Tracer::disabled())
-    }
-
-    /// [`ParallelTrainer::meta_step`] with per-task losses and the
-    /// meta-gradient norm recorded into `tracer`.
-    ///
-    /// An enabled tracer forces the decomposed task-gradient loop even on
-    /// the serial path — the same already-bitwise-identical code the
-    /// parallel and fault-armed paths use — so the per-task outcomes are
-    /// observable without asking learners to instrument their own
-    /// `meta_step` overrides.
-    pub fn meta_step_traced<L>(
+    /// One thread (or one task) computes on the calling thread, so an
+    /// injected task-gradient panic ([`fault::FaultPlan`]) unwinds it —
+    /// i.e. kills the process, which is exactly the crash the CI
+    /// kill-and-resume smoke test wants. On worker threads a panic
+    /// surfaces as [`fewner_util::Error::WorkerPanic`].
+    pub fn meta_step<L>(
         &self,
         learner: &mut L,
         tasks: &[Task],
@@ -316,10 +317,6 @@ impl ParallelTrainer {
     {
         if tasks.is_empty() {
             return Err(Error::InvalidConfig("empty meta batch".into()));
-        }
-        let faults_armed = fault::active().is_some();
-        if (self.threads <= 1 || tasks.len() < 2) && !faults_armed && !tracer.enabled() {
-            return learner.meta_step(tasks, enc);
         }
         let step_seed = learner.step_seed();
         // The whole batch as one reduce-tree root range (a one-element
@@ -437,7 +434,7 @@ impl ParallelTrainer {
 /// A streaming training source: the chunked corpus wrapped in a window
 /// sampler, plus the geometry recorded into (and checked against) snapshot
 /// fingerprints. Build one with [`StreamSource::open`] and hand it to
-/// [`Trainer::train_stream`] / [`Trainer::resume_stream`].
+/// [`Trainer::train_stream`].
 pub struct StreamSource {
     sampler: StreamSampler<StreamingCorpus>,
     geometry: StreamFingerprint,
@@ -484,14 +481,14 @@ impl StreamSource {
 /// sampling-randomness stream the snapshot needs.
 enum TaskFeed<'a> {
     View(EpisodeSampler<'a>),
-    Stream(&'a mut StreamSampler<StreamingCorpus>),
+    Stream(&'a mut StreamSource),
 }
 
 impl TaskFeed<'_> {
     fn sample(&mut self, rng: &mut Rng, tracer: &Tracer) -> Result<Task> {
         match self {
             TaskFeed::View(sampler) => sampler.sample_traced(rng, tracer),
-            TaskFeed::Stream(sampler) => sampler.sample_traced(rng, tracer),
+            TaskFeed::Stream(source) => source.sampler.sample_traced(rng, tracer),
         }
     }
 
@@ -499,7 +496,23 @@ impl TaskFeed<'_> {
     fn cursor(&self) -> Option<StreamCursor> {
         match self {
             TaskFeed::View(_) => None,
-            TaskFeed::Stream(sampler) => Some(sampler.cursor()),
+            TaskFeed::Stream(source) => Some(source.sampler.cursor()),
+        }
+    }
+
+    /// Replays the stream window to `cursor`; a view has nothing to replay.
+    fn seek(&mut self, cursor: StreamCursor, tracer: &Tracer) -> Result<()> {
+        match self {
+            TaskFeed::View(_) => Ok(()),
+            TaskFeed::Stream(source) => source.sampler.seek(cursor, tracer),
+        }
+    }
+
+    /// The stream geometry the run fingerprint pins (`None` for views).
+    fn geometry(&self) -> Option<StreamFingerprint> {
+        match self {
+            TaskFeed::View(_) => None,
+            TaskFeed::Stream(source) => Some(source.geometry),
         }
     }
 }
@@ -559,9 +572,53 @@ fn fingerprint_of(
         query_size: cfg.query_size,
         seed: cfg.seed,
         meta_batch: meta.meta_batch,
-        shards: cfg.shards.max(1),
+        shards: cfg.shards,
         stream,
     }
+}
+
+/// The loop state a resumed run continues from: the newest snapshot in
+/// `dir` whose fingerprint matches, imported into `learner`, with the
+/// stream (if any) replayed to the snapshot's cursor.
+fn resume_state<L>(
+    dir: &Path,
+    learner: &mut L,
+    feed: &mut TaskFeed<'_>,
+    fingerprint: &RunFingerprint,
+    cfg: &TrainConfig,
+    tracer: &Tracer,
+) -> Result<LoopState>
+where
+    L: EpisodicLearner + ?Sized,
+{
+    let (snap, path) =
+        snapshot::latest_valid(dir, Some(fingerprint))?.ok_or_else(|| Error::Io {
+            path: dir.display().to_string(),
+            detail: "no training snapshots found".into(),
+        })?;
+    // Refused before the import: the learner must not be left with θ from
+    // beyond the run that was asked for.
+    if snap.iteration > cfg.iterations {
+        return Err(Error::InvalidConfig(format!(
+            "snapshot {} is at iteration {}, past this schedule's {} iterations",
+            path.display(),
+            snap.iteration,
+            cfg.iterations
+        )));
+    }
+    learner.import_state(&snap.learner)?;
+    // Replay the stream window to exactly where the snapshot left it;
+    // `sampler_rng` replays the draws, so the continuation is bitwise
+    // identical to a straight run.
+    feed.seek(snap.stream_cursor.unwrap_or_default(), tracer)?;
+    tracer.event(
+        "train/resume",
+        &[
+            ("iteration", Json::from(snap.iteration)),
+            ("snapshot", Json::from(path.display().to_string())),
+        ],
+    );
+    Ok(LoopState::from_snapshot(&snap))
 }
 
 /// The engine a run steps through: in-process (serial or threaded), or one
@@ -574,20 +631,18 @@ enum Engine {
 
 impl Engine {
     /// Builds the engine `cfg` asks for. A sharded config connects to the
-    /// coordinator here — announcing `start_iteration` so every worker of
-    /// the round-lockstep run provably starts from the same place.
+    /// coordinator here — announcing `fingerprint` and `start_iteration` so
+    /// every worker of the round-lockstep run provably starts from the same
+    /// place.
     fn open(
-        name: &str,
-        meta: &MetaConfig,
         cfg: &TrainConfig,
-        stream: Option<StreamFingerprint>,
+        fingerprint: &RunFingerprint,
         start_iteration: usize,
     ) -> Result<Engine> {
-        if cfg.shards <= 1 {
+        if cfg.shards == 1 {
             return Ok(Engine::Local(ParallelTrainer::new(cfg.threads)));
         }
-        let fingerprint = fingerprint_of(name, meta, cfg, stream);
-        let session = crate::shard::ShardSession::connect(cfg, &fingerprint, start_iteration)?;
+        let session = crate::shard::ShardSession::connect(cfg, fingerprint, start_iteration)?;
         Ok(Engine::Sharded(session))
     }
 
@@ -602,31 +657,35 @@ impl Engine {
         L: EpisodicLearner + Sync + ?Sized,
     {
         match self {
-            Engine::Local(pool) => pool.meta_step_traced(learner, batch, enc, tracer),
+            Engine::Local(pool) => pool.meta_step(learner, batch, enc, tracer),
             Engine::Sharded(session) => session.step(learner, batch, enc, tracer),
         }
     }
 }
 
 /// The one training entry point: fresh runs and checkpointed resumption,
-/// local or sharded, traced or silent.
+/// local or sharded, traced or silent, over a materialized split
+/// ([`Trainer::train`]) or a corpus stream ([`Trainer::train_stream`]).
 ///
 /// A default `Trainer` derives its tracer from the schedule
 /// ([`TrainConfig::trace_path`]); [`Trainer::with_tracer`] overrides that
 /// with an explicit instrument (tests inject a manual clock and an
 /// in-memory sink this way). The tracer is flushed when a run ends —
-/// normally *or* with [`Error::Diverged`] — so traces survive diverged
-/// runs. Tracing never changes the numbers.
+/// normally *or* with an error such as [`Error::Diverged`] — so traces
+/// survive failed runs. Tracing never changes the numbers.
+/// [`Trainer::resume_from`] starts the run from a snapshot instead of
+/// iteration 0.
 #[derive(Clone, Default)]
 pub struct Trainer {
     tracer: Option<Tracer>,
+    resume: Option<PathBuf>,
 }
 
 impl Trainer {
     /// A trainer that traces wherever [`TrainConfig::trace_path`] points
     /// (or nowhere).
     pub fn new() -> Trainer {
-        Trainer { tracer: None }
+        Trainer::default()
     }
 
     /// A trainer bound to an explicit tracer, overriding
@@ -634,6 +693,34 @@ impl Trainer {
     pub fn with_tracer(tracer: &Tracer) -> Trainer {
         Trainer {
             tracer: Some(tracer.clone()),
+            ..Trainer::default()
+        }
+    }
+
+    /// This trainer, starting its runs from the newest valid snapshot in
+    /// `dir` instead of iteration 0.
+    ///
+    /// The learner handed to [`Trainer::train`] or [`Trainer::train_stream`]
+    /// must be freshly constructed with the same architecture and
+    /// configuration as the original run (constructors are
+    /// seed-deterministic); its mutable state is then replaced wholesale
+    /// via [`EpisodicLearner::import_state`]. The snapshot's
+    /// [`RunFingerprint`] must match the given schedule — except for
+    /// [`TrainConfig::iterations`], which may grow so a finished run can be
+    /// extended. Snapshots from a different run configuration (learner,
+    /// schedule, seed, shard topology or stream geometry) are skipped over;
+    /// if only such foreign snapshots exist the resume is refused, before
+    /// any coordinator is dialled. A snapshot at exactly
+    /// [`TrainConfig::iterations`] returns the run as it recorded it,
+    /// without training (a shard worker still joins the rendezvous, so the
+    /// coordinator sees it finish); one past it is refused. Because the
+    /// snapshot carries every source of randomness, the stream cursor
+    /// included, the resumed run's final θ is bitwise-identical to a
+    /// straight-through run's, at any thread or shard count.
+    pub fn resume_from(self, dir: impl AsRef<Path>) -> Trainer {
+        Trainer {
+            resume: Some(dir.as_ref().to_path_buf()),
+            ..self
         }
     }
 
@@ -649,9 +736,10 @@ impl Trainer {
     ///
     /// With [`TrainConfig::checkpoint_every`] set, rolling
     /// [`TrainingSnapshot`]s land in [`TrainConfig::checkpoint_dir`]; a run
-    /// killed at any point can be continued with [`Trainer::resume`]. With
-    /// [`TrainConfig::shards`] > 1 this call becomes one worker of a
-    /// multi-process run and blocks until its shard's part is done.
+    /// killed at any point can be continued by a trainer built with
+    /// [`Trainer::resume_from`]. With [`TrainConfig::shards`] > 1 this call
+    /// becomes one worker of a multi-process run and blocks until its
+    /// shard's part is done.
     pub fn train<L>(
         &self,
         learner: &mut L,
@@ -663,22 +751,8 @@ impl Trainer {
     where
         L: EpisodicLearner + Sync + ?Sized,
     {
-        meta.validate()?;
-        let tracer = self.resolve_tracer(cfg);
-        let state = LoopState::fresh(meta, cfg);
-        let mut feed = TaskFeed::View(EpisodeSampler::new(
-            view,
-            cfg.n_ways,
-            cfg.k_shots,
-            cfg.query_size,
-        )?);
-        let engine = Engine::open(learner.name(), meta, cfg, None, 0);
-        let result = engine.and_then(|mut e| {
-            run_loop(
-                learner, &mut feed, None, enc, meta, cfg, state, &tracer, &mut e,
-            )
-        });
-        finish_trace(result, &tracer)
+        let sampler = EpisodeSampler::new(view, cfg.n_ways, cfg.k_shots, cfg.query_size)?;
+        self.run(learner, TaskFeed::View(sampler), enc, meta, cfg)
     }
 
     /// Meta-trains `learner` on tasks drawn from a chunked corpus stream —
@@ -686,8 +760,10 @@ impl Trainer {
     /// bounded resident window of `source` is in memory at any point, so
     /// million-sentence runs train in a few megabytes of corpus state. The
     /// snapshot story is unchanged: the stream cursor rides along in every
-    /// [`TrainingSnapshot`], and [`Trainer::resume_stream`] continues a
-    /// killed run bitwise-identically.
+    /// [`TrainingSnapshot`], and a resumed run replays the window from it.
+    /// A snapshot resumes only under the same stream geometry (corpus
+    /// length, chunk size, window, stride): the persisted cursor addresses
+    /// the same sentence only under the same chunking.
     pub fn train_stream<L>(
         &self,
         learner: &mut L,
@@ -699,170 +775,45 @@ impl Trainer {
     where
         L: EpisodicLearner + Sync + ?Sized,
     {
-        meta.validate()?;
-        let tracer = self.resolve_tracer(cfg);
-        let state = LoopState::fresh(meta, cfg);
-        let geometry = source.geometry;
-        let mut feed = TaskFeed::Stream(&mut source.sampler);
-        let engine = Engine::open(learner.name(), meta, cfg, Some(geometry), 0);
-        let result = engine.and_then(|mut e| {
-            run_loop(
-                learner,
-                &mut feed,
-                Some(geometry),
-                enc,
-                meta,
-                cfg,
-                state,
-                &tracer,
-                &mut e,
-            )
-        });
-        finish_trace(result, &tracer)
+        self.run(learner, TaskFeed::Stream(source), enc, meta, cfg)
     }
 
-    /// Continues a checkpointed *streaming* run from the newest valid
-    /// snapshot in `dir`. The snapshot must have been written by a run with
-    /// the same stream geometry (corpus length, chunk size, window,
-    /// stride): the persisted cursor only addresses the same sentence under
-    /// the same chunking, so mismatches are refused like any other schedule
-    /// change.
-    pub fn resume_stream<L>(
+    /// The one path behind both entry points: check the schedule, find the
+    /// start point, open the engine, run the loop, flush the trace.
+    fn run<L>(
         &self,
         learner: &mut L,
-        source: &mut StreamSource,
+        mut feed: TaskFeed<'_>,
         enc: &TokenEncoder,
         meta: &MetaConfig,
         cfg: &TrainConfig,
-        dir: impl AsRef<Path>,
     ) -> Result<TrainingLog>
     where
         L: EpisodicLearner + Sync + ?Sized,
     {
         meta.validate()?;
+        cfg.check_topology()?;
         let tracer = self.resolve_tracer(cfg);
-        let dir = dir.as_ref();
-        let geometry = source.geometry;
-        let expected = fingerprint_of(learner.name(), meta, cfg, Some(geometry));
-        let (snap, path) =
-            snapshot::latest_valid(dir, Some(&expected))?.ok_or_else(|| Error::Io {
-                path: dir.display().to_string(),
-                detail: "no training snapshots found".into(),
-            })?;
-        learner.import_state(&snap.learner)?;
-        let state = LoopState::from_snapshot(&snap);
-        // Replay the stream window to exactly where the snapshot left it;
-        // `sampler_rng` replays the draws, so the continuation is bitwise
-        // identical to a straight run.
-        source
-            .sampler
-            .seek(snap.stream_cursor.unwrap_or_default(), &tracer)?;
-        tracer.event(
-            "train/resume",
-            &[
-                ("iteration", Json::from(snap.iteration)),
-                ("snapshot", Json::from(path.display().to_string())),
-            ],
-        );
-        if state.iteration >= cfg.iterations {
-            return finish_trace(
-                Ok(TrainingLog {
-                    secs_per_iteration: state.prior_wall_secs / cfg.iterations.max(1) as f64,
-                    losses: state.losses,
-                    tasks_seen: state.tasks_seen,
-                    skipped: state.skipped,
-                    wall_secs: state.prior_wall_secs,
-                }),
-                &tracer,
-            );
+        let fingerprint = fingerprint_of(learner.name(), meta, cfg, feed.geometry());
+        let result = match &self.resume {
+            None => Ok(LoopState::fresh(meta, cfg)),
+            Some(dir) => resume_state(dir, learner, &mut feed, &fingerprint, cfg, &tracer),
         }
-        let mut feed = TaskFeed::Stream(&mut source.sampler);
-        let engine = Engine::open(learner.name(), meta, cfg, Some(geometry), state.iteration);
-        let result = engine.and_then(|mut e| {
+        .and_then(|state| {
+            // A resume at the schedule's end runs zero iterations: the log
+            // is the snapshot's, and a shard worker still joins and leaves
+            // the rendezvous, so its coordinator ends cleanly.
+            let mut engine = Engine::open(cfg, &fingerprint, state.iteration)?;
             run_loop(
                 learner,
                 &mut feed,
-                Some(geometry),
+                &fingerprint,
                 enc,
                 meta,
                 cfg,
                 state,
                 &tracer,
-                &mut e,
-            )
-        });
-        finish_trace(result, &tracer)
-    }
-
-    /// Continues a checkpointed run from the newest valid snapshot in
-    /// `dir`.
-    ///
-    /// `learner` must be freshly constructed with the same architecture and
-    /// configuration as the original run (constructors are
-    /// seed-deterministic); its mutable state is then replaced wholesale
-    /// via [`EpisodicLearner::import_state`]. The snapshot's
-    /// [`RunFingerprint`] must match the given schedule — except for
-    /// [`TrainConfig::iterations`], which may differ so a finished run can
-    /// be extended. Snapshots from a different run configuration (learner,
-    /// schedule, seed, or shard topology) are skipped over; if only such
-    /// foreign snapshots exist the resume is refused. Because the snapshot
-    /// carries every source of randomness, the resumed run's final θ is
-    /// bitwise-identical to a straight-through run's, at any thread or
-    /// shard count.
-    pub fn resume<L>(
-        &self,
-        learner: &mut L,
-        view: &SplitView,
-        enc: &TokenEncoder,
-        meta: &MetaConfig,
-        cfg: &TrainConfig,
-        dir: impl AsRef<Path>,
-    ) -> Result<TrainingLog>
-    where
-        L: EpisodicLearner + Sync + ?Sized,
-    {
-        meta.validate()?;
-        let tracer = self.resolve_tracer(cfg);
-        let dir = dir.as_ref();
-        let expected = fingerprint_of(learner.name(), meta, cfg, None);
-        let (snap, path) =
-            snapshot::latest_valid(dir, Some(&expected))?.ok_or_else(|| Error::Io {
-                path: dir.display().to_string(),
-                detail: "no training snapshots found".into(),
-            })?;
-        learner.import_state(&snap.learner)?;
-        let state = LoopState::from_snapshot(&snap);
-        tracer.event(
-            "train/resume",
-            &[
-                ("iteration", Json::from(snap.iteration)),
-                ("snapshot", Json::from(path.display().to_string())),
-            ],
-        );
-        if state.iteration >= cfg.iterations {
-            // Nothing left to train; report the run as the snapshot
-            // recorded it.
-            return finish_trace(
-                Ok(TrainingLog {
-                    secs_per_iteration: state.prior_wall_secs / cfg.iterations.max(1) as f64,
-                    losses: state.losses,
-                    tasks_seen: state.tasks_seen,
-                    skipped: state.skipped,
-                    wall_secs: state.prior_wall_secs,
-                }),
-                &tracer,
-            );
-        }
-        let mut feed = TaskFeed::View(EpisodeSampler::new(
-            view,
-            cfg.n_ways,
-            cfg.k_shots,
-            cfg.query_size,
-        )?);
-        let engine = Engine::open(learner.name(), meta, cfg, None, state.iteration);
-        let result = engine.and_then(|mut e| {
-            run_loop(
-                learner, &mut feed, None, enc, meta, cfg, state, &tracer, &mut e,
+                &mut engine,
             )
         });
         finish_trace(result, &tracer)
@@ -879,8 +830,8 @@ fn finish_trace(result: Result<TrainingLog>, tracer: &Tracer) -> Result<Training
     Ok(log)
 }
 
-/// The shared iteration loop behind [`Trainer::train`] and
-/// [`Trainer::resume`].
+/// The iteration loop behind [`Trainer::train`] and
+/// [`Trainer::train_stream`], from `state` to [`TrainConfig::iterations`].
 ///
 /// In a sharded run every worker executes this exact loop in lockstep:
 /// the sampler RNG is part of the snapshot/fingerprint contract, so all
@@ -890,7 +841,7 @@ fn finish_trace(result: Result<TrainingLog>, tracer: &Tracer) -> Result<Training
 fn run_loop<L>(
     learner: &mut L,
     feed: &mut TaskFeed<'_>,
-    stream: Option<StreamFingerprint>,
+    fingerprint: &RunFingerprint,
     enc: &TokenEncoder,
     meta: &MetaConfig,
     cfg: &TrainConfig,
@@ -916,7 +867,6 @@ where
     } else {
         None
     };
-    let fingerprint = fingerprint_of(learner.name(), meta, cfg, stream);
     let start = Instant::now();
 
     while state.iteration < cfg.iterations {
@@ -1169,6 +1119,44 @@ mod tests {
     }
 
     #[test]
+    fn shard_fields_the_topology_would_ignore_are_refused() {
+        let d = DatasetProfile::bionlp13cg().generate(0.05).unwrap();
+        let split = split_types(&d, (8, 3, 5), 1).unwrap();
+        let enc = TokenEncoder::build(
+            &[&d],
+            &EmbeddingSpec {
+                dim: 20,
+                ..EmbeddingSpec::default()
+            },
+            4,
+        );
+        let meta = MetaConfig {
+            meta_batch: 2,
+            ..MetaConfig::default()
+        };
+        let base = TrainConfig::new(3, 1).iterations(2).query_size(4).seed(9);
+        // `Exploding` skips every batch, so a schedule that got past the
+        // check would return Ok with two skips, not an error.
+        for (cfg, needle) in [
+            (base.clone().shards(0), "shards must be at least 1"),
+            (base.clone().shard_id(1), "shard_id 1 needs shards > 1"),
+            (
+                base.clone().coordinator("127.0.0.1:9"),
+                "coordinator 127.0.0.1:9 needs shards > 1",
+            ),
+        ] {
+            match Trainer::new().train(&mut Exploding, &split.train, &enc, &meta, &cfg) {
+                Err(Error::InvalidConfig(msg)) => assert!(msg.contains(needle), "{msg}"),
+                other => panic!("expected InvalidConfig naming `{needle}`, got {other:?}"),
+            }
+        }
+        let log = Trainer::new()
+            .train(&mut Exploding, &split.train, &enc, &meta, &base)
+            .unwrap();
+        assert_eq!(log.skipped, 2, "the default topology trains in-process");
+    }
+
+    #[test]
     fn decay_fires_on_task_schedule() {
         // With decay_every_tasks = 4 and meta_batch = 2, the decay hook
         // must fire after iterations 2 and 4.
@@ -1263,7 +1251,7 @@ mod tests {
             // episode loss directly through the public learner API by
             // running a step on a clone of the parameters.
             let snapshot = l.theta.snapshot();
-            let loss = l.meta_step(std::slice::from_ref(&probe), &enc).unwrap();
+            let loss = crate::serial_meta_step(l, std::slice::from_ref(&probe), &enc).unwrap();
             l.theta.restore(&snapshot).unwrap();
             loss
         };

@@ -15,6 +15,7 @@ use fewner_core::{
 use fewner_corpus::{split_types, DatasetProfile, TypeSplit};
 use fewner_episode::{EpisodeSampler, Task};
 use fewner_models::{BackboneConfig, Conditioning, HeadKind, TokenEncoder};
+use fewner_obs::{TraceSummary, Tracer};
 use fewner_tensor::ParamGrads;
 use fewner_text::embed::EmbeddingSpec;
 use fewner_util::fault::{self, FaultPlan};
@@ -130,7 +131,8 @@ fn kill_and_resume_is_bitwise_identical_at_1_and_4_threads() {
                 .checkpoint_every(3)
                 .checkpoint_dir(&dir);
             let log = Trainer::new()
-                .resume(&mut resumed, &split.train, &enc, &m, &rk, &dir)
+                .resume_from(&dir)
+                .train(&mut resumed, &split.train, &enc, &m, &rk)
                 .unwrap();
 
             assert_eq!(log.losses.len(), 12, "full loss history is restored");
@@ -197,7 +199,8 @@ fn corrupted_newest_snapshot_falls_back_to_its_predecessor() {
             .checkpoint_every(3)
             .checkpoint_dir(&dir);
         Trainer::new()
-            .resume(&mut resumed, &split.train, &enc, &m, &rk, &dir)
+            .resume_from(&dir)
+            .train(&mut resumed, &split.train, &enc, &m, &rk)
             .unwrap();
         assert_eq!(
             state_of(&straight),
@@ -245,7 +248,8 @@ fn torn_snapshot_write_never_leaves_the_run_unresumable() {
             .checkpoint_every(3)
             .checkpoint_dir(&dir);
         Trainer::new()
-            .resume(&mut resumed, &split.train, &enc, &m, &rk, &dir)
+            .resume_from(&dir)
+            .train(&mut resumed, &split.train, &enc, &m, &rk)
             .unwrap();
 
         let mut straight = learner(&enc);
@@ -311,7 +315,7 @@ fn panicking_worker_surfaces_as_worker_panic() {
         let tasks: Vec<Task> = (0..4).map(|_| sampler.sample(&mut rng).unwrap()).collect();
         let mut l = Panicky;
         let err = ParallelTrainer::new(4)
-            .meta_step(&mut l, &tasks, &enc)
+            .meta_step(&mut l, &tasks, &enc, &Tracer::disabled())
             .unwrap_err();
         assert!(
             matches!(err, Error::WorkerPanic { .. }),
@@ -340,7 +344,8 @@ fn resume_refuses_a_mismatched_run_fingerprint() {
         let mut other = learner(&enc);
         let wrong_seed = cfg(1).iterations(6).seed(1234);
         let err = Trainer::new()
-            .resume(&mut other, &split.train, &enc, &m, &wrong_seed, &dir)
+            .resume_from(&dir)
+            .train(&mut other, &split.train, &enc, &m, &wrong_seed)
             .unwrap_err();
         assert!(
             matches!(err, Error::InvalidConfig(_)),
@@ -351,10 +356,74 @@ fn resume_refuses_a_mismatched_run_fingerprint() {
         let empty = tmp_dir("fingerprint-empty");
         std::fs::create_dir_all(&empty).unwrap();
         let err = Trainer::new()
-            .resume(&mut other, &split.train, &enc, &m, &cfg(1), &empty)
+            .resume_from(&empty)
+            .train(&mut other, &split.train, &enc, &m, &cfg(1))
             .unwrap_err();
         assert!(matches!(err, Error::Io { .. }));
         std::fs::remove_dir_all(dir).ok();
         std::fs::remove_dir_all(empty).ok();
+    });
+}
+
+/// A resume whose newest snapshot sits exactly at the schedule's end
+/// reports the run as the snapshot recorded it, without training; one past
+/// the end is refused before the learner is touched.
+#[test]
+fn resume_at_the_schedule_end_reports_the_snapshot_and_past_it_is_refused() {
+    let (split, enc) = setup();
+    fault::with_plan(FaultPlan::parse("").unwrap(), || {
+        let dir = tmp_dir("schedule-end");
+        let m = meta();
+        let mut l = learner(&enc);
+        let ck = cfg(1)
+            .iterations(6)
+            .checkpoint_every(3)
+            .checkpoint_dir(&dir);
+        Trainer::new()
+            .train(&mut l, &split.train, &enc, &m, &ck)
+            .unwrap();
+        let snap = TrainingSnapshot::load(dir.join("snap-00000006.fsnap")).unwrap();
+
+        // Exactly at the end: the snapshot's state and log, nothing trained.
+        let trace = dir.join("at-end.jsonl");
+        let mut at_end = learner(&enc);
+        let log = Trainer::new()
+            .resume_from(&dir)
+            .train(
+                &mut at_end,
+                &split.train,
+                &enc,
+                &m,
+                &cfg(1).iterations(6).trace(&trace),
+            )
+            .unwrap();
+        assert_eq!(state_of(&at_end), snap.learner.to_string());
+        assert_eq!(log.losses, snap.losses);
+        assert_eq!(log.tasks_seen, snap.tasks_seen);
+        assert!(log.wall_secs >= snap.wall_secs, "wall time spans every leg");
+        let summary = TraceSummary::from_file(&trace).unwrap();
+        assert_eq!(summary.events.get("train/resume"), Some(&1));
+        assert!(!summary.spans.contains_key("train/iteration"));
+
+        // Past the end: refused, naming both iteration counts.
+        let mut past = learner(&enc);
+        let untouched = state_of(&past);
+        let err = Trainer::new()
+            .resume_from(&dir)
+            .train(&mut past, &split.train, &enc, &m, &cfg(1).iterations(4))
+            .unwrap_err();
+        match &err {
+            Error::InvalidConfig(msg) => assert!(
+                msg.contains("iteration 6") && msg.contains("4 iterations"),
+                "{msg}"
+            ),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+        assert_eq!(
+            state_of(&past),
+            untouched,
+            "the snapshot must not be imported"
+        );
+        std::fs::remove_dir_all(dir).ok();
     });
 }

@@ -1,7 +1,7 @@
 //! Properties of the meta-learning layer: deterministic adaptation,
 //! monotone inner loops, and isolation between learners.
 
-use fewner_core::{EpisodicLearner, Fewner, Maml, MetaConfig, ServeOptions};
+use fewner_core::{serial_meta_step, EpisodicLearner, Fewner, Maml, MetaConfig, ServeOptions};
 use fewner_corpus::{split_types, DatasetProfile};
 use fewner_episode::{EpisodeSampler, Task};
 use fewner_models::{
@@ -102,7 +102,7 @@ fn two_learners_never_interfere() {
     let mut a = Fewner::new(bb(Conditioning::Film), &enc, cfg.clone()).unwrap();
     let b = Fewner::new(bb(Conditioning::Film), &enc, cfg.clone()).unwrap();
     let b_before = b.theta.snapshot();
-    a.meta_step(&tasks, &enc).unwrap();
+    serial_meta_step(&mut a, &tasks, &enc).unwrap();
     assert_eq!(b_before, b.theta.snapshot());
 }
 
@@ -146,7 +146,7 @@ fn meta_step_moves_theta_in_the_descent_direction() {
     let mut learner = Fewner::new(bb(Conditioning::Film), &enc, cfg).unwrap();
     let mut losses = Vec::new();
     for _ in 0..12 {
-        losses.push(learner.meta_step(&tasks, &enc).unwrap());
+        losses.push(serial_meta_step(&mut learner, &tasks, &enc).unwrap());
     }
     let first: f32 = losses[..4].iter().sum::<f32>() / 4.0;
     let last: f32 = losses[8..].iter().sum::<f32>() / 4.0;

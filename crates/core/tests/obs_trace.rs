@@ -191,7 +191,8 @@ fn traced_kill_and_resume_matches_untraced_straight_run() {
             .checkpoint_dir(&dir)
             .trace(&resumed_trace);
         Trainer::new()
-            .resume(&mut resumed, &split.train, &enc, &m, &rk, &dir)
+            .resume_from(&dir)
+            .train(&mut resumed, &split.train, &enc, &m, &rk)
             .unwrap();
 
         assert_eq!(

@@ -1,16 +1,19 @@
 //! The load-bearing guarantee of the parallel training engine: fanning
 //! [`EpisodicLearner::task_grad`] over worker threads is **bitwise**
-//! equivalent to the serial [`EpisodicLearner::meta_step`] — same θ after
+//! equivalent to the serial reference [`serial_meta_step`] — same θ after
 //! the update, down to the last mantissa bit, at any thread count.
 //!
 //! The guarantee holds by construction (per-task RNG is a pure function of
 //! the step seed and the task index; gradients always reduce on one thread
 //! in task-index order); these tests pin it against regressions.
 
-use fewner_core::{task_rng, EpisodicLearner, Fewner, MetaConfig, ParallelTrainer, TaskOutcome};
+use fewner_core::{
+    serial_meta_step, task_rng, EpisodicLearner, Fewner, MetaConfig, ParallelTrainer, TaskOutcome,
+};
 use fewner_corpus::{split_types, DatasetProfile};
 use fewner_episode::{EpisodeSampler, Task};
 use fewner_models::{BackboneConfig, Conditioning, HeadKind, TokenEncoder};
+use fewner_obs::Tracer;
 use fewner_text::embed::EmbeddingSpec;
 use fewner_util::Rng;
 use proptest::prelude::*;
@@ -71,13 +74,13 @@ fn theta_bits(l: &Fewner) -> Vec<u32> {
 fn parallel_meta_step_is_bitwise_identical_to_serial() {
     let (enc, tasks) = fixture(4, 11);
     let mut serial = learner(&enc, 42);
-    let serial_loss = serial.meta_step(&tasks, &enc).unwrap();
+    let serial_loss = serial_meta_step(&mut serial, &tasks, &enc).unwrap();
     let reference = theta_bits(&serial);
 
     for threads in [1usize, 2, 4] {
         let mut parallel = learner(&enc, 42);
         let loss = ParallelTrainer::new(threads)
-            .meta_step(&mut parallel, &tasks, &enc)
+            .meta_step(&mut parallel, &tasks, &enc, &Tracer::disabled())
             .unwrap();
         assert_eq!(
             serial_loss.to_bits(),
@@ -102,8 +105,9 @@ fn repeated_parallel_steps_stay_in_lockstep_with_serial() {
     let mut parallel = learner(&enc, 7);
     let pool = ParallelTrainer::new(2);
     for step in 0..3 {
-        serial.meta_step(&tasks, &enc).unwrap();
-        pool.meta_step(&mut parallel, &tasks, &enc).unwrap();
+        serial_meta_step(&mut serial, &tasks, &enc).unwrap();
+        pool.meta_step(&mut parallel, &tasks, &enc, &Tracer::disabled())
+            .unwrap();
         assert_eq!(
             theta_bits(&serial),
             theta_bits(&parallel),
@@ -161,7 +165,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// The decomposed API (step_seed → task_grad per index → reduce →
-    /// apply_meta_grads) is exactly the provided `meta_step`, for any
+    /// apply_meta_grads) is exactly `serial_meta_step`, for any
     /// learner seed and batch size.
     #[test]
     fn decomposed_api_equals_meta_step(seed in 0u64..1000, n_tasks in 1usize..4) {
@@ -181,7 +185,7 @@ proptest! {
         let (loss, grads) = TaskOutcome::reduce(outcomes).unwrap();
         composed.apply_meta_grads(grads, tasks.len()).unwrap();
 
-        let reference_loss = reference.meta_step(&tasks, &enc).unwrap();
+        let reference_loss = serial_meta_step(&mut reference, &tasks, &enc).unwrap();
         prop_assert_eq!(loss.to_bits(), reference_loss.to_bits());
         prop_assert_eq!(theta_bits(&composed), theta_bits(&reference));
     }

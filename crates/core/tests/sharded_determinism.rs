@@ -273,7 +273,8 @@ fn a_killed_sharded_run_resumes_to_the_serial_bytes() {
             let schedule = topology(base, 2, shard, addr);
             let mut l = learner(&enc);
             Trainer::new()
-                .resume(&mut l, &split.train, &enc, &m, &schedule, &dir)
+                .resume_from(&dir)
+                .train(&mut l, &split.train, &enc, &m, &schedule)
                 .map(|_| state_of(&l))
         });
         assert_eq!(report.deaths, 0);
@@ -283,6 +284,50 @@ fn a_killed_sharded_run_resumes_to_the_serial_bytes() {
                 state_of(&reference),
                 "resumed worker {shard} diverged from the straight-through run"
             );
+        }
+    });
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A sharded resume whose snapshots already sit at the schedule's end
+/// trains nothing, but every worker still joins the rendezvous and leaves
+/// it, so the coordinator ends after zero rounds instead of waiting out its
+/// rendezvous deadline.
+#[test]
+fn a_finished_sharded_resume_ends_the_coordinator_cleanly() {
+    let (split, enc) = setup();
+    let m = meta();
+    let dir = tmp_dir("finished");
+
+    fault::with_plan(FaultPlan::parse("").unwrap(), || {
+        let mut reference = learner(&enc);
+        Trainer::new()
+            .train(&mut reference, &split.train, &enc, &m, &cfg(4))
+            .unwrap();
+
+        let (states, _) = sharded(2, |shard, addr| {
+            let base = cfg(4).checkpoint_every(2).checkpoint_dir(&dir);
+            let schedule = topology(base, 2, shard, addr);
+            let mut l = learner(&enc);
+            Trainer::new()
+                .train(&mut l, &split.train, &enc, &m, &schedule)
+                .map(|_| ())
+        });
+        states.into_iter().for_each(|s| s.unwrap());
+
+        let (logs, report) = sharded(2, |shard, addr| {
+            let schedule = topology(cfg(4), 2, shard, addr);
+            let mut l = learner(&enc);
+            Trainer::new()
+                .resume_from(&dir)
+                .train(&mut l, &split.train, &enc, &m, &schedule)
+                .map(|log| (log.losses.len(), state_of(&l)))
+        });
+        assert_eq!((report.rounds, report.deaths), (0, 0));
+        for (shard, log) in logs.into_iter().enumerate() {
+            let (losses, state) = log.unwrap();
+            assert_eq!(losses, 4, "worker {shard} reports the recorded run");
+            assert_eq!(state, state_of(&reference), "worker {shard}");
         }
     });
     std::fs::remove_dir_all(&dir).ok();
@@ -313,7 +358,8 @@ fn resume_refuses_a_different_shard_topology() {
             .shard_id(0)
             .coordinator("127.0.0.1:9");
         let err = Trainer::new()
-            .resume(&mut other, &split.train, &enc, &m, &sharded_schedule, &dir)
+            .resume_from(&dir)
+            .train(&mut other, &split.train, &enc, &m, &sharded_schedule)
             .unwrap_err();
         assert!(
             matches!(err, Error::InvalidConfig(_)),

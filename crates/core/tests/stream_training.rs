@@ -12,13 +12,13 @@ use std::path::PathBuf;
 
 use fewner_core::{
     Checkpoint, CoordinatorReport, EpisodicLearner, Fewner, MetaConfig, ShardCoordinator,
-    StreamSource, TrainConfig, Trainer,
+    StreamSource, TrainConfig, Trainer, TrainingSnapshot,
 };
 use fewner_corpus::{
     partition_type_ids, CorpusSource, DatasetProfile, StreamingCorpus, TypePartition,
 };
 use fewner_models::{BackboneConfig, Conditioning, HeadKind, TokenEncoder};
-use fewner_obs::Tracer;
+use fewner_obs::{TraceSummary, Tracer};
 use fewner_text::embed::EmbeddingSpec;
 use fewner_text::TypeId;
 use fewner_util::fault::{self, FaultPlan};
@@ -142,7 +142,7 @@ where
 }
 
 /// Acceptance: streaming training killed at iteration k and resumed through
-/// [`Trainer::resume_stream`] — with the window replayed from the persisted
+/// [`Trainer::resume_from`] — with the window replayed from the persisted
 /// cursor — produces the byte-identical final checkpoint of a
 /// straight-through streaming run.
 #[test]
@@ -180,7 +180,8 @@ fn streaming_kill_and_resume_is_bitwise_identical() {
         let rk = cfg(12).checkpoint_every(3).checkpoint_dir(&dir);
         let mut src = source(&corpus, &train, &rk);
         let log = Trainer::new()
-            .resume_stream(&mut resumed, &mut src, &enc, &m, &rk, &dir)
+            .resume_from(&dir)
+            .train_stream(&mut resumed, &mut src, &enc, &m, &rk)
             .unwrap();
 
         assert_eq!(log.losses.len(), 12, "full loss history is restored");
@@ -268,7 +269,8 @@ fn resume_refuses_a_mismatched_stream_geometry() {
         let mut narrow =
             StreamSource::open(corpus.clone(), train.clone(), &rk, WINDOW / 2, STRIDE).unwrap();
         let err = Trainer::new()
-            .resume_stream(&mut other, &mut narrow, &enc, &m, &rk, &dir)
+            .resume_from(&dir)
+            .train_stream(&mut other, &mut narrow, &enc, &m, &rk)
             .unwrap_err();
         assert!(
             matches!(err, Error::InvalidConfig(_)),
@@ -280,11 +282,68 @@ fn resume_refuses_a_mismatched_stream_geometry() {
         let d = corpus.clone().materialize().unwrap();
         let split = fewner_corpus::split_types(&d, (8, 3, 5), 1).unwrap();
         let err = Trainer::new()
-            .resume(&mut other, &split.train, &enc, &m, &rk, &dir)
+            .resume_from(&dir)
+            .train(&mut other, &split.train, &enc, &m, &rk)
             .unwrap_err();
         assert!(
             matches!(err, Error::InvalidConfig(_)),
             "expected InvalidConfig resuming a stream snapshot as a view run, got {err:?}"
+        );
+        std::fs::remove_dir_all(dir).ok();
+    });
+}
+
+/// The schedule-end cases on a stream: a snapshot exactly at the end
+/// reports the run as recorded (cursor replayed, nothing drawn past it);
+/// one past the end is refused before the learner is touched.
+#[test]
+fn streaming_resume_at_the_schedule_end_reports_the_snapshot_and_past_it_is_refused() {
+    let (corpus, train, enc) = setup();
+    fault::with_plan(FaultPlan::parse("").unwrap(), || {
+        let dir = tmp_dir("schedule-end");
+        let m = meta();
+        let mut l = learner(&enc);
+        let ck = cfg(6).checkpoint_every(3).checkpoint_dir(&dir);
+        let mut src = source(&corpus, &train, &ck);
+        Trainer::new()
+            .train_stream(&mut l, &mut src, &enc, &m, &ck)
+            .unwrap();
+        let snap = TrainingSnapshot::load(dir.join("snap-00000006.fsnap")).unwrap();
+
+        let trace = dir.join("at-end.jsonl");
+        let at_end_cfg = cfg(6).trace(&trace);
+        let mut at_end = learner(&enc);
+        let mut src = source(&corpus, &train, &at_end_cfg);
+        let log = Trainer::new()
+            .resume_from(&dir)
+            .train_stream(&mut at_end, &mut src, &enc, &m, &at_end_cfg)
+            .unwrap();
+        assert_eq!(state_of(&at_end), snap.learner.to_string());
+        assert_eq!(log.losses, snap.losses);
+        assert!(log.wall_secs >= snap.wall_secs, "wall time spans every leg");
+        assert_eq!(Some(src.sampler().cursor()), snap.stream_cursor);
+        let summary = TraceSummary::from_file(&trace).unwrap();
+        assert_eq!(summary.events.get("train/resume"), Some(&1));
+        assert!(!summary.spans.contains_key("train/iteration"));
+
+        let mut past = learner(&enc);
+        let untouched = state_of(&past);
+        let mut src = source(&corpus, &train, &cfg(5));
+        let err = Trainer::new()
+            .resume_from(&dir)
+            .train_stream(&mut past, &mut src, &enc, &m, &cfg(5))
+            .unwrap_err();
+        match &err {
+            Error::InvalidConfig(msg) => assert!(
+                msg.contains("iteration 6") && msg.contains("5 iterations"),
+                "{msg}"
+            ),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+        assert_eq!(
+            state_of(&past),
+            untouched,
+            "the snapshot must not be imported"
         );
         std::fs::remove_dir_all(dir).ok();
     });

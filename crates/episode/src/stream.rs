@@ -1,6 +1,6 @@
 //! Window sampling over a streaming corpus.
 //!
-//! [`EpisodeSampler`](crate::sampler::EpisodeSampler) shuffles the full
+//! [`EpisodeSampler`] shuffles the full
 //! index range of a materialized split — impossible when the corpus streams
 //! in chunks. [`StreamSampler`] keeps a *bounded resident window* of routed
 //! sentences over a [`CorpusSource`] and runs the paper's greedy-including

@@ -168,7 +168,7 @@ tuple_strategy!(A.0, B.1, C.2, D.3);
 pub mod collection {
     use super::{Range, Strategy, TestRng};
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec`](fn@vec).
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

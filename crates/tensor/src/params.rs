@@ -1164,7 +1164,7 @@ impl<'a> GradReader<'a> {
 /// Slots in order; an absent gradient is `null`. The store id is *not*
 /// serialised (it is meaningless outside this process) — deserialised
 /// accumulators carry id 0 until [`ParamGrads::retag`] rebinds them.
-/// `f32` values survive bit-exactly (see [`fewner_util::json`]).
+/// `f32` values survive bit-exactly (see [`fewner_util::json`](mod@fewner_util::json)).
 ///
 /// The shard wire no longer uses this form: it sends the binary encoding
 /// of [`ParamGrads::encode_into`]. The JSON form stays for tools that

@@ -5,7 +5,7 @@
 //! the classic crash-safe recipe:
 //!
 //! 1. the payload is framed with a versioned header carrying its length and
-//!    a CRC-32 ([`crate::crc32`]),
+//!    a CRC-32 ([`crate::crc32`](mod@crate::crc32)),
 //! 2. the frame is written to a temporary file *in the same directory*,
 //! 3. the temporary file is fsynced,
 //! 4. it is atomically renamed over the final path,

@@ -10,9 +10,9 @@
 //! * [`stats`] — the paper's episode statistics: mean F1 with a 95 % normal
 //!   confidence interval (mean ± 1.96·σ/√n, §4.1.1).
 //! * [`error`] — the library-wide error type.
-//! * [`json`] — a small JSON value with parser/writers for reports and
+//! * [`json`](mod@json) — a small JSON value with parser/writers for reports and
 //!   checkpoints, so the workspace builds without registry access.
-//! * [`crc32`] + [`durable`] — integrity-checked, atomic (write-temp,
+//! * [`crc32`](mod@crc32) + [`durable`] — integrity-checked, atomic (write-temp,
 //!   fsync, rename) file persistence for checkpoints and training
 //!   snapshots.
 //! * [`fault`] — zero-cost-when-off fault injection (failed/torn/corrupt

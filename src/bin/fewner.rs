@@ -25,8 +25,8 @@ use std::net::TcpListener;
 use std::process::ExitCode;
 
 use fewner::cli::{
-    backbone, build_encoder, check_flags, flag, meta, opt_flag, parse_args, profile, split_counts,
-    split_for, weights, USAGE,
+    backbone, build_encoder, check_flags, check_train_flags, flag, meta, opt_flag, parse_args,
+    profile, split_counts, split_for, weights, USAGE,
 };
 use fewner::core::Checkpoint;
 use fewner::corpus::CorpusSource;
@@ -130,6 +130,7 @@ fn cmd_corpus(flags: &HashMap<String, String>) -> fewner::Result<()> {
 }
 
 fn cmd_train(flags: &HashMap<String, String>) -> fewner::Result<()> {
+    check_train_flags(flags)?;
     let p = profile(flags)?;
     let scale = flag(flags, "scale", 0.05f64)?;
     let seed = flag(flags, "seed", 42u64)?;
@@ -138,19 +139,28 @@ fn cmd_train(flags: &HashMap<String, String>) -> fewner::Result<()> {
     let iterations = flag(flags, "iterations", 300usize)?;
     let threads = flag(flags, "threads", 1usize)?;
     let checkpoint_every = flag(flags, "checkpoint-every", 0usize)?;
-    let resume_dir = flags.get("resume");
     let ckpt_dir = flags
         .get("checkpoint-dir")
-        .or(resume_dir)
+        .or(flags.get("resume"))
         .cloned()
         .unwrap_or_else(|| "checkpoints".to_string());
+    let shards = flag(flags, "shards", 1usize)?;
+    let shard_id = flag(flags, "shard-id", 0usize)?;
+    let coordinator = flags.get("coordinator");
+    if shards > 1 && coordinator.is_none() {
+        return Err(fewner::Error::InvalidConfig(
+            "--shards > 1 requires --coordinator <host:port>".into(),
+        ));
+    }
 
     let cfg = meta();
     let mut schedule = TrainConfig::new(ways, shots)
         .iterations(iterations)
         .query_size(6)
         .seed(seed)
-        .threads(threads);
+        .threads(threads)
+        .shards(shards)
+        .shard_id(shard_id);
     if checkpoint_every > 0 {
         schedule = schedule
             .checkpoint_every(checkpoint_every)
@@ -161,16 +171,8 @@ fn cmd_train(flags: &HashMap<String, String>) -> fewner::Result<()> {
         schedule = schedule.trace(path);
         println!("tracing to {path}");
     }
-    let shards = flag(flags, "shards", 1usize)?;
-    if shards > 1 {
-        let shard_id = flag(flags, "shard-id", 0usize)?;
-        let coordinator = flags.get("coordinator").ok_or_else(|| {
-            fewner::Error::InvalidConfig("--shards > 1 requires --coordinator <host:port>".into())
-        })?;
-        schedule = schedule
-            .shards(shards)
-            .shard_id(shard_id)
-            .coordinator(coordinator);
+    if let Some(coordinator) = coordinator {
+        schedule = schedule.coordinator(coordinator);
         println!("shard {shard_id}/{shards}, coordinator at {coordinator}");
     }
     let chunk_size = flag(flags, "corpus-chunk-size", 0usize)?;
@@ -187,26 +189,7 @@ fn cmd_train(flags: &HashMap<String, String>) -> fewner::Result<()> {
             split.train.len(),
             split.train.types.len()
         );
-        let log = match resume_dir {
-            Some(dir) => {
-                println!("resuming from the newest valid snapshot in {dir}/…");
-                fewner::core::Trainer::new().resume(
-                    &mut learner,
-                    &split.train,
-                    &enc,
-                    &cfg,
-                    &schedule,
-                    dir,
-                )?
-            }
-            None => fewner::core::Trainer::new().train(
-                &mut learner,
-                &split.train,
-                &enc,
-                &cfg,
-                &schedule,
-            )?,
-        };
+        let log = trainer(flags).train(&mut learner, &split.train, &enc, &cfg, &schedule)?;
         (learner, log)
     };
     println!(
@@ -265,27 +248,20 @@ fn train_streaming(
          chunks; window {window}, stride {stride})…",
         p.name,
     );
-    let log = match flags.get("resume") {
+    let log = trainer(flags).train_stream(&mut learner, &mut source, &enc, cfg, schedule)?;
+    Ok((learner, log))
+}
+
+/// The trainer `fewner train` runs: one that starts from the newest valid
+/// snapshot in the `--resume` directory, or from iteration 0.
+fn trainer(flags: &HashMap<String, String>) -> Trainer {
+    match flags.get("resume") {
         Some(dir) => {
             println!("resuming from the newest valid snapshot in {dir}/…");
-            fewner::core::Trainer::new().resume_stream(
-                &mut learner,
-                &mut source,
-                &enc,
-                cfg,
-                schedule,
-                dir,
-            )?
+            Trainer::new().resume_from(dir)
         }
-        None => fewner::core::Trainer::new().train_stream(
-            &mut learner,
-            &mut source,
-            &enc,
-            cfg,
-            schedule,
-        )?,
-    };
-    Ok((learner, log))
+        None => Trainer::new(),
+    }
 }
 
 /// Single-machine sharded-training driver: binds the coordinator on an
@@ -294,6 +270,7 @@ fn train_streaming(
 /// `FEWNER_FAULTS` arms (e.g. `shard_die:3@1`) reach them — the `@shard`
 /// scope keeps a fault on its intended worker.
 fn cmd_train_sharded(flags: &HashMap<String, String>) -> fewner::Result<()> {
+    check_train_flags(flags)?;
     let shards = flag(flags, "shards", 2usize)?;
     let coordinator = fewner::core::ShardCoordinator::bind("127.0.0.1:0", shards)?;
     let addr = coordinator.local_addr()?;

@@ -211,6 +211,38 @@ pub fn check_flags(command: &str, flags: &HashMap<String, String>) -> Result<()>
     }
 }
 
+/// The `fewner train` flags that do nothing unless another flag is set:
+/// `(flag, the flag it needs, the least value that flag must have)`.
+const TRAIN_FLAG_NEEDS: &[(&str, &str, usize)] = &[
+    ("shard-id", "shards", 2),
+    ("coordinator", "shards", 2),
+    ("corpus-sentences", "corpus-chunk-size", 1),
+    ("stream-window", "corpus-chunk-size", 1),
+    ("stream-stride", "corpus-chunk-size", 1),
+    ("checkpoint-dir", "checkpoint-every", 1),
+];
+
+/// Fails on a `fewner train` (or `train-sharded`) flag that another flag's
+/// absence would make dead — a shard id on an in-process run, a stream
+/// window on a materialized corpus, a snapshot directory with no snapshots
+/// — naming the flag and the flag it needs; and on `--shards 0`, which
+/// would otherwise fail only after the corpus is built.
+pub fn check_train_flags(flags: &HashMap<String, String>) -> Result<()> {
+    if flag(flags, "shards", 1usize)? == 0 {
+        return Err(Error::InvalidConfig(
+            "--shards must be at least 1 (1 trains in-process)".into(),
+        ));
+    }
+    for &(key, needs, least) in TRAIN_FLAG_NEEDS {
+        if flags.contains_key(key) && flag(flags, needs, 0usize)? < least {
+            return Err(Error::InvalidConfig(format!(
+                "--{key} takes effect only with --{needs} {least} or more"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// A typed flag, `None` when absent. A value that does not parse is an
 /// error naming the flag and the value.
 pub fn opt_flag<T: std::str::FromStr>(
@@ -369,6 +401,27 @@ mod tests {
         assert!(check_flags("train", &flags).is_ok());
         assert!(check_flags("train-sharded", &flags).is_err());
         assert!(check_flags("no-such-command", &HashMap::new()).is_err());
+    }
+
+    #[test]
+    fn train_flags_need_the_flags_that_make_them_live() {
+        // What `train-sharded` hands each worker, plus streaming and
+        // snapshots: every flag here takes effect.
+        let (_, flags) = parse_args(&argv(
+            "train --shards 2 --shard-id 1 --coordinator h:1 --checkpoint-every 4 \
+             --checkpoint-dir d --corpus-chunk-size 128 --corpus-sentences 6000 \
+             --stream-window 400 --stream-stride 50",
+        ))
+        .unwrap();
+        assert!(check_train_flags(&flags).is_ok());
+        for (key, needs) in TRAIN_FLAG_NEEDS.iter().map(|&(k, n, _)| (k, n)) {
+            let (_, flags) = parse_args(&argv(&format!("train --{key} 1"))).unwrap();
+            let err = check_train_flags(&flags).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("--{key} ")) && err.contains(&format!("--{needs} ")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -54,6 +54,50 @@ fn a_flag_the_subcommand_does_not_take_fails_before_any_work() {
 }
 
 #[test]
+fn a_flag_another_flag_makes_dead_fails_before_any_work() {
+    for (args, key, needs) in [
+        ("train --shards 2", "--shards", "--coordinator"),
+        ("train --shards 0", "--shards", "at least 1"),
+        (
+            "train --shard-id 5 --coordinator 10.0.0.1:9",
+            "--shard-id",
+            "--shards",
+        ),
+        (
+            "train --coordinator 10.0.0.1:9 --shards 1",
+            "--coordinator",
+            "--shards",
+        ),
+        (
+            "train --stream-window 0 --stream-stride 0 --corpus-sentences 1",
+            "--corpus-sentences",
+            "--corpus-chunk-size",
+        ),
+        (
+            "train --stream-stride 8 --corpus-chunk-size 0",
+            "--stream-stride",
+            "--corpus-chunk-size",
+        ),
+        (
+            "train --checkpoint-dir ckpt",
+            "--checkpoint-dir",
+            "--checkpoint-every",
+        ),
+        (
+            "train-sharded --checkpoint-dir ckpt --checkpoint-every 0",
+            "--checkpoint-dir",
+            "--checkpoint-every",
+        ),
+    ] {
+        let out = fewner(args);
+        assert!(!out.status.success(), "`{args}` must fail");
+        let err = stderr(&out);
+        assert!(err.contains(key) && err.contains(needs), "`{args}`: {err}");
+        assert!(out.stdout.is_empty(), "`{args}` started work");
+    }
+}
+
+#[test]
 fn out_is_taken_wherever_model_is() {
     // The checkpoint does not exist, so the run fails — but on loading
     // it, not on the flag.

@@ -104,7 +104,7 @@ fn every_method_trains_and_produces_valid_bio() {
     let tags = task.tag_set();
 
     for learner in &mut learners {
-        let loss = learner.meta_step(&batch, &enc).unwrap();
+        let loss = fewner::core::serial_meta_step(learner.as_mut(), &batch, &enc).unwrap();
         assert!(loss.is_finite(), "{}", learner.name());
         let preds = learner.adapt_and_predict(task, &enc).unwrap();
         assert_eq!(preds.len(), task.query.len(), "{}", learner.name());
