@@ -11,7 +11,7 @@ use fewner_episode::EpisodeSampler;
 use fewner_models::{encode_task, viterbi, TokenEncoder};
 use fewner_tensor::array::matmul_into;
 use fewner_tensor::nn::BiGru;
-use fewner_tensor::{kernels, Array, Graph, ParamStore};
+use fewner_tensor::{kernels, Array, Exec, Graph, ParamStore};
 use fewner_text::TagSet;
 use fewner_util::Rng;
 
@@ -57,14 +57,14 @@ fn bench_bigru(c: &mut Criterion) {
         bench.iter(|| {
             let g = Graph::new();
             let xv = g.constant(x.clone());
-            black_box(g.value(gru.apply(&g, &store, xv)));
+            black_box(g.value(gru.apply(&g, &store, xv, &[14])));
         });
     });
     c.bench_function("bigru_forward_backward_L14", |bench| {
         bench.iter(|| {
             let g = Graph::new();
             let xv = g.constant(x.clone());
-            let h = gru.apply(&g, &store, xv);
+            let h = gru.apply(&g, &store, xv, &[14]);
             let loss = g.mean_all(g.mul(h, h));
             black_box(g.backward(loss).unwrap().for_store(&store));
         });

@@ -26,7 +26,7 @@ use fewner_corpus::{split_types, DatasetProfile};
 use fewner_episode::{EpisodeSampler, Task};
 use fewner_models::{encode_task, Conditioning, LabeledSentence, TokenEncoder};
 use fewner_obs::Tracer;
-use fewner_tensor::Graph;
+use fewner_tensor::{Exec, Graph};
 use fewner_text::TagSet;
 use fewner_util::Rng;
 

@@ -6,7 +6,7 @@ use fewner_models::{
     encode_task, Backbone, BackboneConfig, FrozenLm, LmFlavor, ProtoNet, Snail, SnailConfig,
     TokenEncoder,
 };
-use fewner_tensor::{Adam, Graph, ParamStore, Sgd};
+use fewner_tensor::{Adam, Exec, Graph, ParamStore, Sgd};
 use fewner_util::{Error, Result, Rng};
 
 use crate::config::MetaConfig;

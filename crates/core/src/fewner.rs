@@ -19,7 +19,7 @@
 
 use fewner_episode::Task;
 use fewner_models::{encode_task, Backbone, BackboneConfig, LabeledSentence, TokenEncoder};
-use fewner_tensor::{Adam, Graph, ParamId, ParamStore, SavedAdam, SavedParams, Sgd};
+use fewner_tensor::{Adam, Exec, Graph, ParamId, ParamStore, SavedAdam, SavedParams, Sgd};
 use fewner_text::TagSet;
 use fewner_util::{Error, FromJson, Json, Result, Rng, ToJson};
 

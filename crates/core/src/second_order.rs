@@ -110,6 +110,7 @@ pub fn theta_correction(
 mod tests {
     use super::*;
     use fewner_models::{BackboneConfig, Conditioning, HeadKind, TokenEncoder};
+    use fewner_tensor::Exec;
     use fewner_text::embed::EmbeddingSpec;
 
     /// On a tiny problem, the FD correction must closely match the exact

@@ -54,6 +54,7 @@
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use fewner_episode::Task;
@@ -321,6 +322,8 @@ struct WorkerLink {
 pub struct ShardCoordinator {
     listener: TcpListener,
     shards: usize,
+    /// Set by [`ShardCoordinator::abandon_rendezvous`].
+    abandoned: AtomicBool,
 }
 
 impl ShardCoordinator {
@@ -334,7 +337,19 @@ impl ShardCoordinator {
             )));
         }
         let listener = TcpListener::bind(addr).map_err(|e| wire_io(format!("bind {addr}: {e}")))?;
-        Ok(ShardCoordinator { listener, shards })
+        Ok(ShardCoordinator {
+            listener,
+            shards,
+            abandoned: AtomicBool::new(false),
+        })
+    }
+
+    /// Ends a rendezvous that is still waiting for workers:
+    /// [`ShardCoordinator::run`] fails at its next poll instead of waiting
+    /// out its budget. For a driver whose worker processes have all
+    /// exited; a run past its rendezvous is unaffected.
+    pub fn abandon_rendezvous(&self) {
+        self.abandoned.store(true, Ordering::Relaxed);
     }
 
     /// The bound endpoint (pass this to the workers).
@@ -550,6 +565,13 @@ impl ShardCoordinator {
                     });
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    if self.abandoned.load(Ordering::Relaxed) {
+                        return Err(wire_io(format!(
+                            "the shard workers exited with {} of {} connected",
+                            links.len(),
+                            self.shards
+                        )));
+                    }
                     deadline.check("shard rendezvous")?;
                     std::thread::sleep(pause);
                     pause = (pause * 2).min(MAX_PAUSE);

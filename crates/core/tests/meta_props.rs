@@ -7,7 +7,7 @@ use fewner_episode::{EpisodeSampler, Task};
 use fewner_models::{
     encode_task, BackboneConfig, Conditioning, HeadKind, LabeledSentence, TokenEncoder,
 };
-use fewner_tensor::{Array, Graph, ParamId, ParamStore, Sgd};
+use fewner_tensor::{Array, Exec, Graph, ParamId, ParamStore, Sgd};
 use fewner_text::embed::EmbeddingSpec;
 use fewner_text::TagSet;
 use fewner_util::Rng;

@@ -33,12 +33,14 @@
 //! [`Backbone::decode_task`] and [`Backbone::encode_support`]): every op
 //! runs once over all tokens' rows, the char-CNN over all tokens'
 //! character windows and the recurrent layer over all sentences at once,
-//! longest first, each step over the sentences still running. Each
-//! sentence's rows are bitwise what the per-sentence path gives it, since
-//! every op involved computes each row on its own. The tape path stays per
-//! sentence: training's θ-gradient accumulation order follows the tape's
-//! node order, and the per-sentence tape is the reference the equivalence
-//! tests hold the batched pass to.
+//! longest first, each step over the sentences still running. The layers
+//! have one forward body each, over stacked sequences; the per-sentence
+//! path calls it with one sequence (one token's characters for the CNN),
+//! so each sentence's rows are bitwise what the batched pass gives it,
+//! since every op involved computes each row on its own. The tape path
+//! stays per sentence: training's θ-gradient accumulation order follows
+//! the tape's node order, and the per-sentence tape is the reference the
+//! equivalence tests hold the batched pass to.
 
 use std::sync::Arc;
 
@@ -203,17 +205,10 @@ enum SeqEncoder {
 }
 
 impl SeqEncoder {
-    fn apply<E: Exec>(&self, g: &E, store: &ParamStore, x: Var) -> Var {
+    fn apply<E: Exec>(&self, g: &E, store: &ParamStore, x: Var, lens: &[usize]) -> Var {
         match self {
-            SeqEncoder::Gru(e) => e.apply(g, store, x),
-            SeqEncoder::Lstm(e) => e.apply(g, store, x),
-        }
-    }
-
-    fn apply_batched(&self, ex: &Infer, store: &ParamStore, x: Var, lens: &[usize]) -> Var {
-        match self {
-            SeqEncoder::Gru(e) => e.apply_batched(ex, store, x, lens),
-            SeqEncoder::Lstm(e) => e.apply_batched(ex, store, x, lens),
+            SeqEncoder::Gru(e) => e.apply(g, store, x, lens),
+            SeqEncoder::Lstm(e) => e.apply(g, store, x, lens),
         }
     }
 }
@@ -477,7 +472,7 @@ impl Backbone {
                 let rows: Vec<Var> = sent
                     .char_ids
                     .iter()
-                    .map(|ids| cnn.apply(g, theta, ce.apply(g, theta, ids)))
+                    .map(|ids| cnn.apply(g, theta, ce.apply(g, theta, ids), &[ids.len()]))
                     .collect();
                 Some(g.concat_rows(&rows))
             }
@@ -504,13 +499,11 @@ impl Backbone {
                 let tokens = || sents.iter().flat_map(|s| &s.char_ids);
                 let ids: Vec<usize> = tokens().flatten().copied().collect();
                 let widths: Vec<usize> = tokens().map(Vec::len).collect();
-                Some(cnn.apply_batched(ex, theta, ce.apply(ex, theta, &ids), &widths))
+                Some(cnn.apply(ex, theta, ce.apply(ex, theta, &ids), &widths))
             }
             _ => None,
         };
-        self.encoded(ex, words, chars, |x| {
-            self.encoder.apply_batched(ex, theta, x, lens)
-        })
+        self.encoded(ex, words, chars, |x| self.encoder.apply(ex, theta, x, lens))
     }
 
     /// The encode stage's state from the word and char features: the
@@ -537,7 +530,7 @@ impl Backbone {
     /// `[L, in] → [L, 2H]`.
     fn recur<E: Exec>(&self, g: &E, theta: &ParamStore, x: Var, rng: &mut Rng) -> Var {
         let x = g.dropout(x, self.cfg.dropout, rng);
-        let h = self.encoder.apply(g, theta, x);
+        let h = self.encoder.apply(g, theta, x, &[g.shape(x).0]);
         g.dropout(h, self.cfg.dropout, rng)
     }
 
@@ -818,9 +811,7 @@ impl Backbone {
         let phi = phi_store.map(|(s, id)| ex.param(s, id));
         let ctx = self.task_ctx(&ex, theta, phi, tags);
         let x = self.encode_batched(&ex, theta, &sents, &lens);
-        let h = self.condition(&ex, &ctx, x, |x| {
-            self.encoder.apply_batched(&ex, theta, x, &lens)
-        });
+        let h = self.condition(&ex, &ctx, x, |x| self.encoder.apply(&ex, theta, x, &lens));
         let e = self.emissions_ctx(&ex, theta, &ctx, h, tags);
         TaskRows {
             offsets,

@@ -121,7 +121,9 @@ impl FrozenLm {
     fn features<E: Exec>(&self, g: &E, sent: &EncodedSentence) -> Var {
         g.freeze(&self.frozen);
         let words = self.word_emb.apply(g, &self.frozen, &sent.word_ids);
-        let ctx = self.contextualiser.apply(g, &self.frozen, words);
+        let ctx = self
+            .contextualiser
+            .apply(g, &self.frozen, words, &[sent.len()]);
         g.concat_cols(&[words, ctx])
     }
 

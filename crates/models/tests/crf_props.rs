@@ -4,7 +4,7 @@
 //! label path in `f64`.
 
 use fewner_models::{crf_nll, viterbi, CrfHead, DenseCrf, SlotSharedCrf};
-use fewner_tensor::{Array, Graph, ParamStore};
+use fewner_tensor::{Array, Exec, Graph, ParamStore};
 use fewner_text::{validate_tags, Tag, TagSet};
 use fewner_util::Rng;
 use proptest::prelude::*;

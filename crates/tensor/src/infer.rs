@@ -1,27 +1,23 @@
 //! The gradient-free inference executor.
 //!
-//! [`Infer`] evaluates the [`Exec`] op vocabulary eagerly into a slot arena:
-//! no `Op` nodes are recorded, no parent indices or gradient routing tables
-//! are kept, and result buffers are drawn from (and recycled into) a free
-//! pool of `Vec<f32>` allocations instead of being freshly allocated per op.
+//! [`Infer`] runs the same one-per-op forward bodies as the tape
+//! ([`crate::exec`]) with the other backend: no `Op` is ever built, no
+//! parent indices or gradient routing tables are kept, and result buffers
+//! are drawn from (and recycled into) a free pool of `Vec<f32>` allocations
+//! instead of being freshly allocated per op. Its values are therefore
+//! **bitwise identical** to the tape's forward pass.
 //!
 //! The intended use is FEWNER's serving shape — adapt once per task, then
 //! predict over many query sentences. The backbone decodes all of a call's
 //! sentences in one batched pass: each op runs once over every token's
-//! rows, and the char-CNN's windows are unfolded and max-pooled per token
-//! with the segmented forms [`Infer::unfold_segments`] and
-//! [`Infer::col_max_segments`]; [`Infer::scoped`] returns each recurrent
-//! step's and each filter bank's scratch to the pool as soon as its result
-//! is out. Per-sentence sweeps (ProtoNet, SNAIL, the frozen-LM baselines)
-//! compute per-task values first, fence the arena with [`Infer::mark`],
-//! and after each sentence [`Infer::reset_to`] truncates back to the
-//! fence, returning every sentence-local buffer to the pool for the next
-//! sentence to reuse.
-//!
-//! Values are **bitwise identical** to the tape's forward pass: both
-//! executors evaluate the same op vocabulary by calling the same kernels
-//! ([`crate::kernels`] and [`crate::array::matmul_into`]), and both
-//! zero-initialise matmul accumulators the same way.
+//! rows, the char-CNN's windows are unfolded and max-pooled per token with
+//! [`Exec::unfold_segments`] and [`Exec::col_max_segments`], and
+//! [`Exec::scoped`] returns each recurrent step's and each filter bank's
+//! scratch to the pool as soon as its result is out. Per-sentence sweeps
+//! (ProtoNet, SNAIL, the frozen-LM baselines) compute per-task values
+//! first, fence the arena with [`Infer::mark`], and after each sentence
+//! [`Infer::reset_to`] truncates back to the fence, returning every
+//! sentence-local buffer to the pool for the next sentence to reuse.
 //!
 //! `Infer` has no gradient surface — there is no `backward` to call:
 //!
@@ -34,14 +30,13 @@
 //! ```
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::array::{matmul_into, Array};
-use crate::exec::{Exec, ExecMode, Var};
-use crate::kernels;
-use crate::params::{ParamId, ParamStore};
+use crate::array::Array;
+use crate::exec::{Arena, Backend, Exec, ExecMode, Slot, Var};
+use crate::graph::Op;
+use crate::params::ParamStore;
 
 /// Buffer-pool and arena statistics for one [`Infer`] executor.
 ///
@@ -78,22 +73,6 @@ pub fn global_stats() -> InferStats {
     }
 }
 
-/// A slot either owns its buffer (recyclable) or shares a parameter /
-/// extracted value behind an `Arc`.
-enum Slot {
-    Owned(Array),
-    Shared(Arc<Array>),
-}
-
-impl Slot {
-    fn array(&self) -> &Array {
-        match self {
-            Slot::Owned(a) => a,
-            Slot::Shared(a) => a,
-        }
-    }
-}
-
 /// Eager, gradient-free executor with a reusable scratch-buffer arena.
 ///
 /// See the [module docs](self) for the reuse protocol. Like [`crate::Graph`],
@@ -101,9 +80,8 @@ impl Slot {
 /// construct; unlike the tape it is intended to live for a whole task so the
 /// buffer pool amortises across sentences.
 pub struct Infer {
-    slots: RefCell<Vec<Slot>>,
+    arena: Arena,
     pool: RefCell<Vec<Vec<f32>>>,
-    bound: RefCell<HashMap<ParamId, Var>>,
     stats: Cell<InferStats>,
 }
 
@@ -126,9 +104,8 @@ impl Infer {
     /// Creates an empty arena.
     pub fn new() -> Infer {
         Infer {
-            slots: RefCell::new(Vec::with_capacity(256)),
+            arena: Arena::new(Vec::with_capacity(256), ExecMode::Eval),
             pool: RefCell::new(Vec::new()),
-            bound: RefCell::new(HashMap::new()),
             stats: Cell::new(InferStats::default()),
         }
     }
@@ -138,79 +115,49 @@ impl Infer {
         self.stats.get()
     }
 
-    fn note_high_water(&self, live: usize) {
-        let mut s = self.stats.get();
-        s.high_water = s.high_water.max(live as u64);
-        self.stats.set(s);
-    }
-
     /// Fences the arena: slots created so far survive [`Infer::reset_to`].
     pub fn mark(&self) -> usize {
-        self.slots.borrow().len()
+        self.len()
     }
 
     /// Truncates the arena back to a [`Infer::mark`] fence, recycling every
     /// owned buffer above it into the free pool. `Var`s issued above the
     /// fence are invalidated; `Var`s at or below it stay usable.
     pub fn reset_to(&self, mark: usize) {
-        let mut slots = self.slots.borrow_mut();
+        let mut slots = self.arena.slots.borrow_mut();
         let mut pool = self.pool.borrow_mut();
         while slots.len() > mark {
             if let Some(Slot::Owned(a)) = slots.pop() {
                 pool.push(a.take_data());
             }
         }
-        self.bound.borrow_mut().retain(|_, v| v.0 < mark);
-    }
-
-    /// Runs `f`, then recycles every buffer it allocated into the pool
-    /// except those of the values it returns, which move to fresh slots.
-    /// `Var`s issued inside `f` are invalid afterwards; the returned ones
-    /// (and every `Var` from before the call) stay usable. Parameters bound
-    /// inside `f` are unbound again, so a loop of scopes should bind its
-    /// parameters before the first one.
-    pub fn scoped<const K: usize>(&self, f: impl FnOnce() -> [Var; K]) -> [Var; K] {
-        let mark = self.mark();
-        let kept = f().map(|v| self.value(v));
-        self.reset_to(mark);
-        // The arena's handles are gone, so a buffer made inside `f` moves
-        // back in uncopied; one from before the call is copied.
-        kept.map(|value| self.constant(Arc::unwrap_or_clone(value)))
+        self.arena.bound.borrow_mut().retain(|_, v| v.0 < mark);
     }
 
     /// Number of live slots (diagnostics / tests).
     pub fn len(&self) -> usize {
-        self.slots.borrow().len()
+        self.arena.slots.borrow().len()
     }
 
     /// True when the arena holds no slots.
     pub fn is_empty(&self) -> bool {
-        self.slots.borrow().is_empty()
+        self.len() == 0
     }
 
     /// Number of buffers currently parked in the free pool (tests).
     pub fn pooled_buffers(&self) -> usize {
         self.pool.borrow().len()
     }
+}
 
-    /// [`Exec::unfold`] over stacked row segments: every segment's
-    /// windows, in order, none crossing a segment boundary
-    /// ([`kernels::unfold`]).
-    pub fn unfold_segments(&self, a: Var, k: usize, segments: &[usize]) -> Var {
-        let value = kernels::unfold(self.slots.borrow()[a.0].array(), k, segments);
-        self.push(value)
+impl Backend for Infer {
+    fn arena(&self) -> &Arena {
+        &self.arena
     }
 
-    /// [`Exec::col_max`] per stacked row segment:
-    /// `[Σr, c] → [segments.len(), c]` ([`kernels::max_cols`]).
-    pub fn col_max_segments(&self, a: Var, segments: &[usize]) -> Var {
-        let (value, _arg) = kernels::max_cols(self.slots.borrow()[a.0].array(), segments);
-        self.push(value)
-    }
-
-    /// A zero-filled `rows × cols` array, reusing a pooled buffer when one
-    /// is available. Zero-filling keeps accumulating kernels (matmul)
-    /// bitwise identical to the tape's `Array::zeros` starting point.
+    /// Reuses a pooled buffer when one is available. Zero-filling keeps
+    /// accumulating kernels (matmul) bitwise identical to the tape's
+    /// `Array::zeros` starting point.
     fn alloc(&self, rows: usize, cols: usize) -> Array {
         let mut stats = self.stats.get();
         let data = match self.pool.borrow_mut().pop() {
@@ -229,350 +176,25 @@ impl Infer {
         Array::from_vec(rows, cols, data)
     }
 
-    fn push(&self, value: Array) -> Var {
-        let mut slots = self.slots.borrow_mut();
-        slots.push(Slot::Owned(value));
-        let live = slots.len();
-        drop(slots);
-        self.note_high_water(live);
-        Var(live - 1)
-    }
-
-    /// Unary op into a recycled buffer.
-    fn unary(&self, a: Var, f: impl Fn(f32) -> f32) -> Array {
-        let slots = self.slots.borrow();
-        let src = slots[a.0].array();
-        let (r, c) = src.shape();
-        let mut out = self.alloc(r, c);
-        for (o, &x) in out.data_mut().iter_mut().zip(src.data()) {
-            *o = f(x);
-        }
-        out
-    }
-
-    /// Broadcasting binary op into a recycled buffer.
-    fn binary(&self, a: Var, b: Var, op: &str, f: impl Fn(f32, f32) -> f32) -> Array {
-        let slots = self.slots.borrow();
-        let (x, y) = (slots[a.0].array(), slots[b.0].array());
-        let (r, c) = kernels::broadcast_shape(x.shape(), y.shape(), op);
-        let mut out = self.alloc(r, c);
-        kernels::bcast_zip_into(x, y, &mut out, f);
-        out
-    }
-}
-
-impl Exec for Infer {
-    fn constant(&self, value: Array) -> Var {
-        self.push(value)
-    }
-
-    fn param(&self, store: &ParamStore, id: ParamId) -> Var {
-        if let Some(&v) = self.bound.borrow().get(&id) {
-            return v;
-        }
-        let live = {
-            let mut slots = self.slots.borrow_mut();
-            slots.push(Slot::Shared(Arc::clone(store.value(id))));
-            slots.len()
-        };
-        self.note_high_water(live);
-        let v = Var(live - 1);
-        self.bound.borrow_mut().insert(id, v);
+    fn push(&self, slot: Slot, _op: impl FnOnce() -> Op) -> Var {
+        let v = self.arena.push(slot);
+        let mut s = self.stats.get();
+        s.high_water = s.high_water.max(v.0 as u64 + 1);
+        self.stats.set(s);
         v
     }
 
-    fn freeze(&self, _store: &ParamStore) {
+    fn freeze_store(&self, _store: &ParamStore) {
         // Nothing to do: no gradients are ever computed here.
     }
 
-    fn value(&self, v: Var) -> Arc<Array> {
-        let mut slots = self.slots.borrow_mut();
-        let placeholder = Slot::Shared(Arc::new(Array::from_vec(0, 0, Vec::new())));
-        let shared = match std::mem::replace(&mut slots[v.0], placeholder) {
-            Slot::Owned(a) => Arc::new(a),
-            Slot::Shared(a) => a,
-        };
-        slots[v.0] = Slot::Shared(Arc::clone(&shared));
-        shared
-    }
-
-    fn shape(&self, v: Var) -> (usize, usize) {
-        self.slots.borrow()[v.0].array().shape()
-    }
-
-    fn mode(&self) -> ExecMode {
-        ExecMode::Eval
-    }
-
-    fn add(&self, a: Var, b: Var) -> Var {
-        let out = self.binary(a, b, "add", |x, y| x + y);
-        self.push(out)
-    }
-
-    fn sub(&self, a: Var, b: Var) -> Var {
-        let out = self.binary(a, b, "sub", |x, y| x - y);
-        self.push(out)
-    }
-
-    fn mul(&self, a: Var, b: Var) -> Var {
-        let out = self.binary(a, b, "mul", |x, y| x * y);
-        self.push(out)
-    }
-
-    fn add_scalar(&self, a: Var, c: f32) -> Var {
-        let out = self.unary(a, |x| x + c);
-        self.push(out)
-    }
-
-    fn mul_scalar(&self, a: Var, c: f32) -> Var {
-        let out = self.unary(a, |x| x * c);
-        self.push(out)
-    }
-
-    fn matmul(&self, a: Var, b: Var) -> Var {
-        let out = {
-            let slots = self.slots.borrow();
-            let (x, y) = (slots[a.0].array(), slots[b.0].array());
-            let (sa, sb) = (x.shape(), y.shape());
-            assert_eq!(
-                sa.1, sb.0,
-                "matmul: [{}, {}] x [{}, {}]",
-                sa.0, sa.1, sb.0, sb.1
-            );
-            let mut out = self.alloc(sa.0, sb.1);
-            matmul_into(x, y, &mut out, true);
-            out
-        };
-        self.push(out)
-    }
-
-    fn transpose(&self, a: Var) -> Var {
-        let out = {
-            let slots = self.slots.borrow();
-            let src = slots[a.0].array();
-            let (r, c) = src.shape();
-            let mut out = self.alloc(c, r);
-            for i in 0..r {
-                for (j, &v) in src.row(i).iter().enumerate() {
-                    *out.at_mut(j, i) = v;
-                }
-            }
-            out
-        };
-        self.push(out)
-    }
-
-    fn sigmoid(&self, a: Var) -> Var {
-        let out = self.unary(a, |x| 1.0 / (1.0 + (-x).exp()));
-        self.push(out)
-    }
-
-    fn tanh(&self, a: Var) -> Var {
-        let out = self.unary(a, f32::tanh);
-        self.push(out)
-    }
-
-    fn relu(&self, a: Var) -> Var {
-        let out = self.unary(a, |x| x.max(0.0));
-        self.push(out)
-    }
-
-    fn concat_cols(&self, parts: &[Var]) -> Var {
-        assert!(!parts.is_empty(), "concat_cols of zero parts");
-        let out = {
-            let slots = self.slots.borrow();
-            let rows = slots[parts[0].0].array().rows();
-            let total: usize = parts.iter().map(|p| slots[p.0].array().cols()).sum();
-            let mut out = self.alloc(rows, total);
-            let mut offset = 0;
-            for p in parts {
-                let a = slots[p.0].array();
-                assert_eq!(a.rows(), rows, "concat_cols: row mismatch");
-                for r in 0..rows {
-                    out.row_mut(r)[offset..offset + a.cols()].copy_from_slice(a.row(r));
-                }
-                offset += a.cols();
-            }
-            out
-        };
-        self.push(out)
-    }
-
-    fn concat_rows(&self, parts: &[Var]) -> Var {
-        assert!(!parts.is_empty(), "concat_rows of zero parts");
-        let out = {
-            let slots = self.slots.borrow();
-            let cols = slots[parts[0].0].array().cols();
-            let total: usize = parts.iter().map(|p| slots[p.0].array().rows()).sum();
-            let mut out = self.alloc(total, cols);
-            let mut offset = 0;
-            for p in parts {
-                let a = slots[p.0].array();
-                assert_eq!(a.cols(), cols, "concat_rows: col mismatch");
-                for r in 0..a.rows() {
-                    out.row_mut(offset + r).copy_from_slice(a.row(r));
-                }
-                offset += a.rows();
-            }
-            out
-        };
-        self.push(out)
-    }
-
-    fn row(&self, a: Var, i: usize) -> Var {
-        let out = {
-            let slots = self.slots.borrow();
-            let src = slots[a.0].array();
-            assert!(i < src.rows(), "row {i} of {} rows", src.rows());
-            let mut out = self.alloc(1, src.cols());
-            out.row_mut(0).copy_from_slice(src.row(i));
-            out
-        };
-        self.push(out)
-    }
-
-    fn slice_cols(&self, a: Var, start: usize, len: usize) -> Var {
-        let out = {
-            let slots = self.slots.borrow();
-            let src = slots[a.0].array();
-            assert!(start + len <= src.cols(), "slice_cols out of range");
-            let mut out = self.alloc(src.rows(), len);
-            for r in 0..src.rows() {
-                out.row_mut(r)
-                    .copy_from_slice(&src.row(r)[start..start + len]);
-            }
-            out
-        };
-        self.push(out)
-    }
-
-    fn sum_all(&self, a: Var) -> Var {
-        let total = self.slots.borrow()[a.0].array().sum();
-        let mut out = self.alloc(1, 1);
-        *out.at_mut(0, 0) = total;
-        self.push(out)
-    }
-
-    fn mean_all(&self, a: Var) -> Var {
-        let (total, n) = {
-            let slots = self.slots.borrow();
-            let src = slots[a.0].array();
-            (src.sum(), src.len())
-        };
-        let mut out = self.alloc(1, 1);
-        *out.at_mut(0, 0) = total / n as f32;
-        self.push(out)
-    }
-
-    fn col_sum(&self, a: Var) -> Var {
-        let out = {
-            let slots = self.slots.borrow();
-            let src = slots[a.0].array();
-            let mut out = self.alloc(1, src.cols());
-            for r in 0..src.rows() {
-                for (o, &v) in out.row_mut(0).iter_mut().zip(src.row(r)) {
-                    *o += v;
-                }
-            }
-            out
-        };
-        self.push(out)
-    }
-
-    fn row_sum(&self, a: Var) -> Var {
-        let out = {
-            let slots = self.slots.borrow();
-            let src = slots[a.0].array();
-            let mut out = self.alloc(src.rows(), 1);
-            for r in 0..src.rows() {
-                *out.at_mut(r, 0) = src.row(r).iter().sum();
-            }
-            out
-        };
-        self.push(out)
-    }
-
-    fn col_max(&self, a: Var) -> Var {
-        let rows = self.shape(a).0;
-        self.col_max_segments(a, &[rows])
-    }
-
-    fn col_lse(&self, a: Var) -> Var {
-        let value = kernels::logsumexp_cols(self.slots.borrow()[a.0].array());
-        self.push(value)
-    }
-
-    fn lse_all(&self, a: Var) -> Var {
-        let total = kernels::logsumexp_all(self.slots.borrow()[a.0].array());
-        let mut out = self.alloc(1, 1);
-        *out.at_mut(0, 0) = total;
-        self.push(out)
-    }
-
-    fn log_softmax_rows(&self, a: Var) -> Var {
-        let value = kernels::log_softmax_rows(self.slots.borrow()[a.0].array());
-        self.push(value)
-    }
-
-    fn softmax_rows(&self, a: Var) -> Var {
-        let value = kernels::softmax_rows(self.slots.borrow()[a.0].array());
-        self.push(value)
-    }
-
-    fn unfold(&self, a: Var, k: usize) -> Var {
-        let rows = self.shape(a).0;
-        self.unfold_segments(a, k, &[rows])
-    }
-
-    fn gather_rows(&self, a: Var, indices: &[usize]) -> Var {
-        let out = {
-            let slots = self.slots.borrow();
-            let src = slots[a.0].array();
-            let mut out = self.alloc(indices.len(), src.cols());
-            for (r, &i) in indices.iter().enumerate() {
-                assert!(i < src.rows(), "gather_rows: index {i} of {}", src.rows());
-                out.row_mut(r).copy_from_slice(src.row(i));
-            }
-            out
-        };
-        self.push(out)
-    }
-
-    fn reshape(&self, a: Var, rows: usize, cols: usize) -> Var {
-        let out = {
-            let slots = self.slots.borrow();
-            let src = slots[a.0].array();
-            assert_eq!(
-                src.len(),
-                rows * cols,
-                "reshape {:?} to [{rows}, {cols}]",
-                src.shape()
-            );
-            let mut out = self.alloc(rows, cols);
-            out.data_mut().copy_from_slice(src.data());
-            out
-        };
-        self.push(out)
-    }
-
-    fn gather_sum(&self, a: Var, coords: &[(usize, usize)]) -> Var {
-        let total = {
-            let slots = self.slots.borrow();
-            let src = slots[a.0].array();
-            let mut total = 0.0;
-            for &(r, c) in coords {
-                assert!(
-                    r < src.rows() && c < src.cols(),
-                    "gather_sum: ({r}, {c}) out of {:?}",
-                    src.shape()
-                );
-                total += src.at(r, c);
-            }
-            total
-        };
-        let mut out = self.alloc(1, 1);
-        *out.at_mut(0, 0) = total;
-        self.push(out)
+    fn scope<const K: usize>(&self, f: impl FnOnce() -> [Var; K]) -> [Var; K] {
+        let mark = self.mark();
+        let kept = f().map(|v| self.value(v));
+        self.reset_to(mark);
+        // The arena's handles are gone, so a buffer made inside `f` moves
+        // back in uncopied; one from before the call is copied.
+        kept.map(|value| self.constant(Arc::unwrap_or_clone(value)))
     }
 }
 

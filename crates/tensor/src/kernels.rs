@@ -2,10 +2,9 @@
 //!
 //! These functions know nothing about autodiff; they implement broadcasting,
 //! reductions and numerically-stable log-space primitives on [`Array`]s.
-//! Each op has exactly one implementation: the tape in [`crate::graph`]
-//! composes them into differentiable operations, and [`crate::infer`] calls
-//! the same functions, so the two executors' forward values are bitwise
-//! identical. (The matmul kernels live in [`crate::array`].)
+//! The one forward body of each [`crate::Exec`] op calls them, and the
+//! tape's backward sweep in [`crate::graph`] adds the backward halves.
+//! (The matmul kernels live in [`crate::array`].)
 
 use crate::array::Array;
 
@@ -194,19 +193,25 @@ pub fn unfold(a: &Array, k: usize, segments: &[usize]) -> Array {
     out
 }
 
-/// Backward of [`unfold`]: scatters window gradients back to source rows.
-pub fn unfold_backward(grad: &Array, k: usize, src_shape: (usize, usize), into: &mut Array) {
-    let (r, c) = src_shape;
-    debug_assert_eq!(into.shape(), src_shape);
-    let out_rows = r - k + 1;
-    for i in 0..out_rows {
-        let grow = grad.row(i);
-        for j in 0..k {
-            let dst = into.row_mut(i + j);
-            for (d, &g) in dst.iter_mut().zip(&grow[j * c..(j + 1) * c]) {
-                *d += g;
+/// Backward of [`unfold`] over the same `segments`: scatters each window's
+/// gradient back to its source rows, window by window in output order.
+pub fn unfold_backward(grad: &Array, k: usize, segments: &[usize], into: &mut Array) {
+    let c = into.cols();
+    debug_assert_eq!(segments.iter().sum::<usize>(), into.rows());
+    let (mut src, mut dst) = (0, 0);
+    for &r in segments {
+        let windows = r - k + 1;
+        for i in 0..windows {
+            let grow = grad.row(dst + i);
+            for j in 0..k {
+                let to = into.row_mut(src + i + j);
+                for (d, &g) in to.iter_mut().zip(&grow[j * c..(j + 1) * c]) {
+                    *d += g;
+                }
             }
         }
+        src += r;
+        dst += windows;
     }
 }
 
@@ -323,7 +328,7 @@ mod tests {
     fn unfold_backward_scatters() {
         let grad = Array::from_vec(2, 4, vec![1., 1., 1., 1., 1., 1., 1., 1.]);
         let mut into = Array::zeros(3, 2);
-        unfold_backward(&grad, 2, (3, 2), &mut into);
+        unfold_backward(&grad, 2, &[3], &mut into);
         // middle row receives contributions from both windows.
         assert_eq!(into.data(), &[1., 1., 2., 2., 1., 1.]);
     }

@@ -8,32 +8,33 @@
 //! * [`Array`] — dense row-major matrices with the handful of BLAS-like
 //!   kernels the models are hot on ([`mod@array`]); the cache-blocked
 //!   [`array::matmul_into`] is the one matmul both executors run.
-//! * [`kernels`] — broadcasting, reductions and log-space primitives. Each
-//!   op has one implementation, shared by both executors.
+//! * [`kernels`] — broadcasting, reductions and log-space primitives.
 //! * [`Exec`] — the executor trait: the op vocabulary models are written
-//!   against once, evaluated by two interchangeable executors whose forward
+//!   against once — broadcasting elementwise ops, matmul, gather/scatter,
+//!   stable log-space reductions (the CRF's forward recursion
+//!   differentiates through [`Exec::col_lse`]), segmented unfold/max-pool
+//!   for the character CNN, dropout and FiLM conditioning. Each op's
+//!   forward body is written once for both executors, so their forward
 //!   values are bitwise identical ([`exec`]).
-//! * [`Graph`]/[`Var`] — the tape executor: an eager autodiff tape with
-//!   broadcasting elementwise ops, matmul, gather/scatter, stable log-space
-//!   reductions (the CRF's forward recursion differentiates through
-//!   [`Graph::col_lse`]), unfold/max-pool for the character CNN, dropout and
-//!   FiLM conditioning ([`graph`]).
+//! * [`Graph`]/[`Var`] — the tape executor: records every op for a
+//!   reverse-mode backward sweep ([`graph`]).
 //! * [`Infer`] — the gradient-free executor: the same ops evaluated into a
 //!   reusable scratch-buffer arena with no tape and no gradient surface,
-//!   for the post-adaptation query sweep and serving ([`infer`]).
+//!   for the support encode, the batched decode and serving ([`infer`]).
 //! * [`ParamStore`]/[`ParamGrads`] — named parameter stores. FEWNER's split
 //!   between task-independent θ and task-specific φ is expressed as two
 //!   stores bound into the same graph, with gradients routed per store
 //!   ([`params`]).
 //! * [`nn`] — generic layers: [`nn::Linear`], [`nn::Embedding`],
-//!   [`nn::GruCell`], [`nn::BiGru`], [`nn::Conv1d`].
+//!   [`nn::GruCell`], [`nn::BiGru`], [`nn::LstmCell`], [`nn::BiLstm`],
+//!   [`nn::Conv1d`].
 //! * [`optim`] — [`optim::Sgd`] (inner loop) and [`optim::Adam`] (outer
 //!   loop) with global-norm clipping and decoupled weight decay.
 //!
 //! # Example
 //!
 //! ```
-//! use fewner_tensor::{Array, Graph, ParamStore};
+//! use fewner_tensor::{Array, Exec, Graph, ParamStore};
 //! use fewner_util::Rng;
 //!
 //! let mut rng = Rng::new(0);

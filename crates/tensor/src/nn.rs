@@ -2,19 +2,20 @@
 //!
 //! Each layer registers its parameters in a [`ParamStore`] at construction
 //! time under a caller-supplied name prefix, and `apply` rebuilds its piece
-//! of the computation graph for every forward pass (define-by-run). The
-//! NER-specific assemblies (backbone, CRF, baselines) live in
+//! of the computation for every forward pass (define-by-run), on any
+//! executor. The NER-specific assemblies (backbone, CRF, baselines) live in
 //! `fewner-models`; this module holds only the generic building blocks:
 //! [`Linear`], [`Embedding`], [`GruCell`], [`BiGru`], [`LstmCell`],
 //! [`BiLstm`] and [`Conv1d`].
 //!
-//! `apply` takes one sequence (one word, for [`Conv1d`]) on any executor.
-//! [`BiGru::apply_batched`], [`BiLstm::apply_batched`] and
-//! [`Conv1d::apply_batched`] take a stack of them on [`Infer`] and run
-//! every op once over all their rows. Each output row equals, bit for bit,
-//! what `apply` gives its sequence alone: `matmul_into` computes every
+//! [`BiGru`], [`BiLstm`] and [`Conv1d`] have one forward body each, over a
+//! stack of sequences (words, for [`Conv1d`]) given by their lengths. It
+//! runs every op once over all their rows, and each output row equals, bit
+//! for bit, what its sequence gives alone: `matmul_into` computes every
 //! output row on its own accumulation chain, and every other op involved
-//! works row by row or element by element.
+//! works row by row or element by element. With one sequence (`&[len]`)
+//! the tape records one step's ops after another in sequence order, so
+//! gradients sum in step order too.
 
 use std::cmp::Reverse;
 
@@ -22,7 +23,6 @@ use fewner_util::Rng;
 
 use crate::array::Array;
 use crate::exec::{Exec, Var};
-use crate::infer::Infer;
 use crate::params::{ParamId, ParamStore};
 
 /// Fully-connected layer `y = x·W (+ b)`.
@@ -198,34 +198,12 @@ impl BiGru {
         }
     }
 
-    /// Encodes a sequence; output row `t` is `[h⃗_t ; h⃖_t]`.
-    pub fn apply<E: Exec>(&self, g: &E, store: &ParamStore, x: Var) -> Var {
-        let len = g.shape(x).0;
-        assert!(len > 0, "BiGru over empty sequence");
-        let zero = g.constant(Array::zeros(1, self.hidden));
-
-        let mut fwd_states = Vec::with_capacity(len);
-        let mut h = zero;
-        for t in 0..len {
-            h = self.fwd.step(g, store, g.row(x, t), h);
-            fwd_states.push(h);
-        }
-        let mut bwd_states = vec![zero; len];
-        let mut hb = zero;
-        for t in (0..len).rev() {
-            hb = self.bwd.step(g, store, g.row(x, t), hb);
-            bwd_states[t] = hb;
-        }
-        let rows: Vec<Var> = (0..len)
-            .map(|t| g.concat_cols(&[fwd_states[t], bwd_states[t]]))
-            .collect();
-        g.concat_rows(&rows)
-    }
-
-    /// [`BiGru::apply`] over a stack of sequences: `x` holds sequence `i`'s
-    /// `lens[i]` rows after the rows of the sequences before it, and output
-    /// row `r` is what `apply` gives row `r`'s sequence alone.
-    pub fn apply_batched(&self, ex: &Infer, store: &ParamStore, x: Var, lens: &[usize]) -> Var {
+    /// Encodes a stack of sequences: `x` holds sequence `i`'s `lens[i]`
+    /// rows after the rows of the sequences before it, and output row `r`
+    /// is `[h⃗ ; h⃖]` of row `r` within its own sequence. Every op runs once
+    /// per step over the sequences still running, and each output row is,
+    /// bit for bit, what the sequence gives alone (`&[len]`).
+    pub fn apply<E: Exec>(&self, ex: &E, store: &ParamStore, x: Var, lens: &[usize]) -> Var {
         let batch = SeqBatch::new(lens);
         for cell in [&self.fwd, &self.bwd] {
             for id in [cell.wx, cell.wh, cell.b] {
@@ -322,14 +300,19 @@ impl SeqBatch {
     /// row-aligned with the stacked input. `step` maps an input `[b, in]`
     /// and a state `[b, ·]` tuple to the next one; element 0 of the state
     /// is the output.
-    fn run<const K: usize>(
+    fn run<E: Exec, const K: usize>(
         &self,
-        ex: &Infer,
+        ex: &E,
         x: Var,
         hidden: usize,
         reverse: bool,
         step: impl Fn(Var, [Var; K]) -> [Var; K],
     ) -> Var {
+        assert_eq!(
+            ex.shape(x).0,
+            self.lens.iter().sum::<usize>(),
+            "recurrent layer: the lengths must cover the input's rows"
+        );
         let zero = ex.constant(Array::zeros(self.order.len(), hidden));
         let mut state = [zero; K];
         let mut outs = Vec::with_capacity(self.active.len());
@@ -454,37 +437,8 @@ impl BiLstm {
         }
     }
 
-    /// Encodes a sequence; output row `t` is `[h⃗_t ; h⃖_t]`.
-    pub fn apply<E: Exec>(&self, g: &E, store: &ParamStore, x: Var) -> Var {
-        let len = g.shape(x).0;
-        assert!(len > 0, "BiLstm over empty sequence");
-        let zero = g.constant(Array::zeros(1, self.hidden));
-
-        let mut fwd_states = Vec::with_capacity(len);
-        let (mut h, mut c) = (zero, zero);
-        for t in 0..len {
-            let (h2, c2) = self.fwd.step(g, store, g.row(x, t), h, c);
-            h = h2;
-            c = c2;
-            fwd_states.push(h);
-        }
-        let mut bwd_states = vec![zero; len];
-        let (mut hb, mut cb) = (zero, zero);
-        for t in (0..len).rev() {
-            let (h2, c2) = self.bwd.step(g, store, g.row(x, t), hb, cb);
-            hb = h2;
-            cb = c2;
-            bwd_states[t] = hb;
-        }
-        let rows: Vec<Var> = (0..len)
-            .map(|t| g.concat_cols(&[fwd_states[t], bwd_states[t]]))
-            .collect();
-        g.concat_rows(&rows)
-    }
-
-    /// [`BiLstm::apply`] over a stack of sequences (see
-    /// [`BiGru::apply_batched`]).
-    pub fn apply_batched(&self, ex: &Infer, store: &ParamStore, x: Var, lens: &[usize]) -> Var {
+    /// Encodes a stack of sequences, as [`BiGru::apply`] does.
+    pub fn apply<E: Exec>(&self, ex: &E, store: &ParamStore, x: Var, lens: &[usize]) -> Var {
         let batch = SeqBatch::new(lens);
         for cell in [&self.fwd, &self.bwd] {
             for id in [cell.wx, cell.wh, cell.b] {
@@ -554,32 +508,12 @@ impl Conv1d {
         self.banks.iter().map(|(k, _)| *k).max().unwrap_or(1)
     }
 
-    /// `[W, in] → [1, out_dim]`; `W` must be ≥ [`Conv1d::max_width`].
-    pub fn apply<E: Exec>(&self, g: &E, store: &ParamStore, x: Var) -> Var {
-        let rows = g.shape(x).0;
-        assert!(
-            rows >= self.max_width(),
-            "Conv1d input of {rows} rows shorter than widest filter {}",
-            self.max_width()
-        );
-        let pooled: Vec<Var> = self
-            .banks
-            .iter()
-            .map(|(k, lin)| {
-                let windows = g.unfold(x, *k);
-                let feats = g.relu(lin.apply(g, store, windows));
-                g.col_max(feats)
-            })
-            .collect();
-        g.concat_cols(&pooled)
-    }
-
-    /// [`Conv1d::apply`] over a stack of inputs: `x` holds input `i`'s
-    /// `lens[i]` rows (each ≥ [`Conv1d::max_width`]) after the rows of the
-    /// inputs before it, and output row `i` is what `apply` gives input `i`
-    /// alone. Each filter bank is one unfold, matmul, bias add and ReLU over
-    /// every input's windows, then a column max per input.
-    pub fn apply_batched(&self, ex: &Infer, store: &ParamStore, x: Var, lens: &[usize]) -> Var {
+    /// Pools each of a stack of inputs: `x` holds input `i`'s `lens[i]`
+    /// rows (each ≥ [`Conv1d::max_width`]) after the rows of the inputs
+    /// before it, and output row `i` is input `i`'s `[1, out_dim]`
+    /// features. Each filter bank is one unfold, matmul, bias add and ReLU
+    /// over every input's windows, then a column max per input.
+    pub fn apply<E: Exec>(&self, ex: &E, store: &ParamStore, x: Var, lens: &[usize]) -> Var {
         assert!(
             lens.iter().all(|&rows| rows >= self.max_width()),
             "Conv1d input shorter than widest filter {}",
@@ -665,8 +599,8 @@ mod tests {
         let mut b = Array::zeros(3, 2);
         *b.at_mut(2, 0) = 1.0;
         let g = Graph::new();
-        let ya = enc.apply(&g, &store, g.constant(a));
-        let yb = enc.apply(&g, &store, g.constant(b));
+        let ya = enc.apply(&g, &store, g.constant(a), &[3]);
+        let yb = enc.apply(&g, &store, g.constant(b), &[3]);
         assert_eq!(g.shape(ya), (3, 8));
         assert_ne!(g.value(ya).row(0), g.value(yb).row(0));
     }
@@ -706,8 +640,8 @@ mod tests {
         let mut b = Array::zeros(3, 2);
         *b.at_mut(2, 0) = 1.0;
         let g = Graph::new();
-        let ya = enc.apply(&g, &store, g.constant(a));
-        let yb = enc.apply(&g, &store, g.constant(b));
+        let ya = enc.apply(&g, &store, g.constant(a), &[3]);
+        let yb = enc.apply(&g, &store, g.constant(b), &[3]);
         assert_eq!(g.shape(ya), (3, 8));
         assert_ne!(g.value(ya).row(0), g.value(yb).row(0));
     }
@@ -720,7 +654,7 @@ mod tests {
         assert_eq!(conv.max_width(), 3);
         let g = Graph::new();
         let x = g.constant(Array::uniform(7, 4, -1.0, 1.0, &mut rng));
-        let y = conv.apply(&g, &store, x);
+        let y = conv.apply(&g, &store, x, &[7]);
         assert_eq!(g.shape(y), (1, 12));
     }
 
@@ -738,8 +672,8 @@ mod tests {
         let mut late = Array::zeros(6, 2);
         *late.at_mut(3, 0) = 1.0;
         *late.at_mut(4, 1) = 1.0;
-        let ye = conv.apply(&g, &store, g.constant(early));
-        let yl = conv.apply(&g, &store, g.constant(late));
+        let ye = conv.apply(&g, &store, g.constant(early), &[6]);
+        let yl = conv.apply(&g, &store, g.constant(late), &[6]);
         let (ve, vl) = (g.value(ye), g.value(yl));
         for (a, b) in ve.data().iter().zip(vl.data()) {
             assert!((a - b).abs() < 1e-6, "{a} vs {b}");
@@ -756,9 +690,9 @@ mod tests {
 
         let g = Graph::new();
         let chars = emb.apply(&g, &store, &[1, 2, 3]);
-        let word = conv.apply(&g, &store, chars);
+        let word = conv.apply(&g, &store, chars, &[3]);
         let seq = g.concat_rows(&[word, word, word]);
-        let hidden = enc.apply(&g, &store, seq);
+        let hidden = enc.apply(&g, &store, seq, &[3]);
         let logits = head.apply(&g, &store, hidden);
         let loss = g.mean_all(g.mul(logits, logits));
         let grads = g.backward(loss).unwrap().for_store(&store);

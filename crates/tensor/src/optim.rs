@@ -330,6 +330,7 @@ impl FromJson for SavedAdam {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Exec;
     use crate::graph::Graph;
     use crate::params::ParamStore;
 

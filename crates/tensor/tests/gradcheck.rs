@@ -6,7 +6,7 @@
 //! with kinks (ReLU, column-max) are sampled away from their non-smooth
 //! points.
 
-use fewner_tensor::{Array, Graph, ParamStore, Var};
+use fewner_tensor::{Array, Exec, Graph, ParamStore, Var};
 use fewner_util::Rng;
 use proptest::prelude::*;
 
@@ -168,6 +168,10 @@ proptest! {
     #[test]
     fn grad_unfold_and_gather(seed in 0u64..1000, rows in 3usize..6, cols in 1usize..4) {
         gradcheck(rand_array(rows, cols, seed), seed, |g, _, x| g.unfold(x, 2)).unwrap();
+        // Three segments: windows stop at every boundary.
+        gradcheck(rand_array(rows + 4, cols, seed ^ 22), seed, move |g, _, x| {
+            g.unfold_segments(x, 2, &[2, rows, 2])
+        }).unwrap();
         let idx = vec![0usize, rows - 1, 0];
         gradcheck(rand_array(rows, cols, seed ^ 18), seed, move |g, _, x| {
             g.gather_rows(x, &idx)
@@ -215,6 +219,17 @@ fn grad_col_max_away_from_ties() {
     // Deterministic input with a unique max per column.
     let x = Array::from_vec(3, 2, vec![0.1, 5.0, 3.0, 1.0, 1.0, 2.0]);
     gradcheck(x, 99, |g, _, v| g.col_max(v)).unwrap();
+    // Segments of 2, 3 and 1 rows, each with a unique max per column.
+    let x = Array::from_vec(
+        6,
+        2,
+        vec![
+            0.1, 5.0, 3.0, 1.0, //
+            1.0, 2.0, -2.0, 4.0, 0.5, -1.0, //
+            -0.7, 0.3,
+        ],
+    );
+    gradcheck(x, 98, |g, _, v| g.col_max_segments(v, &[2, 3, 1])).unwrap();
 }
 
 #[test]

@@ -6,7 +6,8 @@
 //!    against a naive shifted-sum oracle (computed in `f64`), the
 //!    unfold/unfold-backward adjoint, `reduce_into` against transposed
 //!    brute force, first-max-wins ties in `max_cols`, and segmented
-//!    `unfold`/`max_cols` against one call per segment.
+//!    `unfold`/`max_cols` against one call per segment — values, and the
+//!    input gradient of the tape's segmented ops.
 //! 2. **The blocked matmul against the scalar loop** — `matmul_into` is
 //!    the one kernel with a cache-blocked body, and it must produce
 //!    *bitwise identical* results to the plain i–k–j loop kept below as
@@ -17,7 +18,7 @@
 
 use fewner_tensor::array::matmul_into;
 use fewner_tensor::kernels;
-use fewner_tensor::Array;
+use fewner_tensor::{Array, Exec, Graph, ParamStore, Var};
 use fewner_util::Rng;
 use proptest::prelude::*;
 
@@ -139,7 +140,7 @@ proptest! {
 
         let g = rand_array(r - k + 1, k * c, seed ^ 21);
         let mut back = Array::zeros(r, c);
-        kernels::unfold_backward(&g, k, (r, c), &mut back);
+        kernels::unfold_backward(&g, k, &[r], &mut back);
         let dot = |x: &Array, y: &Array| -> f64 {
             x.data().iter().zip(y.data()).map(|(&p, &q)| p as f64 * q as f64).sum()
         };
@@ -149,7 +150,7 @@ proptest! {
         // Ones-gradient → per-row window multiplicity.
         let ones = Array::zeros(r - k + 1, k * c).map(|_| 1.0);
         let mut counts = Array::zeros(r, c);
-        kernels::unfold_backward(&ones, k, (r, c), &mut counts);
+        kernels::unfold_backward(&ones, k, &[r], &mut counts);
         for i in 0..r {
             let windows = (i.min(r - k) - i.saturating_sub(k - 1) + 1) as f32;
             for j in 0..c {
@@ -230,8 +231,10 @@ proptest! {
     /// `unfold` and `max_cols` over stacked segments equal one call per
     /// segment, bit for bit: the same windows in the same order, the same
     /// maxima, and the same argmax rows offset by the segment's first row.
-    /// Values sit on a coarse grid so ties are common, and column 0 holds
-    /// only `0.0` and `-0.0`, so a tie must keep the first row's sign.
+    /// On the tape, the segmented unfold and column max route the input's
+    /// gradient bit for bit as one op per segment does. Values sit on a
+    /// coarse grid so ties are common, and column 0 holds only `0.0` and
+    /// `-0.0`, so a tie must keep the first row's sign.
     #[test]
     fn segmented_kernels_equal_one_call_per_segment(
         seed in 0u64..10_000, c in 1usize..5, k in 1usize..4,
@@ -264,6 +267,33 @@ proptest! {
             first += r;
             first_window += n;
         }
+
+        let per_input: Vec<usize> = lens.iter().map(|r| r - k + 1).collect();
+        let proj = Array::uniform(lens.len(), k * c, -1.0, 1.0, &mut rng);
+        let input_grad = |segmented: bool| {
+            let mut store = ParamStore::new();
+            let id = store.add("x", a.clone());
+            let g = Graph::new();
+            let x = g.param(&store, id);
+            let pooled = if segmented {
+                g.col_max_segments(g.unfold_segments(x, k, &lens), &per_input)
+            } else {
+                let mut first = 0;
+                let alone: Vec<Var> = lens
+                    .iter()
+                    .map(|&r| {
+                        let rows: Vec<usize> = (first..first + r).collect();
+                        first += r;
+                        g.col_max(g.unfold(g.gather_rows(x, &rows), k))
+                    })
+                    .collect();
+                g.concat_rows(&alone)
+            };
+            let loss = g.sum_all(g.mul(pooled, g.constant(proj.clone())));
+            let grads = g.backward(loss).unwrap().for_store(&store);
+            grads.get(id).unwrap().clone()
+        };
+        assert_bitwise(&input_grad(true), &input_grad(false), "segmented input gradient");
     }
 }
 

@@ -2,7 +2,7 @@
 //! linearity of the backward map, chain-rule composition, gradient
 //! accumulation across shared subexpressions, and optimizer determinism.
 
-use fewner_tensor::{Adam, Array, Graph, ParamGrads, ParamStore, Sgd};
+use fewner_tensor::{Adam, Array, Exec, Graph, ParamGrads, ParamStore, Sgd};
 use fewner_util::Rng;
 use proptest::prelude::*;
 

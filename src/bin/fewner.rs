@@ -23,6 +23,7 @@ use std::collections::HashMap;
 use std::io::Write as _;
 use std::net::TcpListener;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use fewner::cli::{
     backbone, build_encoder, check_flags, check_train_flags, flag, meta, opt_flag, parse_args,
@@ -272,7 +273,7 @@ fn trainer(flags: &HashMap<String, String>) -> Trainer {
 fn cmd_train_sharded(flags: &HashMap<String, String>) -> fewner::Result<()> {
     check_train_flags(flags)?;
     let shards = flag(flags, "shards", 2usize)?;
-    let coordinator = fewner::core::ShardCoordinator::bind("127.0.0.1:0", shards)?;
+    let coordinator = Arc::new(fewner::core::ShardCoordinator::bind("127.0.0.1:0", shards)?);
     let addr = coordinator.local_addr()?;
     println!("coordinator for {shards} shards on {addr}");
 
@@ -280,10 +281,13 @@ fn cmd_train_sharded(flags: &HashMap<String, String>) -> fewner::Result<()> {
         Some(path) => Tracer::jsonl(format!("{path}.coordinator")),
         None => Tracer::disabled(),
     };
-    let coord = std::thread::spawn(move || {
-        let report = coordinator.run(&coord_tracer);
-        coord_tracer.flush().and(report)
-    });
+    let coord = {
+        let coordinator = Arc::clone(&coordinator);
+        std::thread::spawn(move || {
+            let report = coordinator.run(&coord_tracer);
+            coord_tracer.flush().and(report)
+        })
+    };
 
     let exe = std::env::current_exe().map_err(|e| fewner::Error::Io {
         path: "<current_exe>".into(),
@@ -336,6 +340,9 @@ fn cmd_train_sharded(flags: &HashMap<String, String>) -> fewner::Result<()> {
             lost += 1;
         }
     }
+    // No worker is left to connect, so a rendezvous still waiting for one
+    // would only wait out its budget.
+    coordinator.abandon_rendezvous();
     let report = coord.join().map_err(|_| fewner::Error::WorkerPanic {
         context: "shard coordinator".into(),
     })??;

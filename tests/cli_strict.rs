@@ -119,3 +119,21 @@ fn demo_fits_its_task_to_a_four_type_test_split() {
     assert!(out.status.success(), "{}{stdout}", stderr(&out));
     assert!(stdout.contains("brand-new 4-way 1-shot task"), "{stdout}");
 }
+
+#[test]
+fn a_sharded_run_whose_workers_all_exit_ends_at_once() {
+    // Both workers refuse the value and exit before connecting; the
+    // coordinator must stop waiting for them instead of running out its
+    // 30-s rendezvous budget.
+    let start = std::time::Instant::now();
+    let out = fewner("train-sharded --shards 2 --iterations abc");
+    let took = start.elapsed();
+    assert!(!out.status.success(), "the run must fail");
+    let err = stderr(&out);
+    assert!(err.contains("--iterations") && err.contains("abc"), "{err}");
+    assert!(err.contains("workers exited"), "{err}");
+    assert!(
+        took < std::time::Duration::from_secs(10),
+        "took {took:?}: {err}"
+    );
+}

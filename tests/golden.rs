@@ -12,6 +12,9 @@
 //!   with ConcatInput conditioning and one with FiLM over a BiLSTM and a
 //!   slot-shared head — the inner loop under the other conditioning site,
 //!   encoder and head;
+//! * one task gradient of each of those two learners on a training tape
+//!   (dropout and the char-CNN on) — θ's gradient through the recurrent
+//!   layer ConcatInput runs in its head, and through the BiLSTM;
 //! * the decode of that task's query set under f32, f16 and i8 θ — the
 //!   Viterbi paths from `Fewner::predict` plus the bit patterns of each
 //!   query sentence's hidden states and NLL evaluated on the `Infer`
@@ -41,6 +44,8 @@ const DECODE_I8_CRC: u32 = 0x48b9_7252;
 const EXTEND_PHI_CRC: u32 = 0x8c59_cb43;
 const CONCAT_PHI_CRC: u32 = 0x0512_968d;
 const SLOT_LSTM_PHI_CRC: u32 = 0x3c49_884b;
+const CONCAT_THETA_GRAD_CRC: u32 = 0xf104_64b0;
+const SLOT_LSTM_THETA_GRAD_CRC: u32 = 0x06b3_89a8;
 
 fn file_crc(path: &Path) -> u32 {
     crc32(&std::fs::read(path).unwrap())
@@ -150,6 +155,23 @@ fn phi_crc(ctx: &AdaptedCtx, path: &Path) -> u32 {
     file_crc(path)
 }
 
+/// CRC of one task gradient: the query loss, then every θ gradient as raw
+/// f32 bits in parameter order (`0xff` marks a parameter with none).
+fn task_grad_crc(outcome: &fewner::core::TaskOutcome) -> u32 {
+    let mut bytes = outcome.loss.to_bits().to_le_bytes().to_vec();
+    let grads = &outcome.grads;
+    for i in 0..grads.len() {
+        match grads.get_at(i) {
+            Some(g) => g
+                .data()
+                .iter()
+                .for_each(|v| bytes.extend(v.to_bits().to_le_bytes())),
+            None => bytes.push(0xff),
+        }
+    }
+    crc32(&bytes)
+}
+
 #[test]
 fn checkpoint_phi_and_decode_bytes_match_the_pinned_crcs() {
     let Fixture {
@@ -224,14 +246,32 @@ fn untrained_concat_and_slot_lstm_phi_match_the_pinned_crcs() {
         },
         ..bb
     };
+    // The task gradient runs on a training tape with dropout and the
+    // char-CNN on, through ConcatInput's head-side recurrent layer and
+    // through the BiLSTM.
+    assert!(bb.use_char_cnn && bb.dropout > 0.0);
     let mut actual = Vec::new();
-    for (name, cfg, pinned) in [
-        ("concat phi", concat, CONCAT_PHI_CRC),
-        ("slot-shared bilstm phi", slot_lstm, SLOT_LSTM_PHI_CRC),
+    for (cfg, [phi, grads]) in [
+        (
+            concat,
+            [
+                ("concat phi", CONCAT_PHI_CRC),
+                ("concat theta grads", CONCAT_THETA_GRAD_CRC),
+            ],
+        ),
+        (
+            slot_lstm,
+            [
+                ("slot-shared bilstm phi", SLOT_LSTM_PHI_CRC),
+                ("slot-shared bilstm theta grads", SLOT_LSTM_THETA_GRAD_CRC),
+            ],
+        ),
     ] {
         let learner = Fewner::new(cfg, &enc, meta.clone()).unwrap();
         let ctx = learner.adapt(&task, &enc, &ServeOptions::new()).unwrap();
-        actual.push((name, phi_crc(&ctx, &dir.join("phi.json")), pinned));
+        actual.push((phi.0, phi_crc(&ctx, &dir.join("phi.json")), phi.1));
+        let outcome = learner.task_grad(&task, &enc, &mut Rng::new(9)).unwrap();
+        actual.push((grads.0, task_grad_crc(&outcome), grads.1));
     }
     std::fs::remove_dir_all(&dir).ok();
     assert_pinned(&actual);
