@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use fewner_corpus::{split_types, DatasetProfile};
 use fewner_episode::{EpisodeSampler, Task};
-use fewner_serve::{Client, RetryClient, RetryPolicy, SupportSentence};
+use fewner_serve::{Client, RetryPolicy, SupportSentence};
 use fewner_util::Error;
 
 struct Flags(HashMap<String, String>);
@@ -101,7 +101,7 @@ fn run_client(
     tasks: &[Task],
 ) -> Result<Tally, Error> {
     // Per-client jitter seed so retry backoffs don't synchronise.
-    let mut client = RetryClient::new(addr, policy.clone().seed(policy.seed ^ id as u64));
+    let mut client = Client::with_policy(addr, policy.clone().seed(policy.seed ^ id as u64));
     let mut tally = Tally::default();
     let mut adapted = vec![false; tasks.len()];
     let start = Instant::now();

@@ -87,22 +87,7 @@ impl EpisodicLearner for FineTuneLearner {
     }
 
     fn adapt_and_predict(&self, task: &Task, enc: &TokenEncoder) -> Result<Vec<Vec<usize>>> {
-        let tags = task.tag_set();
-        let (support, query) = encode_task(enc, task);
-        let mut adapted = self.theta.clone();
-        let mut sgd = Sgd::new(self.cfg.inner_lr);
-        let mut rng = Rng::new(0);
-        for _ in 0..self.cfg.inner_steps_test {
-            let g = Graph::eval(); // fine-tuning: dropout off, gradients on
-            let loss = self
-                .backbone
-                .batch_loss(&g, &adapted, None, &support, &tags, &mut rng);
-            let grads = g.backward(loss)?.for_store(&adapted);
-            sgd.step(&mut adapted, &grads)?;
-        }
-        Ok(self
-            .backbone
-            .decode_task(&adapted, None, query.iter().map(|(sent, _)| sent), &tags))
+        crate::maml::adapt_full_and_decode(&self.backbone, &self.theta, &self.cfg, task, enc)
     }
 
     fn decay_lr(&mut self, factor: f32) {
@@ -303,7 +288,9 @@ impl EpisodicLearner for FrozenLmLearner {
         let tags = task.tag_set();
         let (support, _) = encode_task(enc, task);
         let g = Graph::new();
-        let loss = self.model.batch_loss(&g, &support, &tags)?;
+        let loss = self
+            .model
+            .batch_loss(&g, &self.model.head_params, &support, &tags)?;
         Ok(TaskOutcome {
             loss: g.value(loss).scalar_value(),
             grads: g.backward(loss)?.for_store(&self.model.head_params),
@@ -326,13 +313,13 @@ impl EpisodicLearner for FrozenLmLearner {
         let mut sgd = Sgd::new(self.cfg.inner_lr);
         for _ in 0..self.cfg.inner_steps_test {
             let g = Graph::new();
-            let loss = self.model.batch_loss_with(&g, &head, &support, &tags)?;
+            let loss = self.model.batch_loss(&g, &head, &support, &tags)?;
             let grads = g.backward(loss)?.for_store(&head);
             sgd.step(&mut head, &grads)?;
         }
         Ok(self
             .model
-            .predict_task_with(&head, query.iter().map(|(sent, _)| sent), &tags))
+            .predict_task(&head, query.iter().map(|(sent, _)| sent), &tags))
     }
 
     fn decay_lr(&mut self, factor: f32) {

@@ -54,27 +54,51 @@ impl Maml {
             rng,
         })
     }
+}
 
-    /// Inner loop: SGD on a *copy* of the full parameter set.
-    fn adapt_full(
-        &self,
-        support: &[LabeledSentence],
-        tags: &TagSet,
-        steps: usize,
-    ) -> Result<ParamStore> {
-        let mut adapted = self.theta.clone();
-        let mut sgd = Sgd::new(self.cfg.inner_lr);
-        let mut rng = Rng::new(0);
-        for _ in 0..steps {
-            let g = Graph::eval(); // inner loop: dropout off, gradients on
-            let loss = self
-                .backbone
-                .batch_loss(&g, &adapted, None, support, tags, &mut rng);
-            let grads = g.backward(loss)?.for_store(&adapted);
-            sgd.step(&mut adapted, &grads)?;
-        }
-        Ok(adapted)
+/// Inner loop over the whole network: `steps` plain-SGD steps at
+/// `inner_lr` on a *copy* of `theta`, dropout off.
+fn adapt_full(
+    backbone: &Backbone,
+    theta: &ParamStore,
+    inner_lr: f32,
+    support: &[LabeledSentence],
+    tags: &TagSet,
+    steps: usize,
+) -> Result<ParamStore> {
+    let mut adapted = theta.clone();
+    let mut sgd = Sgd::new(inner_lr);
+    let mut rng = Rng::new(0);
+    for _ in 0..steps {
+        let g = Graph::eval(); // inner loop: dropout off, gradients on
+        let loss = backbone.batch_loss(&g, &adapted, None, support, tags, &mut rng);
+        let grads = g.backward(loss)?.for_store(&adapted);
+        sgd.step(&mut adapted, &grads)?;
     }
+    Ok(adapted)
+}
+
+/// Test-time adaptation of the whole network, shared by MAML and
+/// FineTune: [`adapt_full`] on the task's support for
+/// `cfg.inner_steps_test` steps, then one Viterbi decode of its queries.
+pub(crate) fn adapt_full_and_decode(
+    backbone: &Backbone,
+    theta: &ParamStore,
+    cfg: &MetaConfig,
+    task: &Task,
+    enc: &TokenEncoder,
+) -> Result<Vec<Vec<usize>>> {
+    let tags = task.tag_set();
+    let (support, query) = encode_task(enc, task);
+    let adapted = adapt_full(
+        backbone,
+        theta,
+        cfg.inner_lr,
+        &support,
+        &tags,
+        cfg.inner_steps_test,
+    )?;
+    Ok(backbone.decode_task(&adapted, None, query.iter().map(|(sent, _)| sent), &tags))
 }
 
 impl EpisodicLearner for Maml {
@@ -89,7 +113,14 @@ impl EpisodicLearner for Maml {
     fn task_grad(&self, task: &Task, enc: &TokenEncoder, rng: &mut Rng) -> Result<TaskOutcome> {
         let tags = task.tag_set();
         let (support, query) = encode_task(enc, task);
-        let adapted = self.adapt_full(&support, &tags, self.cfg.inner_steps_train)?;
+        let adapted = adapt_full(
+            &self.backbone,
+            &self.theta,
+            self.cfg.inner_lr,
+            &support,
+            &tags,
+            self.cfg.inner_steps_train,
+        )?;
         let g = Graph::new(); // training mode: dropout active
         let loss = self
             .backbone
@@ -112,12 +143,7 @@ impl EpisodicLearner for Maml {
     }
 
     fn adapt_and_predict(&self, task: &Task, enc: &TokenEncoder) -> Result<Vec<Vec<usize>>> {
-        let tags = task.tag_set();
-        let (support, query) = encode_task(enc, task);
-        let adapted = self.adapt_full(&support, &tags, self.cfg.inner_steps_test)?;
-        Ok(self
-            .backbone
-            .decode_task(&adapted, None, query.iter().map(|(sent, _)| sent), &tags))
+        adapt_full_and_decode(&self.backbone, &self.theta, &self.cfg, task, enc)
     }
 
     fn decay_lr(&mut self, factor: f32) {
@@ -219,7 +245,15 @@ mod tests {
         let (enc, tasks, maml) = setup();
         let tags = tasks[0].tag_set();
         let (support, _) = encode_task(&enc, &tasks[0]);
-        let adapted = maml.adapt_full(&support, &tags, 2).unwrap();
+        let adapted = adapt_full(
+            &maml.backbone,
+            &maml.theta,
+            maml.cfg.inner_lr,
+            &support,
+            &tags,
+            2,
+        )
+        .unwrap();
         let orig = maml.theta.snapshot();
         let new = adapted.snapshot();
         assert!(orig.iter().zip(&new).any(|(a, b)| a != b));

@@ -157,11 +157,6 @@ impl Dataset {
         }
     }
 
-    /// Looks up a type spec by id.
-    pub fn type_spec(&self, id: TypeId) -> &TypeSpec {
-        &self.types[id.0 as usize]
-    }
-
     /// Human-readable name of a type.
     pub fn type_name(&self, id: TypeId) -> &str {
         &self.types[id.0 as usize].name

@@ -842,19 +842,6 @@ impl Backbone {
             .map(|i| crate::crf::viterbi(rows.emissions(i), &trans, &start, tags))
             .collect()
     }
-
-    /// Viterbi-decodes one sentence to tag indices.
-    pub fn decode(
-        &self,
-        theta: &ParamStore,
-        phi_store: Option<(&ParamStore, ParamId)>,
-        sent: &EncodedSentence,
-        tags: &TagSet,
-    ) -> Vec<usize> {
-        self.decode_task(theta, phi_store, std::iter::once(sent), tags)
-            .pop()
-            .expect("decode_task returns one path per sentence")
-    }
 }
 
 /// Each sentence's token count; a sentence must have at least one token.
@@ -1031,7 +1018,7 @@ mod tests {
         let (enc, bb, store, _) = setup(Conditioning::None);
         let sent = sample_sentence(&enc);
         let tags = TagSet::new(3).unwrap();
-        let path = bb.decode(&store, None, &sent, &tags);
+        let path = bb.decode_task(&store, None, [&sent], &tags).remove(0);
         assert_eq!(path.len(), sent.len());
         let decoded: Vec<fewner_text::Tag> = path.iter().map(|&i| tags.tag(i)).collect();
         fewner_text::validate_tags(&decoded, &tags).unwrap();

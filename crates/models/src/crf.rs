@@ -51,18 +51,6 @@ pub trait CrfHead {
         let (trans, start) = self.transitions(g, store, tags);
         crf_nll(g, emissions, trans, start, gold)
     }
-
-    /// Viterbi decode under BIO constraints.
-    fn decode<E: Exec>(&self, g: &E, store: &ParamStore, h: Var, tags: &TagSet) -> Vec<usize> {
-        let emissions = self.emissions(g, store, h, tags);
-        let (trans, start) = self.transitions(g, store, tags);
-        viterbi(
-            g.value(emissions).data(),
-            &g.value(trans),
-            &g.value(start),
-            tags,
-        )
-    }
 }
 
 /// Forward-algorithm NLL over explicit emission/transition graph nodes.
@@ -409,6 +397,19 @@ mod tests {
         (ParamStore::new(), Rng::new(3), TagSet::new(n_ways).unwrap())
     }
 
+    /// The Viterbi path of hidden states `h` under `crf`.
+    fn decode(
+        crf: &impl CrfHead,
+        g: &Graph,
+        store: &ParamStore,
+        h: Var,
+        tags: &TagSet,
+    ) -> Vec<usize> {
+        let e = crf.emissions(g, store, h, tags);
+        let (trans, start) = crf.transitions(g, store, tags);
+        viterbi(g.value(e).data(), &g.value(trans), &g.value(start), tags)
+    }
+
     /// Brute-force log partition by enumerating all tag sequences.
     fn brute_log_z(emissions: &Array, trans: &Array, start: &Array) -> f64 {
         let (len, t) = emissions.shape();
@@ -556,7 +557,7 @@ mod tests {
         // And decoding recovers the fitted sequence.
         let g = Graph::new();
         let h = g.constant(h_fixed);
-        let path = crf.decode(&g, &store, h, &tags);
+        let path = decode(&crf, &g, &store, h, &tags);
         assert_eq!(path, gold);
     }
 
@@ -599,7 +600,7 @@ mod tests {
         }
         let g = Graph::new();
         let h = g.constant(h_fixed);
-        assert_eq!(crf.decode(&g, &store, h, &tags), gold);
+        assert_eq!(decode(&crf, &g, &store, h, &tags), gold);
     }
 
     #[test]

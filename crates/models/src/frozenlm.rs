@@ -127,19 +127,10 @@ impl FrozenLm {
         g.concat_cols(&[words, ctx])
     }
 
-    /// Mean sequence NLL of a batch, differentiable w.r.t. the head only.
+    /// Mean sequence NLL of a batch under the CRF head in `head` —
+    /// [`FrozenLm::head_params`] or a test-time fine-tuned copy of it
+    /// (cloned stores keep their id) — differentiable w.r.t. the head only.
     pub fn batch_loss<E: Exec>(
-        &self,
-        g: &E,
-        batch: &[LabeledSentence],
-        tags: &TagSet,
-    ) -> Result<Var> {
-        self.batch_loss_with(g, &self.head_params, batch, tags)
-    }
-
-    /// Like [`FrozenLm::batch_loss`] but against an external head store
-    /// (e.g. a test-time fine-tuned copy; cloned stores keep their id).
-    pub fn batch_loss_with<E: Exec>(
         &self,
         g: &E,
         head: &ParamStore,
@@ -160,34 +151,12 @@ impl FrozenLm {
         Ok(g.mean_all(stacked))
     }
 
-    /// Viterbi decode of one sentence.
-    pub fn predict(&self, sent: &EncodedSentence, tags: &TagSet) -> Vec<usize> {
-        self.predict_with(&self.head_params, sent, tags)
-    }
-
-    /// Viterbi decode against an external head store.
-    pub fn predict_with(
-        &self,
-        head: &ParamStore,
-        sent: &EncodedSentence,
-        tags: &TagSet,
-    ) -> Vec<usize> {
-        self.predict_task_with(head, std::iter::once(sent), tags)
-            .pop()
-            .expect("predict_task_with returns one path per sentence")
-    }
-
-    /// Viterbi decode of every sentence of one task against an external
-    /// head store, on the gradient-free [`Infer`] executor.
+    /// Viterbi decode of every sentence of one task under the CRF head in
+    /// `head`, on the gradient-free [`Infer`] executor.
     ///
     /// The head's transition scores are computed **once** per task;
     /// per-sentence scratch buffers are recycled between sentences.
-    pub fn predict_task_with<'a, I>(
-        &self,
-        head: &ParamStore,
-        sents: I,
-        tags: &TagSet,
-    ) -> Vec<Vec<usize>>
+    pub fn predict_task<'a, I>(&self, head: &ParamStore, sents: I, tags: &TagSet) -> Vec<Vec<usize>>
     where
         I: IntoIterator<Item = &'a EncodedSentence>,
     {
@@ -239,7 +208,7 @@ mod tests {
         let (enc, support, tags) = setup();
         let lm = FrozenLm::new(LmFlavor::Bert, &enc, 3).unwrap();
         let g = Graph::new();
-        let loss = lm.batch_loss(&g, &support, &tags).unwrap();
+        let loss = lm.batch_loss(&g, &lm.head_params, &support, &tags).unwrap();
         let grads = g.backward(loss).unwrap();
         let frozen_grads = grads.for_store(&lm.frozen);
         assert!(
@@ -269,14 +238,16 @@ mod tests {
         let (mut first, mut last) = (None, 0.0);
         for _ in 0..30 {
             let g = Graph::new();
-            let loss = lm.batch_loss(&g, &support, &tags).unwrap();
+            let loss = lm.batch_loss(&g, &lm.head_params, &support, &tags).unwrap();
             last = g.value(loss).scalar_value();
             first.get_or_insert(last);
             let grads = g.backward(loss).unwrap().for_store(&lm.head_params);
             opt.step(&mut lm.head_params, &grads).unwrap();
         }
         assert!(last < first.unwrap());
-        let pred = lm.predict(&support[0].0, &tags);
+        let pred = lm
+            .predict_task(&lm.head_params, [&support[0].0], &tags)
+            .remove(0);
         let decoded: Vec<fewner_text::Tag> = pred.iter().map(|&i| tags.tag(i)).collect();
         fewner_text::validate_tags(&decoded, &tags).unwrap();
     }

@@ -156,20 +156,6 @@ impl ProtoNet {
             })
             .collect()
     }
-
-    /// Predicts tag indices for one query sentence (nearest prototype per
-    /// token).
-    pub fn predict(
-        &self,
-        theta: &ParamStore,
-        support: &[LabeledSentence],
-        query: &LabeledSentence,
-        tags: &TagSet,
-    ) -> Vec<usize> {
-        self.predict_task(theta, support, std::slice::from_ref(query), tags)
-            .pop()
-            .expect("predict_task returns one path per query")
-    }
 }
 
 #[cfg(test)]
@@ -241,7 +227,9 @@ mod tests {
     #[test]
     fn prediction_has_sentence_length_and_valid_classes() {
         let (pn, store, support, query, tags) = setup();
-        let pred = pn.predict(&store, &support, &query[0], &tags);
+        let pred = pn
+            .predict_task(&store, &support, &query[..1], &tags)
+            .remove(0);
         assert_eq!(pred.len(), query[0].0.len());
         assert!(pred.iter().all(|&c| c < tags.len()));
     }

@@ -239,19 +239,6 @@ impl Snail {
             })
             .collect()
     }
-
-    /// Predicts tag indices for one query sentence.
-    pub fn predict(
-        &self,
-        theta: &ParamStore,
-        support: &[LabeledSentence],
-        query: &LabeledSentence,
-        tags: &TagSet,
-    ) -> Vec<usize> {
-        self.predict_task(theta, support, std::slice::from_ref(query), tags)
-            .pop()
-            .expect("predict_task returns one path per query")
-    }
 }
 
 #[cfg(test)]
@@ -325,7 +312,9 @@ mod tests {
     #[test]
     fn predictions_are_valid_classes() {
         let (m, store, support, query, tags) = setup();
-        let pred = m.predict(&store, &support, &query[0], &tags);
+        let pred = m
+            .predict_task(&store, &support, &query[..1], &tags)
+            .remove(0);
         assert_eq!(pred.len(), query[0].0.len());
         assert!(pred.iter().all(|&c| c < tags.len()));
     }

@@ -4,7 +4,7 @@
 //! label path in `f64`.
 
 use fewner_models::{crf_nll, viterbi, CrfHead, DenseCrf, SlotSharedCrf};
-use fewner_tensor::{Array, Exec, Graph, ParamStore};
+use fewner_tensor::{Array, Exec, Graph, ParamStore, Var};
 use fewner_text::{validate_tags, Tag, TagSet};
 use fewner_util::Rng;
 use proptest::prelude::*;
@@ -12,6 +12,13 @@ use proptest::prelude::*;
 fn rand_array(rows: usize, cols: usize, seed: u64) -> Array {
     let mut rng = Rng::new(seed);
     Array::uniform(rows, cols, -1.5, 1.5, &mut rng)
+}
+
+/// The Viterbi path of hidden states `h` under `crf`.
+fn decode(crf: &impl CrfHead, g: &Graph, store: &ParamStore, h: Var, tags: &TagSet) -> Vec<usize> {
+    let e = crf.emissions(g, store, h, tags);
+    let (trans, start) = crf.transitions(g, store, tags);
+    viterbi(g.value(e).data(), &g.value(trans), &g.value(start), tags)
 }
 
 /// A random *valid* BIO tag-index sequence.
@@ -125,12 +132,10 @@ proptest! {
         prop_assert!(g2.value(nll2).scalar_value() >= -1e-4);
         prop_assert!(g2.backward(nll2).is_ok());
 
-        // Both decode to BIO-valid sequences. (CrfHead is no longer
-        // dyn-compatible — its methods are generic over the executor — so
-        // decode each head statically.)
+        // Both decode to BIO-valid sequences.
         for path in [
-            dense.decode(&g, &store, h, &tags),
-            ss.decode(&g2, &store2, h2, &tags),
+            decode(&dense, &g, &store, h, &tags),
+            decode(&ss, &g2, &store2, h2, &tags),
         ] {
             let decoded: Vec<Tag> = path.iter().map(|&i| tags.tag(i)).collect();
             validate_tags(&decoded, &tags).unwrap();

@@ -206,7 +206,7 @@ proptest! {
                 assert_eq!(path, &tape, "{conditioning:?} head {head:?}");
                 assert_eq!(
                     path,
-                    &bb.decode(&store, phi_ctx.as_ref().map(|(s, id)| (s, *id)), sent, &f.tags),
+                    &bb.decode_task(&store, phi_ctx.as_ref().map(|(s, id)| (s, *id)), [*sent], &f.tags)[0],
                     "{conditioning:?} head {head:?}: decode"
                 );
             }
@@ -240,7 +240,8 @@ proptest! {
 
         let batched = pn.predict_task(&store, &f.support, &f.query, &f.tags);
         for (q, path) in f.query.iter().zip(&batched) {
-            prop_assert_eq!(path, &pn.predict(&store, &f.support, q, &f.tags));
+            let alone = pn.predict_task(&store, &f.support, std::slice::from_ref(q), &f.tags);
+            prop_assert_eq!(path, &alone[0]);
         }
     }
 
@@ -270,12 +271,13 @@ proptest! {
 
         let batched = snail.predict_task(&store, &f.support, &f.query, &f.tags);
         for (q, path) in f.query.iter().zip(&batched) {
-            prop_assert_eq!(path, &snail.predict(&store, &f.support, q, &f.tags));
+            let alone = snail.predict_task(&store, &f.support, std::slice::from_ref(q), &f.tags);
+            prop_assert_eq!(path, &alone[0]);
         }
     }
 
     /// Frozen-LM baselines: batch loss bitwise identical across executors;
-    /// `predict_task_with` (transitions hoisted) matches per-sentence decode.
+    /// `predict_task` (transitions hoisted) matches per-sentence decode.
     #[test]
     fn frozenlm_bitwise_equal(flavor_ix in 0usize..5) {
         let f = fixture(4);
@@ -283,15 +285,15 @@ proptest! {
         let lm = FrozenLm::new(flavor, &f.enc, 3).unwrap();
 
         let g = Graph::eval();
-        let tape = g.value(lm.batch_loss(&g, &f.query, &f.tags).unwrap());
+        let tape = g.value(lm.batch_loss(&g, &lm.head_params, &f.query, &f.tags).unwrap());
         let ex = Infer::new();
-        let arena = ex.value(lm.batch_loss(&ex, &f.query, &f.tags).unwrap());
+        let arena = ex.value(lm.batch_loss(&ex, &lm.head_params, &f.query, &f.tags).unwrap());
         assert_bitwise(&tape, &arena, "frozen-lm batch loss");
 
         let sents: Vec<_> = f.query.iter().map(|(s, _)| s).collect();
-        let batched = lm.predict_task_with(&lm.head_params, sents.iter().copied(), &f.tags);
+        let batched = lm.predict_task(&lm.head_params, sents.iter().copied(), &f.tags);
         for (sent, path) in sents.iter().zip(&batched) {
-            prop_assert_eq!(path, &lm.predict(sent, &f.tags));
+            prop_assert_eq!(path, &lm.predict_task(&lm.head_params, [*sent], &f.tags)[0]);
         }
     }
 }

@@ -16,7 +16,8 @@
 //!   write) flips the cache to memory-only serving — the request in hand
 //!   succeeds, a one-time `serve/persist_degraded` event records the mode
 //!   switch, and any torn file is removed so a later boot never trips on
-//!   it.
+//!   it. A revision installed after that removes the key's older file, so
+//!   a reload never brings back a superseded φ.
 //! * **LRU + TTL**: bounded residency ([`CachePolicy::capacity`]) with
 //!   least-recently-used eviction, plus optional expiry
 //!   ([`CachePolicy::ttl_ns`]) driven by an injectable [`Clock`] so tests
@@ -188,7 +189,7 @@ pub struct PhiCache {
     tracer: Tracer,
     inner: Mutex<Inner>,
     /// Set on the first φ persistence failure: the cache keeps serving from
-    /// memory and stops touching the disk (until the next boot).
+    /// memory and stops writing φ files (until the next boot).
     persist_degraded: AtomicBool,
 }
 
@@ -365,6 +366,10 @@ impl PhiCache {
             return false;
         };
         if self.persist_degraded.load(Ordering::Acquire) {
+            // This revision stays in memory only, so an older one on disk
+            // is stale: drop it, or a reload after eviction or expiry (or
+            // the next boot) would bring the superseded φ back.
+            std::fs::remove_file(&path).ok();
             return false;
         }
         match ctx.save(&path) {

@@ -15,8 +15,10 @@
 //!   merged into one gradient-free decode call.
 //! * [`protocol`] — newline-delimited JSON over TCP; tags travel in their
 //!   textual `O`/`B-s`/`I-s` form.
-//! * [`client`] — a small blocking client used by the CLI, the load
-//!   generator and the tests, plus the self-healing [`RetryClient`].
+//! * [`client`] — the blocking [`Client`] used by the CLI, the load
+//!   generator and the tests: a bare connection from [`Client::connect`],
+//!   or a self-healing one (ids, retries, deadlines) from
+//!   [`Client::with_policy`].
 //!
 //! The serving path is built to degrade, not fall over: every request may
 //! carry a `deadline_ms` budget enforced at admission, in the queue, inside
@@ -40,7 +42,7 @@ pub mod protocol;
 pub mod server;
 
 pub use cache::{CacheKey, CacheStats, Lookup, PhiCache};
-pub use client::{Client, RetryClient, RetryPolicy, RetryStats};
+pub use client::{Client, RetryPolicy, RetryStats};
 pub use protocol::{
     read_frame, FrameRead, Request, Response, SupportSentence, DEFAULT_MAX_FRAME_BYTES,
 };

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use fewner_core::{MetaConfig, ServeOptions};
 use fewner_episode::Task;
 use fewner_obs::{MemorySink, MonotonicClock, TraceSummary, Tracer};
-use fewner_serve::{Client, RetryClient, RetryPolicy, Server, ServerConfig, SupportSentence};
+use fewner_serve::{Client, RetryPolicy, Server, ServerConfig, SupportSentence};
 use fewner_util::fault::{self, FaultPlan};
 use fewner_util::Error;
 
@@ -88,7 +88,7 @@ fn conn_drop_is_retried_to_a_bitwise_identical_response_with_one_adapt() {
     let (server, sink) = traced_server(ServerConfig::new());
     let (preds, stats) = fault::with_plan(plan("serve_conn_drop:1"), || {
         with_server(&server, |addr| {
-            let mut client = RetryClient::new(addr, RetryPolicy::new().seed(11));
+            let mut client = Client::with_policy(addr, RetryPolicy::new().seed(11));
             // The first response write is dropped mid-connection; the retry
             // reconnects, re-sends the adapt, and lands on the settled
             // single-flight cell instead of a second inner loop.
@@ -131,7 +131,7 @@ fn frame_corruption_is_retried_to_a_bitwise_identical_response() {
     let (server, sink) = traced_server(ServerConfig::new());
     let (preds, stats) = fault::with_plan(plan("serve_frame_corrupt:1"), || {
         with_server(&server, |addr| {
-            let mut client = RetryClient::new(addr, RetryPolicy::new().seed(23));
+            let mut client = Client::with_policy(addr, RetryPolicy::new().seed(23));
             // The first response frame is garbled on the wire; the client's
             // parse fails, it reconnects and retries.
             client
@@ -169,7 +169,7 @@ fn adapt_stall_cannot_pin_a_request_past_its_deadline() {
             // 150 ms budget vs a 400 ms injected stall. The stall checks
             // the deadline every 10 ms, so the typed error must come back
             // within budget + one poll interval + wire slack.
-            let mut client = RetryClient::new(
+            let mut client = Client::with_policy(
                 addr,
                 RetryPolicy::new().max_retries(0).deadline_ms(150).seed(3),
             );

@@ -29,17 +29,9 @@ pub fn broadcast_shape(a: (usize, usize), b: (usize, usize), op: &str) -> (usize
     (r, c)
 }
 
-/// Elementwise binary op with broadcasting.
-pub fn bcast_zip(a: &Array, b: &Array, op: &str, f: impl Fn(f32, f32) -> f32) -> Array {
-    let (r, c) = broadcast_shape(a.shape(), b.shape(), op);
-    let mut out = Array::zeros(r, c);
-    bcast_zip_into(a, b, &mut out, f);
-    out
-}
-
-/// [`bcast_zip`] writing into a caller-provided output of the broadcast
-/// shape — the allocation-free variant used by the inference arena. Every
-/// output element is overwritten.
+/// Elementwise binary op with broadcasting, written into a caller-provided
+/// output of the broadcast shape ([`broadcast_shape`]). Every output
+/// element is overwritten.
 pub fn bcast_zip_into(a: &Array, b: &Array, out: &mut Array, f: impl Fn(f32, f32) -> f32) {
     let (r, c) = out.shape();
     debug_assert_eq!(
@@ -260,7 +252,8 @@ mod tests {
     fn bcast_row_vector_add() {
         let a = Array::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
         let b = Array::from_vec(1, 3, vec![10., 20., 30.]);
-        let c = bcast_zip(&a, &b, "add", |x, y| x + y);
+        let mut c = Array::zeros(2, 3);
+        bcast_zip_into(&a, &b, &mut c, |x, y| x + y);
         assert_eq!(c.data(), &[11., 22., 33., 14., 25., 36.]);
     }
 
@@ -268,16 +261,15 @@ mod tests {
     fn bcast_col_vector_mul() {
         let a = Array::from_vec(2, 2, vec![1., 2., 3., 4.]);
         let b = Array::from_vec(2, 1, vec![10., 100.]);
-        let c = bcast_zip(&a, &b, "mul", |x, y| x * y);
+        let mut c = Array::zeros(2, 2);
+        bcast_zip_into(&a, &b, &mut c, |x, y| x * y);
         assert_eq!(c.data(), &[10., 20., 300., 400.]);
     }
 
     #[test]
     #[should_panic(expected = "cannot broadcast")]
     fn bcast_incompatible_panics() {
-        let a = Array::zeros(2, 3);
-        let b = Array::zeros(3, 3);
-        bcast_zip(&a, &b, "add", |x, y| x + y);
+        broadcast_shape((2, 3), (3, 3), "add");
     }
 
     #[test]

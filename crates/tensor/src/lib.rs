@@ -28,8 +28,8 @@
 //! * [`nn`] — generic layers: [`nn::Linear`], [`nn::Embedding`],
 //!   [`nn::GruCell`], [`nn::BiGru`], [`nn::LstmCell`], [`nn::BiLstm`],
 //!   [`nn::Conv1d`].
-//! * [`optim`] — [`optim::Sgd`] (inner loop) and [`optim::Adam`] (outer
-//!   loop) with global-norm clipping and decoupled weight decay.
+//! * [`optim`] — plain [`optim::Sgd`] (inner loop) and [`optim::Adam`]
+//!   (outer loop, with global-norm clipping and decoupled weight decay).
 //!
 //! # Example
 //!
@@ -64,7 +64,7 @@ pub use array::Array;
 pub use exec::{Exec, ExecMode, Var};
 pub use graph::{Gradients, Graph};
 pub use infer::{global_stats as infer_global_stats, Infer, InferStats};
-pub use optim::{Adam, SavedAdam, SavedSgd, Sgd};
+pub use optim::{Adam, SavedAdam, Sgd};
 pub use params::{
     f16_bits_to_f32, f32_to_f16_bits, ParamGrads, ParamId, ParamStore, QuantArray, QuantizedParams,
     SavedParams, WeightFormat,

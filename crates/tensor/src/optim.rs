@@ -32,70 +32,24 @@ fn moments_from_json(json: &Json) -> Result<Vec<Option<Array>>> {
         .collect()
 }
 
-/// Stochastic gradient descent with optional momentum.
+/// Plain stochastic gradient descent, the inner loops' optimizer (Eq. 5).
 #[derive(Debug, Clone)]
 pub struct Sgd {
     /// Learning rate.
     pub lr: f32,
-    /// Momentum coefficient (0 disables the velocity buffer).
-    pub momentum: f32,
-    /// Decoupled L2 weight decay applied before the step.
-    pub weight_decay: f32,
-    /// Global-norm gradient clip (∞ disables).
-    pub clip_norm: f32,
-    velocity: Vec<Option<Array>>,
 }
 
 impl Sgd {
     /// Plain SGD as used for the FEWNER inner loop.
     pub fn new(lr: f32) -> Sgd {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            weight_decay: 0.0,
-            clip_norm: f32::INFINITY,
-            velocity: Vec::new(),
-        }
+        Sgd { lr }
     }
 
-    /// Adds momentum.
-    pub fn with_momentum(mut self, momentum: f32) -> Sgd {
-        self.momentum = momentum;
-        self
-    }
-
-    /// Adds decoupled weight decay.
-    pub fn with_weight_decay(mut self, wd: f32) -> Sgd {
-        self.weight_decay = wd;
-        self
-    }
-
-    /// Adds global-norm clipping.
-    pub fn with_clip(mut self, clip: f32) -> Sgd {
-        self.clip_norm = clip;
-        self
-    }
-
-    /// Captures the optimizer's mutable state (learning rate + velocity)
-    /// for a training snapshot. The structural hyper-parameters (momentum,
-    /// weight decay, clip) are configuration, rebuilt by the caller.
-    pub fn to_saved(&self) -> SavedSgd {
-        SavedSgd {
-            lr: self.lr,
-            velocity: self.velocity.clone(),
-        }
-    }
-
-    /// Restores state captured with [`Sgd::to_saved`].
-    pub fn load_saved(&mut self, saved: &SavedSgd) {
-        self.lr = saved.lr;
-        self.velocity = saved.velocity.clone();
-    }
-
-    /// Applies one update. Rejects non-finite gradients rather than
-    /// poisoning the parameters, and gradients that do not match the
-    /// parameters' layout with [`Error::ShapeMismatch`]; on either error
-    /// the parameters and the optimizer state are left unchanged.
+    /// Applies one update, `p -= lr · g` per parameter slot that has a
+    /// gradient. Rejects non-finite gradients rather than poisoning the
+    /// parameters, and gradients that do not match the parameters' layout
+    /// with [`Error::ShapeMismatch`]; on either error the parameters are
+    /// left unchanged.
     pub fn step(&mut self, params: &mut ParamStore, grads: &ParamGrads) -> Result<()> {
         grads.check_matches(params, "Sgd::step")?;
         if !grads.all_finite() {
@@ -103,27 +57,8 @@ impl Sgd {
                 context: "SGD gradients".to_string(),
             });
         }
-        let mut grads = grads.clone();
-        if self.clip_norm.is_finite() {
-            grads.clip_global_norm(self.clip_norm);
-        }
-        if self.velocity.len() != params.len() {
-            self.velocity = vec![None; params.len()];
-        }
         for i in 0..params.len() {
-            let Some(g) = grads.get_at(i) else { continue };
-            if self.weight_decay > 0.0 {
-                let decay = self.weight_decay;
-                let current = params.value_at(i).clone();
-                params.value_mut(i).axpy(-self.lr * decay, &current);
-            }
-            if self.momentum > 0.0 {
-                let v = self.velocity[i].get_or_insert_with(|| Array::zeros(g.rows(), g.cols()));
-                v.scale_in_place(self.momentum);
-                v.axpy(1.0, g);
-                let v_snapshot = v.clone();
-                params.value_mut(i).axpy(-self.lr, &v_snapshot);
-            } else {
+            if let Some(g) = grads.get_at(i) {
                 params.value_mut(i).axpy(-self.lr, g);
             }
         }
@@ -265,33 +200,6 @@ impl Adam {
     }
 }
 
-/// Serialisable mutable state of an [`Sgd`] optimizer.
-#[derive(Debug, Clone)]
-pub struct SavedSgd {
-    /// Current learning rate.
-    pub lr: f32,
-    /// Momentum velocity per parameter slot (`None` = not yet touched).
-    pub velocity: Vec<Option<Array>>,
-}
-
-impl ToJson for SavedSgd {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("lr".into(), Json::from(self.lr)),
-            ("velocity".into(), moments_to_json(&self.velocity)),
-        ])
-    }
-}
-
-impl FromJson for SavedSgd {
-    fn from_json(json: &Json) -> Result<SavedSgd> {
-        Ok(SavedSgd {
-            lr: json.field("lr")?.as_f32()?,
-            velocity: moments_from_json(json.field("velocity")?)?,
-        })
-    }
-}
-
 /// Serialisable mutable state of an [`Adam`] optimizer.
 #[derive(Debug, Clone)]
 pub struct SavedAdam {
@@ -357,29 +265,10 @@ mod tests {
     }
 
     #[test]
-    fn sgd_momentum_minimises_quadratic() {
-        let mut opt = Sgd::new(0.02).with_momentum(0.9);
-        let w = quadratic_converges(|p, g| opt.step(p, g).unwrap());
-        assert!((w - 3.0).abs() < 1e-2, "w = {w}");
-    }
-
-    #[test]
     fn adam_minimises_quadratic() {
         let mut opt = Adam::new(0.05);
         let w = quadratic_converges(|p, g| opt.step(p, g).unwrap());
         assert!((w - 3.0).abs() < 1e-2, "w = {w}");
-    }
-
-    #[test]
-    fn clipping_bounds_the_step() {
-        let mut params = ParamStore::new();
-        let id = params.add("w", Array::scalar(0.0));
-        let mut grads = ParamGrads::zeros_like(&params);
-        grads.accumulate(id.index(), &Array::scalar(1000.0));
-        let mut opt = Sgd::new(1.0).with_clip(5.0);
-        opt.step(&mut params, &grads).unwrap();
-        // Step must be exactly lr * clipped = 5.0.
-        assert!((params.value_at(0).scalar_value() + 5.0).abs() < 1e-5);
     }
 
     #[test]
@@ -414,15 +303,11 @@ mod tests {
         let theta = |p: &ParamStore| -> Vec<u32> {
             p.value_at(0).data().iter().map(|x| x.to_bits()).collect()
         };
-        let mut sgd = Sgd::new(0.1).with_momentum(0.9);
+        let mut sgd = Sgd::new(0.1);
         let mut adam = Adam::new(0.05).with_clip(2.0);
         sgd.step(&mut params, &good).unwrap();
         adam.step(&mut params, &good).unwrap();
-        let (before, sgd_state, adam_state) = (
-            theta(&params),
-            sgd.to_saved().to_json().to_string(),
-            adam.to_saved().to_json().to_string(),
-        );
+        let (before, adam_state) = (theta(&params), adam.to_saved().to_json().to_string());
         for bad in [&wrong_shape, &wrong_count] {
             let err = sgd.step(&mut params, bad).unwrap_err();
             assert!(
@@ -447,23 +332,8 @@ mod tests {
                 "{err}"
             );
             assert_eq!(theta(&params), before, "θ must be untouched");
-            assert_eq!(sgd.to_saved().to_json().to_string(), sgd_state);
             assert_eq!(adam.to_saved().to_json().to_string(), adam_state);
         }
-    }
-
-    #[test]
-    fn weight_decay_shrinks_parameters() {
-        let mut params = ParamStore::new();
-        let id = params.add("w", Array::scalar(10.0));
-        let grads = ParamGrads::zeros_like(&params);
-        // No gradient at all: decay alone must still shrink w... but slots
-        // without gradients are skipped, so supply a zero gradient.
-        let mut g2 = grads.clone();
-        g2.accumulate(id.index(), &Array::scalar(0.0));
-        let mut opt = Sgd::new(1.0).with_weight_decay(0.1);
-        opt.step(&mut params, &g2).unwrap();
-        assert!((params.value_at(0).scalar_value() - 9.0).abs() < 1e-5);
     }
 
     #[test]
@@ -492,30 +362,6 @@ mod tests {
         let straight = run(None);
         let resumed = run(Some(6));
         assert_eq!(straight.to_bits(), resumed.to_bits());
-    }
-
-    #[test]
-    fn sgd_state_round_trip_preserves_velocity() {
-        let mut params = ParamStore::new();
-        let id = params.add("w", Array::scalar(0.0));
-        let mut opt = Sgd::new(0.1).with_momentum(0.9);
-        let mut grads = ParamGrads::zeros_like(&params);
-        grads.accumulate(id.index(), &Array::scalar(1.0));
-        opt.step(&mut params, &grads).unwrap();
-        let json = opt.to_saved().to_json().to_string();
-        let saved = SavedSgd::from_json(&Json::parse(&json).unwrap()).unwrap();
-        let mut fresh = Sgd::new(0.1).with_momentum(0.9);
-        fresh.load_saved(&saved);
-        let mut p2 = ParamStore::new();
-        let id2 = p2.add("w", Array::scalar(params.value_at(0).scalar_value()));
-        let mut g2 = ParamGrads::zeros_like(&p2);
-        g2.accumulate(id2.index(), &Array::scalar(1.0));
-        fresh.step(&mut p2, &g2).unwrap();
-        opt.step(&mut params, &grads).unwrap();
-        assert_eq!(
-            params.value_at(0).scalar_value().to_bits(),
-            p2.value_at(0).scalar_value().to_bits()
-        );
     }
 
     #[test]

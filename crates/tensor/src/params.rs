@@ -811,26 +811,6 @@ impl ParamGrads {
         self.axpy(1.0, other);
     }
 
-    /// Sums accumulators **in iteration order** and returns the total.
-    ///
-    /// The parallel meta-batch engine collects one `ParamGrads` per task
-    /// (indexed by the task's position in the batch) and reduces them here
-    /// on a single thread. Because floating-point addition is not
-    /// associative, reducing in a fixed order is what makes the parallel
-    /// trainer bitwise-identical to the serial one: the summation order
-    /// depends only on task indices, never on thread completion order.
-    pub fn sum_in_order<I>(grads: I) -> Option<ParamGrads>
-    where
-        I: IntoIterator<Item = ParamGrads>,
-    {
-        let mut iter = grads.into_iter();
-        let mut acc = iter.next()?;
-        for g in iter {
-            acc.add_assign(&g);
-        }
-        Some(acc)
-    }
-
     /// Scales all gradients in place.
     pub fn scale(&mut self, alpha: f32) {
         for g in self.grads.iter_mut().flatten() {

@@ -42,6 +42,14 @@ fn rand_array_with_zeros(rows: usize, cols: usize, seed: u64) -> Array {
     a
 }
 
+/// Broadcast elementwise `f(a, b)` into a fresh array of the broadcast shape.
+fn bcast(a: &Array, b: &Array, op: &str, f: impl Fn(f32, f32) -> f32) -> Array {
+    let (r, c) = kernels::broadcast_shape(a.shape(), b.shape(), op);
+    let mut out = Array::zeros(r, c);
+    kernels::bcast_zip_into(a, b, &mut out, f);
+    out
+}
+
 fn assert_bitwise(a: &Array, b: &Array, what: &str) {
     assert_eq!(a.shape(), b.shape(), "{what}: shape");
     for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
@@ -68,11 +76,11 @@ proptest! {
         let shapes = [(r, c), (1, c), (r, 1), (1, 1)];
         for (i, &(br, bc)) in shapes.iter().enumerate() {
             let b = rand_array(br, bc, seed ^ (i as u64 + 1));
-            let ab = kernels::bcast_zip(&full, &b, "ab", |x, y| x + y);
-            let ba = kernels::bcast_zip(&b, &full, "ba", |x, y| x + y);
+            let ab = bcast(&full, &b, "ab", |x, y| x + y);
+            let ba = bcast(&b, &full, "ba", |x, y| x + y);
             assert_bitwise(&ab, &ba, "broadcast add commutes");
-            let ab = kernels::bcast_zip(&full, &b, "ab", |x, y| x * y);
-            let ba = kernels::bcast_zip(&b, &full, "ba", |x, y| x * y);
+            let ab = bcast(&full, &b, "ab", |x, y| x * y);
+            let ba = bcast(&b, &full, "ba", |x, y| x * y);
             assert_bitwise(&ab, &ba, "broadcast mul commutes");
         }
     }
@@ -90,8 +98,8 @@ proptest! {
                     *tiled.at_mut(x, y) = b.at(if br == 1 { 0 } else { x }, if bc == 1 { 0 } else { y });
                 }
             }
-            let via_bcast = kernels::bcast_zip(&a, &b, "bcast", |x, y| x - y);
-            let via_tiled = kernels::bcast_zip(&a, &tiled, "tiled", |x, y| x - y);
+            let via_bcast = bcast(&a, &b, "bcast", |x, y| x - y);
+            let via_tiled = bcast(&a, &tiled, "tiled", |x, y| x - y);
             assert_bitwise(&via_bcast, &via_tiled, "tiling law");
         }
     }

@@ -131,7 +131,7 @@ proptest! {
         let run_sgd = || {
             let mut store = ParamStore::new();
             let id = store.add("w", rand_array(2, 3, seed));
-            let mut opt = Sgd::new(0.1).with_momentum(0.9).with_clip(1.0);
+            let mut opt = Sgd::new(0.1);
             for step in 0..5 {
                 let mut grads = ParamGrads::zeros_like(&store);
                 grads.accumulate(id.index(), &rand_array(2, 3, seed ^ (step + 1)));

@@ -191,12 +191,6 @@ fn wire_err(detail: impl std::fmt::Display) -> Error {
     }
 }
 
-/// Writes one framed, checksummed payload to a byte stream and flushes it.
-pub fn write_wire_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
-    w.write_all(&frame(payload)).map_err(wire_err)?;
-    w.flush().map_err(wire_err)
-}
-
 /// Reads one frame from a byte stream, classifying damage (see
 /// [`WireFrame`]). `max_payload` caps the declared length so a hostile or
 /// garbled header can never balloon memory; larger declarations are

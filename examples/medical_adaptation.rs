@@ -97,13 +97,13 @@ fn main() -> fewner::Result<()> {
     for task in &tasks {
         let tags = task.tag_set();
         let (phi_store, phi_id) = fewner.backbone.new_context();
-        for sent in &task.query {
-            let encd = enc.encode(&sent.tokens);
-            let pred_idx =
-                fewner
-                    .backbone
-                    .decode(&fewner.theta, Some((&phi_store, phi_id)), &encd, &tags);
-            let pred: Vec<Tag> = pred_idx.iter().map(|&i| tags.tag(i)).collect();
+        let encoded: Vec<_> = task.query.iter().map(|s| enc.encode(&s.tokens)).collect();
+        let paths =
+            fewner
+                .backbone
+                .decode_task(&fewner.theta, Some((&phi_store, phi_id)), &encoded, &tags);
+        for (sent, path) in task.query.iter().zip(&paths) {
+            let pred: Vec<Tag> = path.iter().map(|&i| tags.tag(i)).collect();
             zero_shot.add_tags(&sent.tags, &pred);
         }
     }
