@@ -6,7 +6,10 @@
 //!
 //! An adapt encodes its support set once and then takes K φ steps, so the
 //! two costs are reported apart: the encode is timed on its own, and a step
-//! as (K-step adapt − 1-step adapt) / (K − 1).
+//! as (K-step adapt − 1-step adapt) / (K − 1). A training task's gradient
+//! adds the query loss of the adapted model on a training tape; its
+//! forward and backward are timed apart too, next to the tape's size in
+//! nodes per query token.
 //!
 //! Every figure is sampled [`ROUNDS`] times and printed as the median with
 //! its first and third quartiles. A round samples every figure once, so
@@ -18,6 +21,8 @@
 //! are the *relative* ones: adaptation ≪ training, inner-step cost roughly
 //! independent of K, linear growth with data size.
 
+use std::cell::Cell;
+use std::rc::Rc;
 use std::time::Instant;
 
 use fewner_bench::{backbone_config, embedding_spec, meta_config, Scale, EVAL_SEED};
@@ -26,7 +31,7 @@ use fewner_corpus::{split_types, DatasetProfile};
 use fewner_episode::{EpisodeSampler, Task};
 use fewner_models::{encode_task, Conditioning, LabeledSentence, TokenEncoder};
 use fewner_obs::Tracer;
-use fewner_tensor::{Exec, Graph};
+use fewner_tensor::{Exec, Graph, ParamId, ParamStore};
 use fewner_text::TagSet;
 use fewner_util::Rng;
 
@@ -162,12 +167,89 @@ fn inner_loop_figures<'a>(
     });
 }
 
-/// One shot setting's fixtures: a learner, a training meta-batch, its
-/// first task's support set, and held-out tasks to adapt and evaluate.
+/// One training task's query loss input: φ adapted as the outer loop
+/// adapts it, the encoded query set and the tag set.
+struct QueryLoss {
+    phi: (ParamStore, ParamId),
+    query: Vec<LabeledSentence>,
+    tags: TagSet,
+}
+
+impl QueryLoss {
+    fn new(learner: &Fewner, task: &Task, enc: &TokenEncoder, steps: usize) -> QueryLoss {
+        let (support, query) = encode_task(enc, task);
+        let tags = task.tag_set();
+        let (store, id, _) = learner
+            .adapt_context(&support, &tags, steps)
+            .expect("adapt");
+        QueryLoss {
+            phi: (store, id),
+            query,
+            tags,
+        }
+    }
+
+    /// The query loss on a training tape (dropout on, as in the outer
+    /// loop), as the tape and its loss.
+    fn tape(&self, learner: &Fewner, seed: u64) -> (Graph, fewner_tensor::Var) {
+        let g = Graph::new();
+        let phi = g.param(&self.phi.0, self.phi.1);
+        let loss = learner.backbone.batch_loss(
+            &g,
+            &learner.theta,
+            Some(phi),
+            &self.query,
+            &self.tags,
+            &mut Rng::new(seed),
+        );
+        (g, loss)
+    }
+}
+
+/// Adds a task gradient's query-loss forward and backward to `report`,
+/// each a sample's mean over `losses`, and returns the tape's nodes per
+/// query token. One sample times both halves of the same tapes; the
+/// backward figure reads what the forward figure's sample measured.
+fn query_loss_figures<'a>(
+    report: &mut Report<'a>,
+    learner: &'a Fewner,
+    losses: &'a [QueryLoss],
+) -> f64 {
+    let nodes: usize = losses.iter().map(|l| l.tape(learner, 0).0.len()).sum();
+    let tokens: usize = losses
+        .iter()
+        .flat_map(|l| &l.query)
+        .map(|(sent, _)| sent.len())
+        .sum();
+    let backward = Rc::new(Cell::new(0.0));
+    let measured = Rc::clone(&backward);
+    report.figure("query-loss forward / task", Unit::Ms, move || {
+        let (mut forward, mut back) = (0.0, 0.0);
+        for (i, loss) in losses.iter().enumerate() {
+            let t0 = Instant::now();
+            let (g, value) = loss.tape(learner, i as u64);
+            let t1 = Instant::now();
+            std::hint::black_box(g.backward(value).expect("finite loss"));
+            forward += (t1 - t0).as_secs_f64();
+            back += t1.elapsed().as_secs_f64();
+        }
+        measured.set(back / losses.len() as f64);
+        forward / losses.len() as f64
+    });
+    report.figure("query-loss backward / task", Unit::Ms, move || {
+        backward.get()
+    });
+    nodes as f64 / tokens as f64
+}
+
+/// One shot setting's fixtures: a learner, a training meta-batch with each
+/// task's query loss input, its first task's support set, and held-out
+/// tasks to adapt and evaluate.
 struct Shots {
     k: usize,
     learner: Fewner,
     tasks: Vec<Task>,
+    losses: Vec<QueryLoss>,
     support: Vec<LabeledSentence>,
     tags: TagSet,
     eval_tasks: Vec<Task>,
@@ -199,10 +281,16 @@ fn main() {
                 .expect("sampler")
                 .eval_set(EVAL_SEED, 5)
                 .expect("eval set");
+            let learner = fresh_fewner();
+            let losses = tasks
+                .iter()
+                .map(|task| QueryLoss::new(&learner, task, &enc, meta.inner_steps_train))
+                .collect();
             Shots {
                 k,
-                learner: fresh_fewner(),
+                learner,
                 tasks,
+                losses,
                 support,
                 tags,
                 eval_tasks,
@@ -289,6 +377,12 @@ fn main() {
                 },
             );
         }
+        // Where a task gradient's query loss goes: its tape's forward and
+        // backward, and the tape's size.
+        let per_token = query_loss_figures(&mut report, &s.learner, &s.losses);
+        report.text(format!(
+            "  query tape                   {per_token:.1} nodes / query token"
+        ));
         // Test-time adaptation + evaluation per task.
         report.figure("adapt / task", Unit::Ms, move || {
             per_task(&s.eval_tasks, |task| {

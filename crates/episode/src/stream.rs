@@ -27,7 +27,6 @@ use std::collections::VecDeque;
 
 use fewner_corpus::{CorpusChunk, CorpusSource, SplitView, StreamCursor, TypePartition};
 use fewner_obs::Tracer;
-use fewner_text::Sentence;
 use fewner_util::{Error, Result, Rng};
 
 use crate::sampler::EpisodeSampler;
@@ -48,9 +47,13 @@ pub struct StreamSampler<S: CorpusSource> {
     /// Raw sentences consumed since the start of the stream (monotonic;
     /// wraps over the corpus modulo its length for multi-epoch runs).
     consumed: u64,
-    /// Routed sentences whose raw index is in `[consumed - window, consumed)`,
-    /// tagged with that raw index for eviction.
-    buffer: VecDeque<(u64, Sentence)>,
+    /// The resident window: the routed sentences whose raw index is in
+    /// `[consumed - window, consumed)`, in stream order, as the view the
+    /// greedy sampler draws from. Sentences move in at ingest and leave
+    /// from the front at eviction, so a draw borrows the window as it is.
+    resident: SplitView,
+    /// The raw index of each resident sentence, for eviction.
+    raws: VecDeque<u64>,
     /// Most recently generated chunk (sentences are consumed in order, so
     /// one resident chunk suffices).
     chunk: Option<CorpusChunk>,
@@ -95,16 +98,20 @@ impl<S: CorpusSource> StreamSampler<S> {
         }
         Ok(StreamSampler {
             source,
-            partition,
             n_ways,
             k_shots,
             query_size,
             window,
             stride,
             consumed: 0,
-            buffer: VecDeque::new(),
+            resident: SplitView {
+                types: partition.types.clone(),
+                sentences: Vec::new(),
+            },
+            raws: VecDeque::new(),
             chunk: None,
             high_water: 0,
+            partition,
         })
     }
 
@@ -116,11 +123,12 @@ impl<S: CorpusSource> StreamSampler<S> {
     }
 
     /// Restores the sampler to `cursor`: regenerates the bounded raw range
-    /// the window spanned at that position and rebuilds the resident buffer,
+    /// the window spanned at that position and rebuilds the resident window,
     /// touching only `window / chunk_size + 1` chunks.
     pub fn seek(&mut self, cursor: StreamCursor, tracer: &Tracer) -> Result<()> {
         let consumed = cursor.consumed(self.source.chunk_size());
-        self.buffer.clear();
+        self.resident.sentences.clear();
+        self.raws.clear();
         self.chunk = None;
         for raw in consumed.saturating_sub(self.window as u64)..consumed {
             self.ingest(raw, tracer)?;
@@ -140,7 +148,7 @@ impl<S: CorpusSource> StreamSampler<S> {
         &self.source
     }
 
-    /// Generates and routes raw sentence `raw` into the buffer.
+    /// Generates and routes raw sentence `raw` into the window.
     fn ingest(&mut self, raw: u64, tracer: &Tracer) -> Result<()> {
         let total = self.source.total_sentences() as u64;
         let idx = (raw % total) as usize;
@@ -154,7 +162,8 @@ impl<S: CorpusSource> StreamSampler<S> {
         }
         let s = &self.chunk.as_ref().expect("chunk cached above").sentences[pos];
         if let Some(routed) = self.partition.route(s) {
-            self.buffer.push_back((raw, routed));
+            self.resident.sentences.push(routed);
+            self.raws.push_back(raw);
         }
         Ok(())
     }
@@ -168,24 +177,17 @@ impl<S: CorpusSource> StreamSampler<S> {
             self.consumed += 1;
         }
         let min = self.consumed.saturating_sub(self.window as u64);
-        while self.buffer.front().is_some_and(|(raw, _)| *raw < min) {
-            self.buffer.pop_front();
-        }
+        let evicted = self.raws.iter().take_while(|&&raw| raw < min).count();
+        self.raws.drain(..evicted);
+        self.resident.sentences.drain(..evicted);
         self.record_residency(tracer);
         Ok(())
     }
 
     fn record_residency(&mut self, tracer: &Tracer) {
-        self.high_water = self.high_water.max(self.buffer.len());
-        tracer.observe("corpus/window_resident", self.buffer.len() as f64);
-    }
-
-    /// The current window as a [`SplitView`] for the greedy sampler.
-    fn window_view(&self) -> SplitView {
-        SplitView {
-            types: self.partition.types.clone(),
-            sentences: self.buffer.iter().map(|(_, s)| s.clone()).collect(),
-        }
+        let resident = self.resident.len();
+        self.high_water = self.high_water.max(resident);
+        tracer.observe("corpus/window_resident", resident as f64);
     }
 
     /// Draws one task, sliding the window. Equivalent to
@@ -208,8 +210,7 @@ impl<S: CorpusSource> StreamSampler<S> {
         self.advance(fill, tracer)?;
         let mut last_err = None;
         for _ in 0..WINDOW_RETRIES {
-            let view = self.window_view();
-            match EpisodeSampler::new(&view, self.n_ways, self.k_shots, self.query_size)
+            match EpisodeSampler::new(&self.resident, self.n_ways, self.k_shots, self.query_size)
                 .and_then(|s| s.sample_traced(rng, tracer))
             {
                 Ok(task) => return Ok(task),
@@ -319,6 +320,27 @@ mod tests {
             s.cursor().consumed(32) > total as u64,
             "stream never wrapped"
         );
+    }
+
+    /// The drawn tasks are pinned across changes: a CRC of a seeded run of
+    /// 20 draws whose small window makes two of them retry (each retry
+    /// slides one more stride, so the stream ends 2 strides past the
+    /// retry-free 12 + 19 × 4 raw sentences).
+    #[test]
+    fn seeded_draws_with_window_retries_match_the_pinned_crc() {
+        let p = DatasetProfile::genia();
+        let source = p.stream(0.05, None, 64).unwrap();
+        let ids: Vec<TypeId> = source.types().iter().map(|t| t.id).collect();
+        let (train, _, _) = partition_type_ids(ids, (18, 8, 10), 42).unwrap();
+        let mut s = StreamSampler::new(source, train, 8, 1, 10, 12, 4).unwrap();
+        let mut rng = Rng::new(29);
+        let mut bytes = Vec::new();
+        for _ in 0..20 {
+            let task = s.sample(&mut rng).unwrap();
+            bytes.extend(format!("{task:?}").into_bytes());
+        }
+        assert_eq!(s.cursor().consumed(64), 12 + 19 * 4 + 2 * 4, "two retries");
+        assert_eq!(fewner_util::crc32(&bytes), 0x87c6_c848);
     }
 
     #[test]

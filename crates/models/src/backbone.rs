@@ -22,25 +22,29 @@
 //! with its dropouts, and the head applies FiLM, the slot context, the
 //! emissions and the CRF. Under ConcatInput φ joins the recurrent input, so
 //! the encode stage stops at the word and char features and the head runs
-//! the recurrent layer. [`Backbone::nll`], [`Backbone::batch_loss`],
-//! [`Backbone::hidden`] and [`Backbone::emissions`] compose the two on any
-//! executor, one sentence at a time; FEWNER's inner loop runs the encode
-//! stage once per support set ([`Backbone::encode_support`]) and only the
-//! head on every φ step ([`Backbone::encoded_loss`]).
+//! the recurrent layer.
 //!
-//! Where no gradient is needed, a call's sentences go through one
-//! **batched pass** on [`Infer`] instead ([`Backbone::hidden_task`], behind
-//! [`Backbone::decode_task`] and [`Backbone::encode_support`]): every op
-//! runs once over all tokens' rows, the char-CNN over all tokens'
-//! character windows and the recurrent layer over all sentences at once,
-//! longest first, each step over the sentences still running. The layers
-//! have one forward body each, over stacked sequences; the per-sentence
-//! path calls it with one sequence (one token's characters for the CNN),
-//! so each sentence's rows are bitwise what the batched pass gives it,
-//! since every op involved computes each row on its own. The tape path
-//! stays per sentence: training's θ-gradient accumulation order follows
-//! the tape's node order, and the per-sentence tape is the reference the
-//! equivalence tests hold the batched pass to.
+//! The encode stage runs over a stack of sentences on either executor:
+//! every op once over all tokens' rows, the char-CNN over all tokens'
+//! character windows, and the recurrent layer over all sentences at once,
+//! longest first, each step over the sentences still running. Each
+//! sentence's rows are bitwise what it gets alone, since every op involved
+//! computes each row on its own. [`Backbone::nll`], [`Backbone::hidden`]
+//! and [`Backbone::emissions`] are its one-sentence calls.
+//!
+//! * [`Backbone::batch_loss`], the training query loss, encodes all of a
+//!   batch's sentences at once on the tape; each sentence then builds its
+//!   own task context and runs its head on its own rows. Its loss and
+//!   gradients are bitwise those of one `nll` per sentence: the dropout
+//!   masks are drawn in sentence order, and the tape replays the stacked
+//!   layers' parameter gradients sentence by sentence
+//!   ([`fewner_tensor::Exec::segmented`]).
+//! * Where no gradient is needed, [`Backbone::hidden_task`] (behind
+//!   [`Backbone::decode_task`]) runs the head once over all rows too, with
+//!   the φ-conditioned projections computed once per call.
+//! * FEWNER's inner loop encodes its support once on [`Infer`]
+//!   ([`Backbone::encode_support`]) and runs only the head, per sentence,
+//!   on every φ step ([`Backbone::encoded_loss`]).
 
 use std::sync::Arc;
 
@@ -457,65 +461,30 @@ impl Backbone {
         ctx
     }
 
-    /// The φ-free encode stage of one sentence (see the module docs).
+    /// The φ-free encode stage of stacked sentences (see the module docs):
+    /// sentence `i` is the `lens[i]` rows after the rows of the sentences
+    /// before it. Every op runs once over all of their rows: the word
+    /// lookup, the char-CNN over every token's windows and, under FiLM
+    /// and no conditioning, the recurrent layer with its dropouts.
     fn encode<E: Exec>(
         &self,
         g: &E,
         theta: &ParamStore,
-        sent: &EncodedSentence,
-        rng: &mut Rng,
-    ) -> Encoded<Var> {
-        assert!(!sent.is_empty(), "empty sentence");
-        let words = self.word_emb.apply(g, theta, &sent.word_ids);
-        let chars = match (&self.char_emb, &self.char_cnn) {
-            (Some(ce), Some(cnn)) => {
-                let rows: Vec<Var> = sent
-                    .char_ids
-                    .iter()
-                    .map(|ids| cnn.apply(g, theta, ce.apply(g, theta, ids), &[ids.len()]))
-                    .collect();
-                Some(g.concat_rows(&rows))
-            }
-            _ => None,
-        };
-        self.encoded(g, words, chars, |x| self.recur(g, theta, x, rng))
-    }
-
-    /// [`Backbone::encode`] of every sentence at once on [`Infer`]: each op
-    /// runs once over all tokens' rows, stacked in the sentences' order
-    /// (`lens[i]` rows for sentence `i`). Dropout is inert on `Infer`, so
-    /// the recurrent layer runs without it.
-    fn encode_batched(
-        &self,
-        ex: &Infer,
-        theta: &ParamStore,
         sents: &[&EncodedSentence],
         lens: &[usize],
+        rng: &mut Rng,
     ) -> Encoded<Var> {
         let word_ids: Vec<usize> = sents.iter().flat_map(|s| &s.word_ids).copied().collect();
-        let words = self.word_emb.apply(ex, theta, &word_ids);
+        let words = self.word_emb.apply(g, theta, &word_ids, lens);
         let chars = match (&self.char_emb, &self.char_cnn) {
             (Some(ce), Some(cnn)) => {
                 let tokens = || sents.iter().flat_map(|s| &s.char_ids);
                 let ids: Vec<usize> = tokens().flatten().copied().collect();
                 let widths: Vec<usize> = tokens().map(Vec::len).collect();
-                Some(cnn.apply(ex, theta, ce.apply(ex, theta, &ids), &widths))
+                Some(cnn.apply(g, theta, ce.apply(g, theta, &ids, &widths), &widths))
             }
             _ => None,
         };
-        self.encoded(ex, words, chars, |x| self.encoder.apply(ex, theta, x, lens))
-    }
-
-    /// The encode stage's state from the word and char features: the
-    /// features themselves under ConcatInput, else their concatenation run
-    /// through `recur`.
-    fn encoded<E: Exec>(
-        &self,
-        g: &E,
-        words: Var,
-        chars: Option<Var>,
-        recur: impl FnOnce(Var) -> Var,
-    ) -> Encoded<Var> {
         if self.cfg.conditioning == Conditioning::ConcatInput {
             return Encoded::Tokens(words, chars);
         }
@@ -523,47 +492,79 @@ impl Backbone {
             Some(chars) => g.concat_cols(&[words, chars]),
             None => words,
         };
-        Encoded::Hidden(recur(x))
+        Encoded::Hidden(self.recur(g, theta, x, lens, rng))
     }
 
-    /// The recurrent layer between its input and output dropouts:
-    /// `[L, in] → [L, 2H]`.
-    fn recur<E: Exec>(&self, g: &E, theta: &ParamStore, x: Var, rng: &mut Rng) -> Var {
-        let x = g.dropout(x, self.cfg.dropout, rng);
-        let h = self.encoder.apply(g, theta, x, &[g.shape(x).0]);
-        g.dropout(h, self.cfg.dropout, rng)
-    }
-
-    /// The φ-conditioned head up to the hidden states: FiLM on an encoded
-    /// `Hidden` state, or (ConcatInput) φ's row joined to every token's
-    /// features and run through the recurrent layer by `recur`.
-    fn condition<E: Exec>(
+    /// The recurrent layer between its input and output dropouts over
+    /// stacked sentences: `[ΣL, in] → [ΣL, 2H]`. Every sentence's masks
+    /// are drawn before any op runs, in the order one sentence at a time
+    /// draws them (its input mask, then its output mask), so the RNG
+    /// stream and each sentence's masks do not depend on the stacking.
+    fn recur<E: Exec>(
         &self,
         g: &E,
-        ctx: &TaskCtx,
+        theta: &ParamStore,
+        x: Var,
+        lens: &[usize],
+        rng: &mut Rng,
+    ) -> Var {
+        let (rate, in_dim, out_dim) = (self.cfg.dropout, g.shape(x).1, 2 * self.cfg.hidden);
+        let (mut in_masks, mut out_masks) = (Vec::new(), Vec::new());
+        for &len in lens {
+            in_masks.extend(g.dropout_mask(len, in_dim, rate, rng));
+            out_masks.extend(g.dropout_mask(len, out_dim, rate, rng));
+        }
+        let x = masked(g, x, &in_masks);
+        let h = self.encoder.apply(g, theta, x, lens);
+        masked(g, h, &out_masks)
+    }
+
+    /// The hidden states `[ΣL, 2H]` of stacked sentences, before FiLM:
+    /// an encoded `Hidden` state as it is, or (ConcatInput) every token's
+    /// features joined to its sentence's φ row — sentence `i`'s from
+    /// `ctxs[i]` — and run through the recurrent layer.
+    fn hidden_rows<E: Exec>(
+        &self,
+        g: &E,
+        theta: &ParamStore,
+        ctxs: &[&TaskCtx],
         x: Encoded<Var>,
-        recur: impl FnOnce(Var) -> Var,
+        lens: &[usize],
+        rng: &mut Rng,
     ) -> Var {
         match x {
-            Encoded::Hidden(h) => match ctx.film {
-                Some((gamma, eta)) => g.film(h, gamma, eta),
-                None => h,
-            },
+            Encoded::Hidden(h) => h,
             Encoded::Tokens(words, chars) => {
-                let global = ctx.global.expect("ConcatInput conditioning requires phi");
                 // Broadcast φ over tokens by explicit row stacking.
-                let copies = vec![global; g.shape(words).0];
+                let copies: Vec<Var> = ctxs
+                    .iter()
+                    .zip(lens)
+                    .flat_map(|(ctx, &len)| {
+                        let global = ctx.global.expect("ConcatInput conditioning requires phi");
+                        std::iter::repeat_n(global, len)
+                    })
+                    .collect();
                 let phi_rows = g.concat_rows(&copies);
                 let x = match chars {
                     Some(chars) => g.concat_cols(&[words, chars, phi_rows]),
                     None => g.concat_cols(&[words, phi_rows]),
                 };
-                recur(x)
+                self.recur(g, theta, x, lens, rng)
             }
         }
     }
 
-    /// Contextual hidden states `[L, 2H]` under a pre-computed task context.
+    /// FiLM (Eq. 8) of hidden states under a task context; the identity
+    /// without FiLM conditioning.
+    fn film<E: Exec>(&self, g: &E, ctx: &TaskCtx, h: Var) -> Var {
+        match ctx.film {
+            Some((gamma, eta)) => g.film(h, gamma, eta),
+            None => h,
+        }
+    }
+
+    /// Contextual hidden states `[L, 2H]` of one sentence under a
+    /// pre-computed task context.
     fn hidden_ctx<E: Exec>(
         &self,
         g: &E,
@@ -572,8 +573,10 @@ impl Backbone {
         sent: &EncodedSentence,
         rng: &mut Rng,
     ) -> Var {
-        let x = self.encode(g, theta, sent, rng);
-        self.condition(g, ctx, x, |x| self.recur(g, theta, x, rng))
+        let lens = sentence_lens(&[sent]);
+        let x = self.encode(g, theta, &[sent], &lens, rng);
+        let h = self.hidden_rows(g, theta, &[ctx], x, &lens, rng);
+        self.film(g, ctx, h)
     }
 
     /// Contextual hidden states `[L, 2H]`, conditioned on φ when given.
@@ -651,19 +654,17 @@ impl Backbone {
         }
     }
 
-    /// Sequence NLL of one sentence from its encoded state.
-    #[allow(clippy::too_many_arguments)]
-    fn encoded_nll<E: Exec>(
+    /// Sequence NLL of one sentence from its hidden states before FiLM.
+    fn sentence_nll<E: Exec>(
         &self,
         g: &E,
         theta: &ParamStore,
         ctx: &TaskCtx,
-        x: Encoded<Var>,
+        h: Var,
         gold: &[usize],
         tags: &TagSet,
-        rng: &mut Rng,
     ) -> Var {
-        let h = self.condition(g, ctx, x, |x| self.recur(g, theta, x, rng));
+        let h = self.film(g, ctx, h);
         let e = self.emissions_ctx(g, theta, ctx, h, tags);
         let (trans, start) = self.transitions(g, theta, tags);
         crate::crf::crf_nll(g, e, trans, start, gold)
@@ -682,11 +683,23 @@ impl Backbone {
         rng: &mut Rng,
     ) -> Var {
         let ctx = self.task_ctx(g, theta, phi, tags);
-        let x = self.encode(g, theta, sent, rng);
-        self.encoded_nll(g, theta, &ctx, x, gold, tags, rng)
+        let lens = sentence_lens(&[sent]);
+        let x = self.encode(g, theta, &[sent], &lens, rng);
+        let h = self.hidden_rows(g, theta, &[&ctx], x, &lens, rng);
+        self.sentence_nll(g, theta, &ctx, h, gold, tags)
     }
 
     /// Mean sequence NLL over a batch — the per-task loss `L(θ, φ)`.
+    ///
+    /// The encode stage and the recurrent layer run once over all of the
+    /// batch's sentences; each sentence then builds its own task context
+    /// and runs FiLM, the emissions and the CRF on its own rows. The loss
+    /// and every θ and φ gradient are bitwise those of one [`Backbone::nll`]
+    /// per sentence, in batch order, on one tape: dropout masks are drawn
+    /// in that order, the tape replays the stacked layers' parameter
+    /// gradients per sentence ([`fewner_tensor::Exec::segmented`]), and a
+    /// per-sentence context keeps φ's gradient summing sentence by
+    /// sentence.
     #[allow(clippy::too_many_arguments)]
     pub fn batch_loss<E: Exec>(
         &self,
@@ -698,9 +711,24 @@ impl Backbone {
         rng: &mut Rng,
     ) -> Var {
         assert!(!batch.is_empty(), "empty batch");
+        let sents: Vec<&EncodedSentence> = batch.iter().map(|(sent, _)| sent).collect();
+        let lens = sentence_lens(&sents);
+        let ctxs: Vec<TaskCtx> = lens
+            .iter()
+            .map(|_| self.task_ctx(g, theta, phi, tags))
+            .collect();
+        let x = self.encode(g, theta, &sents, &lens, rng);
+        let h = self.hidden_rows(g, theta, &ctxs.iter().collect::<Vec<_>>(), x, &lens, rng);
+        let mut first = 0;
         let losses: Vec<Var> = batch
             .iter()
-            .map(|(s, gold)| self.nll(g, theta, phi, s, gold, tags, rng))
+            .zip(&ctxs)
+            .zip(&lens)
+            .map(|(((_, gold), ctx), &len)| {
+                let rows: Vec<usize> = (first..first + len).collect();
+                first += len;
+                self.sentence_nll(g, theta, ctx, g.gather_rows(h, &rows), gold, tags)
+            })
             .collect();
         let total = g.concat_cols(&losses);
         g.mean_all(total)
@@ -723,7 +751,8 @@ impl Backbone {
             };
         }
         let ex = Infer::new();
-        let states = match self.encode_batched(&ex, theta, &sents, &lens) {
+        let mut rng = Rng::new(0); // `Infer`: dropout inert, rng unused
+        let states = match self.encode(&ex, theta, &sents, &lens, &mut rng) {
             Encoded::Hidden(h) => split_rows(&ex.value(h), &lens)
                 .into_iter()
                 .map(Encoded::Hidden)
@@ -766,7 +795,8 @@ impl Backbone {
             .map(|((_, gold), state)| {
                 let ctx = self.task_ctx(g, theta, Some(phi), tags);
                 let x = state.map(|a| g.constant((**a).clone()));
-                self.encoded_nll(g, theta, &ctx, x, gold, tags, &mut rng)
+                let h = self.hidden_rows(g, theta, &[&ctx], x, &[gold.len()], &mut rng);
+                self.sentence_nll(g, theta, &ctx, h, gold, tags)
             })
             .collect();
         let total = g.concat_cols(&losses);
@@ -808,10 +838,12 @@ impl Backbone {
             };
         }
         let ex = Infer::new();
+        let mut rng = Rng::new(0); // `Infer`: dropout inert, rng unused
         let phi = phi_store.map(|(s, id)| ex.param(s, id));
         let ctx = self.task_ctx(&ex, theta, phi, tags);
-        let x = self.encode_batched(&ex, theta, &sents, &lens);
-        let h = self.condition(&ex, &ctx, x, |x| self.encoder.apply(&ex, theta, x, &lens));
+        let x = self.encode(&ex, theta, &sents, &lens, &mut rng);
+        let h = self.hidden_rows(&ex, theta, &vec![&ctx; lens.len()], x, &lens, &mut rng);
+        let h = self.film(&ex, &ctx, h);
         let e = self.emissions_ctx(&ex, theta, &ctx, h, tags);
         TaskRows {
             offsets,
@@ -853,6 +885,17 @@ fn sentence_lens(sents: &[&EncodedSentence]) -> Vec<usize> {
             sent.len()
         })
         .collect()
+}
+
+/// `a` times the row-stacked `masks`, or `a` itself when there are none
+/// (dropout inert).
+fn masked<E: Exec>(g: &E, a: Var, masks: &[Array]) -> Var {
+    let Some(first) = masks.first() else {
+        return a;
+    };
+    let rows = masks.iter().map(Array::rows).sum();
+    let data = masks.iter().flat_map(|m| m.data()).copied().collect();
+    g.mul(a, g.constant(Array::from_vec(rows, first.cols(), data)))
 }
 
 /// Splits stacked rows into consecutive blocks of `lens[i]` rows.
@@ -949,7 +992,8 @@ mod tests {
         // The unconditioned hidden state: the encode stage alone, on a
         // second graph.
         let g2 = Graph::eval();
-        let Encoded::Hidden(h_plain) = bb.encode(&g2, &store, &sent, &mut rng) else {
+        let Encoded::Hidden(h_plain) = bb.encode(&g2, &store, &[&sent], &[sent.len()], &mut rng)
+        else {
             panic!("FiLM encodes to hidden states");
         };
 

@@ -120,7 +120,9 @@ impl FrozenLm {
     /// Frozen contextual features `[L, dim + 2H]`.
     fn features<E: Exec>(&self, g: &E, sent: &EncodedSentence) -> Var {
         g.freeze(&self.frozen);
-        let words = self.word_emb.apply(g, &self.frozen, &sent.word_ids);
+        let words = self
+            .word_emb
+            .apply(g, &self.frozen, &sent.word_ids, &[sent.len()]);
         let ctx = self
             .contextualiser
             .apply(g, &self.frozen, words, &[sent.len()]);

@@ -117,7 +117,7 @@ impl Snail {
         let mut val_rows = Vec::new();
         for (sent, gold) in support {
             let h = self.encoder.hidden(g, theta, None, sent, rng);
-            let labels = self.label_emb.apply(g, theta, gold);
+            let labels = self.label_emb.apply(g, theta, gold, &[gold.len()]);
             key_rows.push(h);
             val_rows.push(g.concat_cols(&[h, labels]));
         }

@@ -426,26 +426,27 @@ impl PhiCache {
                 expires_at: self.policy.ttl_ns.map(|t| now.saturating_add(t)),
             },
         );
+        self.evict_over_capacity(&mut inner, key);
+        cell
+    }
+
+    /// Evicts least-recently-used settled entries other than `keep` until
+    /// the map fits the capacity. In-flight adapts are never evicted (their
+    /// work would be wasted), so the map may briefly overshoot capacity
+    /// under a thundering herd of distinct keys.
+    fn evict_over_capacity(&self, inner: &mut Inner, keep: &CacheKey) {
         while inner.map.len() > self.policy.capacity {
-            // LRU among settled entries; in-flight adapts are never evicted
-            // (their work would be wasted), so the map may briefly overshoot
-            // capacity under a thundering herd of distinct keys.
             let victim = inner
                 .map
                 .iter()
-                .filter(|(k, m)| *k != key && m.cell.is_settled())
+                .filter(|(k, m)| *k != keep && m.cell.is_settled())
                 .min_by_key(|(_, m)| m.last_used)
                 .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    inner.map.remove(&k);
-                    inner.stats.evictions += 1;
-                    self.tracer.incr("serve/cache_evictions", 1);
-                }
-                None => break,
-            }
+            let Some(k) = victim else { break };
+            inner.map.remove(&k);
+            inner.stats.evictions += 1;
+            self.tracer.incr("serve/cache_evictions", 1);
         }
-        cell
     }
 
     /// Attempts a warm reload from the persistence directory. Timed as a
@@ -568,22 +569,7 @@ impl PhiCache {
                 expires_at: self.policy.ttl_ns.map(|t| now.saturating_add(t)),
             },
         );
-        while inner.map.len() > self.policy.capacity {
-            let victim = inner
-                .map
-                .iter()
-                .filter(|(k, m)| *k != key && m.cell.is_settled())
-                .min_by_key(|(_, m)| m.last_used)
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    inner.map.remove(&k);
-                    inner.stats.evictions += 1;
-                    self.tracer.incr("serve/cache_evictions", 1);
-                }
-                None => break,
-            }
-        }
+        self.evict_over_capacity(&mut inner, key);
         drop(inner);
         if persisted {
             self.tracer.incr("serve/phi_persists", 1);

@@ -10,6 +10,8 @@
 //! [`Array`] is the *value* type; the computation graph in
 //! [`crate::graph`] wraps it with gradient bookkeeping.
 
+use std::ops::Range;
+
 use fewner_util::{Error, Result, Rng};
 use fewner_util::{FromJson, Json, ToJson};
 
@@ -448,12 +450,15 @@ fn mac_tile4_x2(
     }
 }
 
-/// `out += aᵀ · b` without materialising the transpose.
-pub(crate) fn matmul_at_b(a: &Array, b: &Array, out: &mut Array) {
+/// `out += a[rows]ᵀ · b[rows]` without materialising the transpose: the
+/// rows' outer products are added into `out` one row after another, so
+/// consecutive row ranges add up exactly as one call over their union.
+pub(crate) fn matmul_at_b(a: &Array, b: &Array, rows: Range<usize>, out: &mut Array) {
     debug_assert_eq!(a.rows, b.rows);
+    debug_assert!(rows.end <= a.rows);
     debug_assert_eq!((out.rows, out.cols), (a.cols, b.cols));
     let n = b.cols;
-    for r in 0..a.rows {
+    for r in rows {
         let a_row = a.row(r);
         let b_row = b.row(r);
         for (i, &av) in a_row.iter().enumerate() {
@@ -523,7 +528,7 @@ mod tests {
         let a = Array::uniform(4, 3, -1.0, 1.0, &mut rng);
         let b = Array::uniform(4, 5, -1.0, 1.0, &mut rng);
         let mut out = Array::zeros(3, 5);
-        matmul_at_b(&a, &b, &mut out);
+        matmul_at_b(&a, &b, 0..a.rows(), &mut out);
         let expected = a.transpose().matmul(&b).unwrap();
         for (x, y) in out.data().iter().zip(expected.data()) {
             assert!((x - y).abs() < 1e-5);

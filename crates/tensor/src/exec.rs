@@ -21,8 +21,8 @@
 //! (the tape records an `Op`; `Infer` never builds one). Their forward
 //! values are therefore **bitwise identical** by construction, a property
 //! the test suite still pins down. The executor also owns the train/eval
-//! distinction ([`ExecMode`]): [`Exec::dropout`] is the identity unless the
-//! executor is in [`ExecMode::Train`], which removes the error-prone
+//! distinction ([`ExecMode`]): [`Exec::dropout_mask`] draws no mask unless
+//! the executor is in [`ExecMode::Train`], which removes the error-prone
 //! `train: bool` flag from every model signature.
 
 use std::sync::Arc;
@@ -134,14 +134,33 @@ pub trait Exec {
     /// Sum of selected entries → `[1, 1]` (CRF gold-path scoring).
     fn gather_sum(&self, a: Var, coords: &[(usize, usize)]) -> Var;
 
-    /// Runs `f` and returns its values. On [`crate::Infer`] every buffer
-    /// `f` allocated goes back to the pool except those of the returned
-    /// values, which move to fresh slots: `Var`s issued inside `f` are
-    /// invalid afterwards, and parameters bound inside `f` are unbound
-    /// again, so a loop of scopes should bind its parameters before the
-    /// first one. The tape does nothing extra: it keeps every value for
-    /// the backward sweep.
-    fn scoped<const K: usize>(&self, f: impl FnOnce() -> [Var; K]) -> [Var; K]
+    /// Runs `f` and returns its values (an array or a `Vec` of them). On
+    /// [`crate::Infer`] every buffer `f` allocated goes back to the pool
+    /// except those of the returned values, which move to fresh slots:
+    /// `Var`s issued inside `f` are invalid afterwards, and parameters
+    /// bound inside `f` are unbound again, so a loop of scopes should bind
+    /// its parameters before the first one. The tape does nothing extra:
+    /// it keeps every value for the backward sweep.
+    fn scoped<V: AsMut<[Var]>>(&self, f: impl FnOnce() -> V) -> V
+    where
+        Self: Sized;
+
+    /// Runs `f` with the output rows of its ops attributed to segments:
+    /// row `r` belongs to segment `keys[r]`, where segments stand for the
+    /// sequences (or words) a layer stacks. On the tape, an op in `f` that
+    /// adds into a parameter's gradient (a gather from it, a matmul by it,
+    /// a broadcast add of it) then adds each segment's rows as that
+    /// segment's own op would: the outermost call is one group, and when
+    /// the backward sweep leaves the group it replays the group's
+    /// parameter contributions by segment, the highest key first, and
+    /// within a segment the last op first — the order in which one call
+    /// per segment, made in key order, adds them. A nested call attributes
+    /// its own ops' rows within the enclosing group, and a group of one
+    /// segment adds its contributions in the sweep. Such an op's row count
+    /// must match `keys` ([`Graph::backward`](crate::Graph::backward) has
+    /// the rules); other ops' rows need no attribution. `Infer` records
+    /// nothing and just runs `f`.
+    fn segmented<R>(&self, keys: &[usize], f: impl FnOnce() -> R) -> R
     where
         Self: Sized;
 
@@ -186,17 +205,18 @@ pub trait Exec {
         self.unfold_segments(a, k, &[rows])
     }
 
-    /// Inverted dropout. Identity unless the executor is in
-    /// [`ExecMode::Train`] and `rate > 0`; the mask consumes one `rng` draw
-    /// per element, so draw order is identical on every executor.
-    fn dropout(&self, a: Var, rate: f32, rng: &mut Rng) -> Var {
+    /// An inverted-dropout mask, `rows × cols`, for the caller to multiply
+    /// by: each element `1 / (1 − rate)` or `0`, one `rng` draw per element
+    /// in row-major order, so draw order is identical on every executor.
+    /// `None`, with no draw, unless the executor is in [`ExecMode::Train`]
+    /// and `rate > 0`.
+    fn dropout_mask(&self, rows: usize, cols: usize, rate: f32, rng: &mut Rng) -> Option<Array> {
         if self.mode() != ExecMode::Train || rate <= 0.0 {
-            return a;
+            return None;
         }
         assert!(rate < 1.0, "dropout rate must be < 1");
         let keep = 1.0 - rate;
-        let (r, c) = self.shape(a);
-        let mut mask = Array::zeros(r, c);
+        let mut mask = Array::zeros(rows, cols);
         for v in mask.data_mut() {
             *v = if rng.chance(keep as f64) {
                 1.0 / keep
@@ -204,8 +224,7 @@ pub trait Exec {
                 0.0
             };
         }
-        let m = self.constant(mask);
-        self.mul(a, m)
+        Some(mask)
     }
 }
 
@@ -281,7 +300,9 @@ mod sealed {
         /// [`super::Exec::freeze`].
         fn freeze_store(&self, store: &ParamStore);
         /// [`super::Exec::scoped`].
-        fn scope<const K: usize>(&self, f: impl FnOnce() -> [Var; K]) -> [Var; K];
+        fn scope<V: AsMut<[Var]>>(&self, f: impl FnOnce() -> V) -> V;
+        /// [`super::Exec::segmented`].
+        fn segment_scope<R>(&self, keys: &[usize], f: impl FnOnce() -> R) -> R;
     }
 }
 
@@ -623,7 +644,11 @@ impl<B: Backend> Exec for B {
         scalar_out(self, total, || Op::GatherSum(a.0, coords.to_vec()))
     }
 
-    fn scoped<const K: usize>(&self, f: impl FnOnce() -> [Var; K]) -> [Var; K] {
+    fn scoped<V: AsMut<[Var]>>(&self, f: impl FnOnce() -> V) -> V {
         self.scope(f)
+    }
+
+    fn segmented<R>(&self, keys: &[usize], f: impl FnOnce() -> R) -> R {
+        self.segment_scope(keys, f)
     }
 }

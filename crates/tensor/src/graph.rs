@@ -16,6 +16,21 @@
 //! This is what makes the paper's θ/φ split natural: FEWNER's inner loop
 //! asks only for φ's store gradients, the outer loop only for θ's.
 //!
+//! # Stacked sequences and the order of parameter gradients
+//!
+//! A layer may run one op over the rows of many sequences at once
+//! ([`Exec::segmented`]). Data gradients need nothing for that: every
+//! kernel computes a row's gradient from that row alone. A parameter's
+//! gradient is different: `matmul_at_b` and `reduce_into` add the rows'
+//! contributions into the leaf one row after another, so one op over all
+//! sequences would add them in row order, where one op per sequence adds
+//! the last sequence's first. The backward sweep therefore holds back a
+//! segmented op's contributions to a parameter leaf, and when it leaves
+//! the op's group it replays them segment by segment, the highest key
+//! first, and within a segment the last op first, with the same kernels
+//! on the same rows. Each parameter then receives the bits one op per
+//! sequence gives it.
+//!
 //! # Shape errors
 //!
 //! Ops panic on incompatible shapes with a descriptive message. Model
@@ -24,7 +39,10 @@
 //! surface lives on [`Array`] and on the high-level training APIs.
 
 use std::cell::RefCell;
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
+use std::rc::Rc;
 
 use fewner_util::{Error, Result};
 
@@ -92,11 +110,16 @@ impl Op {
     /// Parents of the node, for the needs-gradient sweep.
     fn parents(&self, out: &mut Vec<usize>) {
         out.clear();
+        self.visit_parents(|p| out.push(p));
+    }
+
+    /// Calls `f` on each parent of the node.
+    fn visit_parents(&self, mut f: impl FnMut(usize)) {
         match self {
             Op::Leaf(_) => {}
             Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::MatMul(a, b) => {
-                out.push(*a);
-                out.push(*b);
+                f(*a);
+                f(*b);
             }
             Op::AddScalar(a)
             | Op::MulScalar(a, _)
@@ -118,10 +141,80 @@ impl Op {
             | Op::Unfold { src: a, .. }
             | Op::GatherRows(a, _)
             | Op::GatherSum(a, _)
-            | Op::Reshape(a) => out.push(*a),
-            Op::ConcatCols(v) | Op::ConcatRows(v) => out.extend_from_slice(v),
+            | Op::Reshape(a) => f(*a),
+            Op::ConcatCols(v) | Op::ConcatRows(v) => v.iter().for_each(|&p| f(p)),
         }
     }
+
+    /// The trainable parameter leaves among the node's parents, for an op
+    /// whose contributions to them a segmented replay can split by rows: a
+    /// gather from a parameter, a matmul by one on the right, or a
+    /// broadcast add of one. Panics on any other op with a parameter
+    /// parent, which a segmented call must not record.
+    fn param_parents(&self, ops: &[Op]) -> [Option<usize>; 2] {
+        let param = |p: usize| matches!(ops[p], Op::Leaf(Some(_))).then_some(p);
+        match self {
+            Op::GatherRows(a, _) => [param(*a), None],
+            Op::MatMul(a, b) if param(*a).is_none() => [param(*b), None],
+            Op::Add(a, b) => [param(*a), param(*b)],
+            op => {
+                op.visit_parents(|p| {
+                    assert!(
+                        param(p).is_none(),
+                        "a segmented call recorded an op that adds into a parameter by a \
+                         rule it cannot split by rows: {op:?}"
+                    );
+                });
+                [None, None]
+            }
+        }
+    }
+}
+
+/// Rows attributed to segments, as `(key, rows)` runs in row order.
+type Runs = Rc<[(usize, Range<usize>)]>;
+
+/// An op whose contributions to parameter gradients are replayed per
+/// segment: its node and its output rows' runs.
+struct SegmentedOp {
+    node: usize,
+    runs: Runs,
+}
+
+/// The ops of one outermost [`Exec::segmented`] call of more than one
+/// segment that add into a parameter's gradient.
+struct SegmentGroup {
+    /// The group's first node: the sweep replays the group once it has
+    /// passed it.
+    start: usize,
+    ops: Vec<SegmentedOp>,
+}
+
+/// A tape's [`Exec::segmented`] bookkeeping.
+#[derive(Default)]
+struct Segments {
+    /// Nesting depth of the `segmented` calls running now.
+    depth: usize,
+    /// The group being recorded: `None` outside any call and inside a
+    /// group of one segment, whose contributions the sweep adds as usual.
+    open: Option<SegmentGroup>,
+    /// The innermost call's rows as `(key, rows)` runs, inside an open
+    /// group.
+    current: Option<Runs>,
+    /// Closed groups, in tape order.
+    groups: Vec<SegmentGroup>,
+}
+
+/// `keys` as `(key, rows)` runs of equal consecutive keys.
+fn runs_of(keys: &[usize]) -> Runs {
+    let mut runs: Vec<(usize, Range<usize>)> = Vec::new();
+    for (r, &key) in keys.iter().enumerate() {
+        match runs.last_mut() {
+            Some((last, rows)) if *last == key => rows.end = r + 1,
+            _ => runs.push((key, r..r + 1)),
+        }
+    }
+    runs.into()
 }
 
 /// A single-use reverse-mode autodiff tape.
@@ -131,6 +224,7 @@ pub struct Graph {
     /// Node `i`'s op.
     ops: RefCell<Vec<Op>>,
     frozen_stores: RefCell<HashSet<u64>>,
+    segments: RefCell<Segments>,
 }
 
 impl Default for Graph {
@@ -174,13 +268,33 @@ impl Backend for Graph {
     }
 
     /// Records `op` beside the value; a parameter of a frozen store is
-    /// recorded as a constant leaf.
+    /// recorded as a constant leaf. Inside a segmented group, an op that
+    /// adds into a parameter's gradient is also noted with its rows'
+    /// segments.
     fn push(&self, slot: Slot, op: impl FnOnce() -> Op) -> Var {
         let op = match op() {
             Op::Leaf(Some(id)) if self.frozen_stores.borrow().contains(&id.store) => Op::Leaf(None),
             op => op,
         };
-        self.ops.borrow_mut().push(op);
+        let mut ops = self.ops.borrow_mut();
+        let mut segments = self.segments.borrow_mut();
+        let segments = &mut *segments;
+        if let (Some(group), Some(runs)) = (&mut segments.open, &segments.current) {
+            if op.param_parents(&ops).iter().any(Option::is_some) {
+                let rows = slot.array().rows();
+                assert_eq!(
+                    runs.last().map_or(0, |(_, r)| r.end),
+                    rows,
+                    "segmented {op:?}: the keys must cover its {rows} rows"
+                );
+                group.ops.push(SegmentedOp {
+                    node: ops.len(),
+                    runs: Rc::clone(runs),
+                });
+            }
+        }
+        ops.push(op);
+        drop(ops);
         self.arena.push(slot)
     }
 
@@ -188,8 +302,33 @@ impl Backend for Graph {
         self.frozen_stores.borrow_mut().insert(store.id());
     }
 
-    fn scope<const K: usize>(&self, f: impl FnOnce() -> [Var; K]) -> [Var; K] {
+    fn scope<V: AsMut<[Var]>>(&self, f: impl FnOnce() -> V) -> V {
         f()
+    }
+
+    fn segment_scope<R>(&self, keys: &[usize], f: impl FnOnce() -> R) -> R {
+        let outer = {
+            let mut segments = self.segments.borrow_mut();
+            if segments.depth == 0 && keys.windows(2).any(|w| w[0] != w[1]) {
+                segments.open = Some(SegmentGroup {
+                    start: self.len(),
+                    ops: Vec::new(),
+                });
+            }
+            segments.depth += 1;
+            let runs = segments.open.is_some().then(|| runs_of(keys));
+            std::mem::replace(&mut segments.current, runs)
+        };
+        let out = f();
+        let mut segments = self.segments.borrow_mut();
+        segments.current = outer;
+        segments.depth -= 1;
+        if segments.depth == 0 {
+            if let Some(group) = segments.open.take().filter(|g| !g.ops.is_empty()) {
+                segments.groups.push(group);
+            }
+        }
+        out
     }
 }
 
@@ -220,6 +359,7 @@ impl Graph {
             arena: Arena::new(slots, mode),
             ops: RefCell::new(ops),
             frozen_stores: RefCell::new(HashSet::new()),
+            segments: RefCell::new(Segments::default()),
         }
     }
 
@@ -247,10 +387,15 @@ impl Graph {
     /// Reverse sweep from `loss` (which must be `[1, 1]` and finite).
     ///
     /// Returns per-node gradients plus the bookkeeping needed to extract
-    /// per-store parameter gradients.
+    /// per-store parameter gradients. A segmented group's contributions to
+    /// parameter leaves are replayed when the sweep leaves the group (see
+    /// the [module docs](self)); every other contribution is added as the
+    /// sweep reaches its op.
     pub fn backward(&self, loss: Var) -> Result<Gradients> {
         let slots = self.arena.slots.borrow();
         let ops = self.ops.borrow();
+        let segments = self.segments.borrow();
+        assert_eq!(segments.depth, 0, "backward inside a segmented call");
         let loss_value = slots[loss.0].array();
         assert_eq!(loss_value.shape(), (1, 1), "backward from non-scalar loss");
         if !loss_value.all_finite() {
@@ -278,7 +423,21 @@ impl Graph {
         let mut grads: Vec<Option<Array>> = vec![None; ops.len()];
         grads[loss.0] = Some(Array::scalar(1.0));
 
+        let groups = &segments.groups;
+        let held: Vec<usize> = groups
+            .iter()
+            .flat_map(|g| g.ops.iter().map(|op| op.node))
+            .collect();
+        let (mut next_group, mut next_held) = (groups.len(), held.len());
         for i in (0..ops.len()).rev() {
+            while next_group > 0 && groups[next_group - 1].start > i {
+                next_group -= 1;
+                Self::replay(&ops, &slots, &groups[next_group], &mut grads);
+            }
+            let hold = next_held > 0 && held[next_held - 1] == i;
+            if hold {
+                next_held -= 1;
+            }
             if !needs[i] {
                 continue;
             }
@@ -290,14 +449,62 @@ impl Graph {
                 grads[i] = Some(grad);
                 continue;
             }
-            Self::backprop_op(&ops, &slots, i, &grad, &needs, &mut grads);
+            if hold {
+                // The parameter parents wait for their group's replay.
+                let params = ops[i].param_parents(&ops);
+                params.iter().flatten().for_each(|&p| needs[p] = false);
+                Self::backprop_op(&ops, &slots, i, &grad, &needs, &mut grads);
+                params.iter().flatten().for_each(|&p| needs[p] = true);
+            } else {
+                Self::backprop_op(&ops, &slots, i, &grad, &needs, &mut grads);
+            }
             grads[i] = Some(grad);
+        }
+        for group in groups[..next_group].iter().rev() {
+            Self::replay(&ops, &slots, group, &mut grads);
         }
 
         Ok(Gradients {
             grads,
             bound: self.arena.bound.borrow().clone(),
         })
+    }
+
+    /// Adds a segmented group's held-back contributions into its parameter
+    /// leaves: by segment, the highest key first, and within a segment the
+    /// last op first, each run of rows with the kernel the sweep would have
+    /// run on it.
+    fn replay(ops: &[Op], slots: &[Slot], group: &SegmentGroup, grads: &mut [Option<Array>]) {
+        let mut adds: Vec<(usize, usize, Range<usize>, usize)> = Vec::new();
+        for op in group.ops.iter().filter(|op| grads[op.node].is_some()) {
+            for p in ops[op.node].param_parents(ops).into_iter().flatten() {
+                for (key, rows) in op.runs.iter() {
+                    adds.push((*key, op.node, rows.clone(), p));
+                }
+            }
+        }
+        // Stable: one op's runs of one key keep their row order.
+        adds.sort_by_key(|&(key, node, ..)| Reverse((key, node)));
+        for (_, node, rows, p) in adds {
+            let mut into = grads[p].take().unwrap_or_else(|| {
+                let (r, c) = slots[p].array().shape();
+                Array::zeros(r, c)
+            });
+            let grad = grads[node].as_ref().expect("held ops have a gradient");
+            match &ops[node] {
+                Op::GatherRows(_, indices) => {
+                    for r in rows {
+                        for (o, &g) in into.row_mut(indices[r]).iter_mut().zip(grad.row(r)) {
+                            *o += g;
+                        }
+                    }
+                }
+                Op::MatMul(a, _) => matmul_at_b(slots[*a].array(), grad, rows, &mut into),
+                Op::Add(..) => kernels::reduce_rows_into(grad, rows, &mut into),
+                op => unreachable!("{op:?} is never held back"),
+            }
+            grads[p] = Some(into);
+        }
     }
 
     /// Applies node `i`'s vector-Jacobian product, accumulating into parents.
@@ -366,7 +573,7 @@ impl Graph {
                 }
                 if needs[*b] {
                     ensure(grads, *b, val(*b).shape());
-                    matmul_at_b(val(*a), grad, grads[*b].as_mut().unwrap());
+                    matmul_at_b(val(*a), grad, 0..grad.rows(), grads[*b].as_mut().unwrap());
                 }
             }
             Op::Transpose(a) => {
@@ -762,20 +969,16 @@ mod tests {
     fn dropout_eval_mode_is_identity() {
         let g = Graph::eval();
         let mut rng = Rng::new(3);
-        let x = g.constant(Array::from_vec(1, 4, vec![1., 2., 3., 4.]));
-        let y = g.dropout(x, 0.5, &mut rng);
-        assert_eq!(y, x);
+        assert!(g.dropout_mask(1, 4, 0.5, &mut rng).is_none());
     }
 
     #[test]
     fn dropout_train_mode_preserves_expectation() {
-        let (store, id) = store_with("w", Array::full(1, 1000, 1.0));
         let mut rng = Rng::new(4);
         let g = Graph::new();
         assert_eq!(g.mode(), ExecMode::Train);
-        let w = g.param(&store, id);
-        let y = g.dropout(w, 0.3, &mut rng);
-        let mean = g.value(y).sum() / 1000.0;
+        let mask = g.dropout_mask(1, 1000, 0.3, &mut rng).unwrap();
+        let mean = mask.sum() / 1000.0;
         assert!((mean - 1.0).abs() < 0.1, "inverted dropout mean {mean}");
     }
 

@@ -188,13 +188,22 @@ impl Backend for Infer {
         // Nothing to do: no gradients are ever computed here.
     }
 
-    fn scope<const K: usize>(&self, f: impl FnOnce() -> [Var; K]) -> [Var; K] {
+    fn scope<V: AsMut<[Var]>>(&self, f: impl FnOnce() -> V) -> V {
         let mark = self.mark();
-        let kept = f().map(|v| self.value(v));
+        let mut kept = f();
+        let values: Vec<Arc<Array>> = kept.as_mut().iter().map(|&v| self.value(v)).collect();
         self.reset_to(mark);
         // The arena's handles are gone, so a buffer made inside `f` moves
         // back in uncopied; one from before the call is copied.
-        kept.map(|value| self.constant(Arc::unwrap_or_clone(value)))
+        for (v, value) in kept.as_mut().iter_mut().zip(values) {
+            *v = self.constant(Arc::unwrap_or_clone(value));
+        }
+        kept
+    }
+
+    /// Nothing to attribute: no gradient is ever accumulated here.
+    fn segment_scope<R>(&self, _keys: &[usize], f: impl FnOnce() -> R) -> R {
+        f()
     }
 }
 

@@ -6,6 +6,8 @@
 //! tape's backward sweep in [`crate::graph`] adds the backward halves.
 //! (The matmul kernels live in [`crate::array`].)
 
+use std::ops::Range;
+
 use crate::array::Array;
 
 /// Broadcast compatibility: each dimension must match or be 1 on one side.
@@ -57,15 +59,22 @@ pub fn bcast_zip_into(a: &Array, b: &Array, out: &mut Array, f: impl Fn(f32, f32
 /// Reduces `grad` (shape of a broadcast output) back to `shape` by summing
 /// over the broadcast dimensions, accumulating into `into`.
 pub fn reduce_into(grad: &Array, into: &mut Array) {
+    reduce_rows_into(grad, 0..grad.rows(), into);
+}
+
+/// [`reduce_into`] of `grad`'s rows `rows` only. Rows are added one after
+/// another, so consecutive row ranges add up exactly as one call over
+/// their union.
+pub fn reduce_rows_into(grad: &Array, rows: Range<usize>, into: &mut Array) {
     let (gr, gc) = grad.shape();
     let (tr, tc) = into.shape();
     debug_assert!(
-        (tr == gr || tr == 1) && (tc == gc || tc == 1),
-        "reduce_into: grad {:?} to {:?}",
+        (tr == gr || tr == 1) && (tc == gc || tc == 1) && rows.end <= gr,
+        "reduce_rows_into: grad {:?} rows {rows:?} to {:?}",
         grad.shape(),
         into.shape()
     );
-    for i in 0..gr {
+    for i in rows {
         let ti = if tr == 1 { 0 } else { i };
         let grow = grad.row(i);
         for (j, &g) in grow.iter().enumerate() {

@@ -15,7 +15,9 @@
 //!   differentiates through [`Exec::col_lse`]), segmented unfold/max-pool
 //!   for the character CNN, dropout and FiLM conditioning. Each op's
 //!   forward body is written once for both executors, so their forward
-//!   values are bitwise identical ([`exec`]).
+//!   values are bitwise identical ([`exec`]). [`Exec::segmented`] lets a
+//!   layer run one op over many sequences' rows and still give each
+//!   parameter the gradient bits of one op per sequence.
 //! * [`Graph`]/[`Var`] — the tape executor: records every op for a
 //!   reverse-mode backward sweep ([`graph`]).
 //! * [`Infer`] — the gradient-free executor: the same ops evaluated into a

@@ -8,14 +8,22 @@
 //! [`Linear`], [`Embedding`], [`GruCell`], [`BiGru`], [`LstmCell`],
 //! [`BiLstm`] and [`Conv1d`].
 //!
-//! [`BiGru`], [`BiLstm`] and [`Conv1d`] have one forward body each, over a
-//! stack of sequences (words, for [`Conv1d`]) given by their lengths. It
-//! runs every op once over all their rows, and each output row equals, bit
-//! for bit, what its sequence gives alone: `matmul_into` computes every
-//! output row on its own accumulation chain, and every other op involved
-//! works row by row or element by element. With one sequence (`&[len]`)
-//! the tape records one step's ops after another in sequence order, so
-//! gradients sum in step order too.
+//! [`Embedding`], [`BiGru`], [`BiLstm`] and [`Conv1d`] have one forward
+//! body each, over a stack of sequences (words, for [`Conv1d`]) given by
+//! their lengths. It runs every op once over all their rows, and each
+//! output row equals, bit for bit, what its sequence gives alone:
+//! `matmul_into` computes every output row on its own accumulation chain,
+//! and every other op involved works row by row or element by element.
+//!
+//! On the tape the stacked call also gives the gradients one call per
+//! sequence, in order, gives. Data gradients flow row by row, and each row
+//! receives its contributions in the order its own sequence's ops add
+//! them: a recurrent state that feeds the next step and the layer's output
+//! reaches both through rows of its own (see `SeqBatch::run`). Parameter
+//! gradients are summed per sequence: each layer runs inside
+//! [`Exec::segmented`] with its rows attributed to their sequences, so the
+//! tape replays the sequences' contributions to every parameter last
+//! sequence first, as one call per sequence adds them.
 
 use std::cmp::Reverse;
 
@@ -102,10 +110,16 @@ impl Embedding {
         Self::from_array(store, prefix, Array::uniform(vocab, dim, -0.1, 0.1, rng))
     }
 
-    /// Looks up `ids` → `[len(ids), dim]`.
-    pub fn apply<E: Exec>(&self, g: &E, store: &ParamStore, ids: &[usize]) -> Var {
+    /// Looks up a stack of id sequences, `lens[i]` ids for sequence `i`
+    /// after the ids of the sequences before it: `ids` → `[len(ids), dim]`.
+    pub fn apply<E: Exec>(&self, g: &E, store: &ParamStore, ids: &[usize], lens: &[usize]) -> Var {
+        assert_eq!(
+            lens.iter().sum::<usize>(),
+            ids.len(),
+            "embedding: the lengths must cover the ids"
+        );
         let table = g.param(store, self.table);
-        g.gather_rows(table, ids)
+        g.segmented(&row_keys(lens), || g.gather_rows(table, ids))
     }
 
     /// Embedding dimension.
@@ -210,19 +224,30 @@ impl BiGru {
                 ex.param(store, id); // bound once, outside the per-step scopes
             }
         }
-        let fwd = batch.run(ex, x, self.hidden, false, |xt, [h]| {
-            [self.fwd.step(ex, store, xt, h)]
-        });
-        let bwd = batch.run(ex, x, self.hidden, true, |xt, [h]| {
-            [self.bwd.step(ex, store, xt, h)]
-        });
-        ex.concat_cols(&[fwd, bwd])
+        ex.segmented(&row_keys(lens), || {
+            let fwd = batch.run(ex, x, self.hidden, false, |xt, [h]| {
+                [self.fwd.step(ex, store, xt, h)]
+            });
+            let bwd = batch.run(ex, x, self.hidden, true, |xt, [h]| {
+                [self.bwd.step(ex, store, xt, h)]
+            });
+            ex.concat_cols(&[fwd, bwd])
+        })
     }
 
     /// Output feature dimension (`2H`).
     pub fn out_dim(&self) -> usize {
         2 * self.hidden
     }
+}
+
+/// Sequence `i`'s key, `lens[i]` times, for every `i`: the segment of each
+/// row of a stack of sequences.
+fn row_keys(lens: &[usize]) -> Vec<usize> {
+    lens.iter()
+        .enumerate()
+        .flat_map(|(i, &len)| std::iter::repeat_n(i, len))
+        .collect()
 }
 
 /// How a stack of sequences steps through a recurrent layer together.
@@ -299,7 +324,16 @@ impl SeqBatch {
     /// Steps one direction over every sequence and returns its states,
     /// row-aligned with the stacked input. `step` maps an input `[b, in]`
     /// and a state `[b, ·]` tuple to the next one; element 0 of the state
-    /// is the output.
+    /// is the output. Each step's rows are attributed to their sequences
+    /// ([`Exec::segmented`]).
+    ///
+    /// When sequences end after step `t`, the output state is split into
+    /// the rows that go on and the rows that end, and the output keeps the
+    /// two parts. A continuing row's gradient then sums like one
+    /// sequence's: first the output's contribution, then the next step's,
+    /// op by op. Carrying the state on through one gather of the kept rows
+    /// would add the next step's contributions up first, and the output's
+    /// after them.
     fn run<E: Exec, const K: usize>(
         &self,
         ex: &E,
@@ -317,21 +351,30 @@ impl SeqBatch {
         let mut state = [zero; K];
         let mut outs = Vec::with_capacity(self.active.len());
         for (t, &b) in self.active.iter().enumerate() {
-            // Only the next state outlives the step; its scratch goes back
-            // to the pool for the next step.
-            state = ex.scoped(|| {
-                let mut state = state;
-                if ex.shape(state[0]).0 > b {
-                    let keep: Vec<usize> = (0..b).collect();
-                    state = state.map(|v| ex.gather_rows(v, &keep));
-                }
-                let rows: Vec<usize> = self.order[..b]
+            let running = &self.order[..b];
+            let next = self.active.get(t + 1).copied().unwrap_or(b);
+            // Only the next state (and the output rows that end here)
+            // outlive the step; its scratch goes back to the pool for the
+            // next step.
+            let kept = ex.scoped(|| {
+                let rows: Vec<usize> = running
                     .iter()
                     .map(|&s| self.offsets[s] + self.position(s, t, reverse))
                     .collect();
-                step(ex.gather_rows(x, &rows), state)
+                let new = ex.segmented(running, || step(ex.gather_rows(x, &rows), state));
+                if next == b {
+                    return new.to_vec();
+                }
+                let keep: Vec<usize> = (0..next).collect();
+                let mut kept: Vec<Var> = new.iter().map(|&v| ex.gather_rows(v, &keep)).collect();
+                kept.push(ex.gather_rows(new[0], &(next..b).collect::<Vec<_>>()));
+                kept
             });
-            outs.push(state[0]);
+            state = std::array::from_fn(|k| kept[k]);
+            outs.push(kept[0]);
+            if next < b {
+                outs.push(kept[K]);
+            }
         }
         // Step t's state for sequence s sits at row first[t] + rank[s].
         let back: Vec<usize> = (0..self.lens.len())
@@ -445,15 +488,17 @@ impl BiLstm {
                 ex.param(store, id); // bound once, outside the per-step scopes
             }
         }
-        let fwd = batch.run(ex, x, self.hidden, false, |xt, [h, c]| {
-            let (h, c) = self.fwd.step(ex, store, xt, h, c);
-            [h, c]
-        });
-        let bwd = batch.run(ex, x, self.hidden, true, |xt, [h, c]| {
-            let (h, c) = self.bwd.step(ex, store, xt, h, c);
-            [h, c]
-        });
-        ex.concat_cols(&[fwd, bwd])
+        ex.segmented(&row_keys(lens), || {
+            let fwd = batch.run(ex, x, self.hidden, false, |xt, [h, c]| {
+                let (h, c) = self.fwd.step(ex, store, xt, h, c);
+                [h, c]
+            });
+            let bwd = batch.run(ex, x, self.hidden, true, |xt, [h, c]| {
+                let (h, c) = self.bwd.step(ex, store, xt, h, c);
+                [h, c]
+            });
+            ex.concat_cols(&[fwd, bwd])
+        })
     }
 
     /// Output feature dimension (`2H`).
@@ -519,20 +564,23 @@ impl Conv1d {
             "Conv1d input shorter than widest filter {}",
             self.max_width()
         );
-        let pooled: Vec<Var> = self
-            .banks
-            .iter()
-            .map(|(k, lin)| {
-                let [pooled] = ex.scoped(|| {
-                    let windows = ex.unfold_segments(x, *k, lens);
-                    let feats = ex.relu(lin.apply(ex, store, windows));
-                    let per_input: Vec<usize> = lens.iter().map(|rows| rows - k + 1).collect();
-                    [ex.col_max_segments(feats, &per_input)]
-                });
-                pooled
-            })
-            .collect();
-        ex.concat_cols(&pooled)
+        ex.segmented(&row_keys(lens), || {
+            let pooled: Vec<Var> = self
+                .banks
+                .iter()
+                .map(|(k, lin)| {
+                    let [pooled] = ex.scoped(|| {
+                        let windows = ex.unfold_segments(x, *k, lens);
+                        let per_input: Vec<usize> = lens.iter().map(|rows| rows - k + 1).collect();
+                        let projected =
+                            ex.segmented(&row_keys(&per_input), || lin.apply(ex, store, windows));
+                        [ex.col_max_segments(ex.relu(projected), &per_input)]
+                    });
+                    pooled
+                })
+                .collect();
+            ex.concat_cols(&pooled)
+        })
     }
 
     /// Total output features.
@@ -567,7 +615,7 @@ mod tests {
         let (mut store, mut rng) = setup();
         let emb = Embedding::new(&mut store, "e", 10, 6, &mut rng);
         let g = Graph::new();
-        let x = emb.apply(&g, &store, &[1, 1, 9]);
+        let x = emb.apply(&g, &store, &[1, 1, 9], &[3]);
         assert_eq!(g.shape(x), (3, 6));
         let v = g.value(x);
         assert_eq!(v.row(0), v.row(1), "same id, same row");
@@ -689,7 +737,7 @@ mod tests {
         let head = Linear::new(&mut store, "h", 8, 2, true, &mut rng);
 
         let g = Graph::new();
-        let chars = emb.apply(&g, &store, &[1, 2, 3]);
+        let chars = emb.apply(&g, &store, &[1, 2, 3], &[3]);
         let word = conv.apply(&g, &store, chars, &[3]);
         let seq = g.concat_rows(&[word, word, word]);
         let hidden = enc.apply(&g, &store, seq, &[3]);

@@ -1,8 +1,10 @@
 //! Algebraic properties of the autodiff tape beyond pointwise gradchecks:
 //! linearity of the backward map, chain-rule composition, gradient
-//! accumulation across shared subexpressions, and optimizer determinism.
+//! accumulation across shared subexpressions, optimizer determinism, and
+//! the gradient bits of layers run over stacked sequences.
 
-use fewner_tensor::{Adam, Array, Exec, Graph, ParamGrads, ParamStore, Sgd};
+use fewner_tensor::nn::{BiGru, BiLstm, Conv1d};
+use fewner_tensor::{Adam, Array, Exec, Graph, ParamGrads, ParamId, ParamStore, Sgd, Var};
 use fewner_util::Rng;
 use proptest::prelude::*;
 
@@ -193,5 +195,148 @@ proptest! {
                 prop_assert!((sm.at(r, c) - lsm.at(r, c).exp()).abs() < 1e-5);
             }
         }
+    }
+}
+
+/// A layer that runs over a stack of sequences given by their lengths.
+enum Stacked {
+    Gru(BiGru),
+    Lstm(BiLstm),
+    Conv(Conv1d),
+}
+
+impl Stacked {
+    fn new(kind: usize, store: &mut ParamStore, in_dim: usize, rng: &mut Rng) -> Stacked {
+        match kind {
+            0 => Stacked::Gru(BiGru::new(store, "gru", in_dim, 3, rng)),
+            1 => Stacked::Lstm(BiLstm::new(store, "lstm", in_dim, 3, rng)),
+            _ => Stacked::Conv(Conv1d::new(store, "conv", in_dim, &[2, 3], 4, rng)),
+        }
+    }
+
+    fn apply(&self, g: &Graph, store: &ParamStore, x: Var, lens: &[usize]) -> Var {
+        match self {
+            Stacked::Gru(l) => l.apply(g, store, x, lens),
+            Stacked::Lstm(l) => l.apply(g, store, x, lens),
+            Stacked::Conv(l) => l.apply(g, store, x, lens),
+        }
+    }
+}
+
+/// The loss, every layer parameter's gradient and the input's gradient,
+/// as raw bits, from one tape: one `apply` over all of `lens`' sequences
+/// when `stacked`, else one `apply` per sequence, in order. The loss is a
+/// fixed random projection of the output rows.
+fn stacked_bits(kind: usize, lens: &[usize], seed: u64, stacked: bool) -> Vec<Vec<u32>> {
+    let mut rng = Rng::new(seed);
+    let in_dim = 4;
+    let mut store = ParamStore::new();
+    let layer = Stacked::new(kind, &mut store, in_dim, &mut rng);
+    let mut inputs = ParamStore::new();
+    let total: usize = lens.iter().sum();
+    let x_id: ParamId = inputs.add("x", Array::uniform(total, in_dim, -1.0, 1.0, &mut rng));
+
+    let g = Graph::new();
+    let x = g.param(&inputs, x_id);
+    let out = if stacked {
+        layer.apply(
+            &g,
+            &store,
+            g.gather_rows(x, &(0..total).collect::<Vec<_>>()),
+            lens,
+        )
+    } else {
+        let mut first = 0;
+        let outs: Vec<Var> = lens
+            .iter()
+            .map(|&len| {
+                let rows: Vec<usize> = (first..first + len).collect();
+                first += len;
+                layer.apply(&g, &store, g.gather_rows(x, &rows), &[len])
+            })
+            .collect();
+        g.concat_rows(&outs)
+    };
+    let (r, c) = g.shape(out);
+    let weights = g.constant(Array::uniform(
+        r,
+        c,
+        -1.0,
+        1.0,
+        &mut Rng::new(seed ^ 0x5eed),
+    ));
+    let loss = g.sum_all(g.mul(out, weights));
+    let grads = g.backward(loss).unwrap();
+    let bits = |a: &Array| a.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    let theta = grads.for_store(&store);
+    let mut all = vec![bits(&g.value(loss))];
+    all.extend((0..store.len()).map(|i| theta.get_at(i).map(bits).unwrap_or_default()));
+    all.push(
+        grads
+            .for_store(&inputs)
+            .get(x_id)
+            .map(bits)
+            .unwrap_or_default(),
+    );
+    all
+}
+
+/// Asserts the stacked call's bits equal one call per sequence's.
+fn assert_stacked_matches(kind: usize, lens: &[usize], seed: u64) {
+    let stacked = stacked_bits(kind, lens, seed, true);
+    let one_by_one = stacked_bits(kind, lens, seed, false);
+    assert_eq!(
+        stacked[0], one_by_one[0],
+        "layer {kind}, lens {lens:?}: loss"
+    );
+    let last = stacked.len() - 1;
+    for (i, (a, b)) in stacked.iter().zip(&one_by_one).enumerate().skip(1) {
+        let what = if i == last {
+            "the input".to_string()
+        } else {
+            format!("parameter {}", i - 1)
+        };
+        assert_eq!(a, b, "layer {kind}, lens {lens:?}: gradient of {what}");
+    }
+}
+
+/// Ties, a one-step sequence, and sequences that end while others run:
+/// the recurrent state that goes on must get its gradient in one
+/// sequence's order, and each parameter its sequences' sums, last first.
+#[test]
+fn stacked_layers_match_one_call_per_sequence_on_fixed_lengths() {
+    let cases: [&[usize]; 6] = [
+        &[5, 3, 7, 3, 1],
+        &[5, 5, 3],
+        &[3, 5, 5],
+        &[7, 1],
+        &[9, 2, 9, 4, 1, 6],
+        &[4, 4, 4],
+    ];
+    for (i, lens) in cases.into_iter().enumerate() {
+        for kind in 0..2 {
+            assert_stacked_matches(kind, lens, 100 + i as u64);
+        }
+        // The char-CNN needs every input at least as long as its widest
+        // filter (3).
+        let words: Vec<usize> = lens.iter().map(|&len| len + 2).collect();
+        assert_stacked_matches(2, &words, 200 + i as u64);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One `apply` of `BiGru`, `BiLstm` or `Conv1d` over 1–9 stacked
+    /// sequences gives, bit for bit, the loss, input gradient and parameter
+    /// gradients of one `apply` per sequence, in order, on one tape.
+    #[test]
+    fn stacked_layers_match_one_call_per_sequence(
+        seed in 0u64..10_000,
+        kind in 0usize..3,
+        lens in proptest::collection::vec(1usize..8, 1..10),
+    ) {
+        let lens: Vec<usize> = if kind == 2 { lens.iter().map(|&l| l + 2).collect() } else { lens };
+        assert_stacked_matches(kind, &lens, seed);
     }
 }
