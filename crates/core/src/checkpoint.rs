@@ -4,185 +4,20 @@
 //! Algorithm 1 separates *training* (producing θ_Meta) from *adapting*
 //! (consuming it); a real deployment trains once and adapts everywhere, so
 //! θ_Meta must round-trip through storage byte-exactly. The checkpoint is a
-//! single JSON document: backbone hyper-parameters, meta hyper-parameters,
-//! and the named parameter tensors.
+//! single JSON document with one layout: backbone hyper-parameters, meta
+//! hyper-parameters, and the named f32 parameter tensors. Every field is
+//! required. Serving at reduced precision (`--weights f16|i8`) rounds a
+//! loaded θ in memory ([`fewner_tensor::ParamStore::quantize_all`]); no
+//! quantized checkpoint is written.
 
 use std::path::Path;
 
 use fewner_models::{BackboneConfig, Conditioning, EncoderKind, HeadKind, TokenEncoder};
-use fewner_tensor::{QuantizedParams, SavedParams, WeightFormat};
+use fewner_tensor::SavedParams;
 use fewner_util::{Error, FromJson, Json, Result, ToJson};
 
 use crate::config::MetaConfig;
 use crate::fewner::Fewner;
-
-/// Serialisable mirror of [`BackboneConfig`] (the model crate stays
-/// serialisation-free; the mapping lives here with the checkpoint format).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SavedBackboneConfig {
-    /// See [`BackboneConfig::word_dim`].
-    pub word_dim: usize,
-    /// See [`BackboneConfig::char_dim`].
-    pub char_dim: usize,
-    /// See [`BackboneConfig::char_filters`].
-    pub char_filters: usize,
-    /// See [`BackboneConfig::char_widths`].
-    pub char_widths: Vec<usize>,
-    /// See [`BackboneConfig::hidden`].
-    pub hidden: usize,
-    /// See [`BackboneConfig::phi_dim`].
-    pub phi_dim: usize,
-    /// See [`BackboneConfig::slot_ctx_dim`].
-    pub slot_ctx_dim: usize,
-    /// `"none" | "film" | "concat"`.
-    pub conditioning: String,
-    /// `"bigru" | "bilstm"`.
-    pub encoder: String,
-    /// See [`BackboneConfig::dropout`].
-    pub dropout: f32,
-    /// See [`BackboneConfig::use_char_cnn`].
-    pub use_char_cnn: bool,
-    /// `("dense", n_ways)` or `("slot_shared", slot_dim, max_slots)`.
-    pub head: (String, usize, usize),
-}
-
-impl From<&BackboneConfig> for SavedBackboneConfig {
-    fn from(c: &BackboneConfig) -> Self {
-        SavedBackboneConfig {
-            word_dim: c.word_dim,
-            char_dim: c.char_dim,
-            char_filters: c.char_filters,
-            char_widths: c.char_widths.clone(),
-            hidden: c.hidden,
-            phi_dim: c.phi_dim,
-            slot_ctx_dim: c.slot_ctx_dim,
-            conditioning: match c.conditioning {
-                Conditioning::None => "none",
-                Conditioning::Film => "film",
-                Conditioning::ConcatInput => "concat",
-            }
-            .to_string(),
-            encoder: match c.encoder {
-                EncoderKind::BiGru => "bigru",
-                EncoderKind::BiLstm => "bilstm",
-            }
-            .to_string(),
-            dropout: c.dropout,
-            use_char_cnn: c.use_char_cnn,
-            head: match c.head {
-                HeadKind::Dense { n_ways } => ("dense".to_string(), n_ways, 0),
-                HeadKind::SlotShared {
-                    slot_dim,
-                    max_slots,
-                } => ("slot_shared".to_string(), slot_dim, max_slots),
-            },
-        }
-    }
-}
-
-impl SavedBackboneConfig {
-    /// Rebuilds the runtime configuration.
-    pub fn to_config(&self) -> Result<BackboneConfig> {
-        let conditioning = match self.conditioning.as_str() {
-            "none" => Conditioning::None,
-            "film" => Conditioning::Film,
-            "concat" => Conditioning::ConcatInput,
-            other => {
-                return Err(Error::Serde(format!("unknown conditioning `{other}`")));
-            }
-        };
-        let encoder = match self.encoder.as_str() {
-            "bigru" => EncoderKind::BiGru,
-            "bilstm" => EncoderKind::BiLstm,
-            other => return Err(Error::Serde(format!("unknown encoder `{other}`"))),
-        };
-        let head = match self.head.0.as_str() {
-            "dense" => HeadKind::Dense {
-                n_ways: self.head.1,
-            },
-            "slot_shared" => HeadKind::SlotShared {
-                slot_dim: self.head.1,
-                max_slots: self.head.2,
-            },
-            other => return Err(Error::Serde(format!("unknown head `{other}`"))),
-        };
-        Ok(BackboneConfig {
-            word_dim: self.word_dim,
-            char_dim: self.char_dim,
-            char_filters: self.char_filters,
-            char_widths: self.char_widths.clone(),
-            hidden: self.hidden,
-            phi_dim: self.phi_dim,
-            slot_ctx_dim: self.slot_ctx_dim,
-            conditioning,
-            dropout: self.dropout,
-            use_char_cnn: self.use_char_cnn,
-            encoder,
-            head,
-        })
-    }
-}
-
-impl ToJson for SavedBackboneConfig {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("word_dim".into(), Json::from(self.word_dim)),
-            ("char_dim".into(), Json::from(self.char_dim)),
-            ("char_filters".into(), Json::from(self.char_filters)),
-            (
-                "char_widths".into(),
-                Json::Arr(self.char_widths.iter().map(|&w| Json::from(w)).collect()),
-            ),
-            ("hidden".into(), Json::from(self.hidden)),
-            ("phi_dim".into(), Json::from(self.phi_dim)),
-            ("slot_ctx_dim".into(), Json::from(self.slot_ctx_dim)),
-            (
-                "conditioning".into(),
-                Json::from(self.conditioning.as_str()),
-            ),
-            ("encoder".into(), Json::from(self.encoder.as_str())),
-            ("dropout".into(), Json::from(self.dropout)),
-            ("use_char_cnn".into(), Json::from(self.use_char_cnn)),
-            (
-                "head".into(),
-                Json::Obj(vec![
-                    ("kind".into(), Json::from(self.head.0.as_str())),
-                    ("a".into(), Json::from(self.head.1)),
-                    ("b".into(), Json::from(self.head.2)),
-                ]),
-            ),
-        ])
-    }
-}
-
-impl FromJson for SavedBackboneConfig {
-    fn from_json(json: &Json) -> Result<SavedBackboneConfig> {
-        let head = json.field("head")?;
-        Ok(SavedBackboneConfig {
-            word_dim: json.field("word_dim")?.as_usize()?,
-            char_dim: json.field("char_dim")?.as_usize()?,
-            char_filters: json.field("char_filters")?.as_usize()?,
-            char_widths: json
-                .field("char_widths")?
-                .as_arr()?
-                .iter()
-                .map(Json::as_usize)
-                .collect::<Result<Vec<_>>>()?,
-            hidden: json.field("hidden")?.as_usize()?,
-            phi_dim: json.field("phi_dim")?.as_usize()?,
-            slot_ctx_dim: json.field("slot_ctx_dim")?.as_usize()?,
-            conditioning: json.field("conditioning")?.as_str()?.to_string(),
-            encoder: json.field("encoder")?.as_str()?.to_string(),
-            dropout: json.field("dropout")?.as_f32()?,
-            use_char_cnn: json.field("use_char_cnn")?.as_bool()?,
-            head: (
-                head.field("kind")?.as_str()?.to_string(),
-                head.field("a")?.as_usize()?,
-                head.field("b")?.as_usize()?,
-            ),
-        })
-    }
-}
 
 /// A complete FEWNER checkpoint.
 #[derive(Debug, Clone)]
@@ -190,15 +25,11 @@ pub struct Checkpoint {
     /// Format version for forward compatibility.
     pub version: u32,
     /// Backbone hyper-parameters.
-    pub backbone: SavedBackboneConfig,
+    pub backbone: BackboneConfig,
     /// Meta-learning hyper-parameters.
     pub meta: MetaConfig,
-    /// θ_Meta tensors (always held dequantized in memory).
+    /// θ_Meta tensors.
     pub theta: SavedParams,
-    /// The format θ is serialised in (`F32` = plain `"theta"` tensors;
-    /// `F16`/`I8` write a compressed `"theta_q"` payload instead). The
-    /// layout is self-describing, so the version number is unchanged.
-    pub weights: WeightFormat,
 }
 
 /// Current checkpoint format version.
@@ -209,24 +40,9 @@ impl Checkpoint {
     pub fn capture(learner: &Fewner) -> Checkpoint {
         Checkpoint {
             version: CHECKPOINT_VERSION,
-            backbone: SavedBackboneConfig::from(learner.backbone.config()),
+            backbone: learner.backbone.config().clone(),
             meta: learner.config().clone(),
             theta: learner.theta.to_saved(),
-            weights: WeightFormat::F32,
-        }
-    }
-
-    /// Switches the checkpoint to a quantized weight format.
-    ///
-    /// θ is rounded through the format *immediately* (encode → decode), so
-    /// [`Checkpoint::restore`] after this call behaves identically to
-    /// saving and re-loading: there is one quantized θ, not an in-memory /
-    /// on-disk pair that silently disagrees. Quantization is idempotent, so
-    /// re-saving a loaded quantized checkpoint is lossless.
-    pub fn quantize_weights(&mut self, format: WeightFormat) {
-        self.weights = format;
-        if format != WeightFormat::F32 {
-            self.theta = QuantizedParams::quantize(&self.theta, format).dequantize();
         }
     }
 
@@ -239,7 +55,7 @@ impl Checkpoint {
                 self.version
             )));
         }
-        let mut learner = Fewner::new(self.backbone.to_config()?, enc, self.meta.clone())?;
+        let mut learner = Fewner::new(self.backbone.clone(), enc, self.meta.clone())?;
         learner.theta.load_saved(&self.theta)?;
         Ok(learner)
     }
@@ -254,14 +70,6 @@ impl Checkpoint {
         fewner_util::durable::write_atomic(path, json.as_bytes())
     }
 
-    /// [`Checkpoint::save`] in an explicit weight format (the CLI's
-    /// `--weights` flag): quantizes a copy and writes it durably.
-    pub fn save_with_weights(&self, path: impl AsRef<Path>, format: WeightFormat) -> Result<()> {
-        let mut copy = self.clone();
-        copy.quantize_weights(format);
-        copy.save(path)
-    }
-
     /// Reads a checkpoint file, verifying the header and CRC before
     /// parsing: a truncated or bit-flipped file is rejected with a precise
     /// [`Error::Io`] instead of a confusing JSON parse error (or silently
@@ -274,44 +82,113 @@ impl Checkpoint {
 
 impl ToJson for Checkpoint {
     fn to_json(&self) -> Json {
-        let mut fields = vec![
+        Json::Obj(vec![
             ("version".into(), Json::from(self.version as u64)),
-            ("backbone".into(), self.backbone.to_json()),
+            ("backbone".into(), backbone_to_json(&self.backbone)),
             ("meta".into(), self.meta.to_json()),
-        ];
-        if self.weights == WeightFormat::F32 {
-            fields.push(("theta".into(), self.theta.to_json()));
-        } else {
-            fields.push(("weights".into(), Json::from(self.weights.name())));
-            fields.push((
-                "theta_q".into(),
-                QuantizedParams::quantize(&self.theta, self.weights).to_json(),
-            ));
-        }
-        Json::Obj(fields)
+            ("theta".into(), self.theta.to_json()),
+        ])
     }
 }
 
 impl FromJson for Checkpoint {
     fn from_json(json: &Json) -> Result<Checkpoint> {
-        let (theta, weights) = match json.get("theta_q") {
-            Some(q) => {
-                let q = QuantizedParams::from_json(q)?;
-                (q.dequantize(), q.format)
-            }
-            None => (
-                SavedParams::from_json(json.field("theta")?)?,
-                WeightFormat::F32,
-            ),
-        };
         Ok(Checkpoint {
-            version: json.field("version")?.as_u64()? as u32,
-            backbone: SavedBackboneConfig::from_json(json.field("backbone")?)?,
+            version: json.field("version")?.as_u32()?,
+            backbone: backbone_from_json(json.field("backbone")?)?,
             meta: MetaConfig::from_json(json.field("meta")?)?,
-            theta,
-            weights,
+            theta: SavedParams::from_json(json.field("theta")?)?,
         })
     }
+}
+
+/// The checkpoint's `"backbone"` object. The mapping lives here with the
+/// checkpoint format, so the model crate stays serialisation-free.
+fn backbone_to_json(c: &BackboneConfig) -> Json {
+    let conditioning = match c.conditioning {
+        Conditioning::None => "none",
+        Conditioning::Film => "film",
+        Conditioning::ConcatInput => "concat",
+    };
+    let encoder = match c.encoder {
+        EncoderKind::BiGru => "bigru",
+        EncoderKind::BiLstm => "bilstm",
+    };
+    let (kind, a, b) = match c.head {
+        HeadKind::Dense { n_ways } => ("dense", n_ways, 0),
+        HeadKind::SlotShared {
+            slot_dim,
+            max_slots,
+        } => ("slot_shared", slot_dim, max_slots),
+    };
+    Json::Obj(vec![
+        ("word_dim".into(), Json::from(c.word_dim)),
+        ("char_dim".into(), Json::from(c.char_dim)),
+        ("char_filters".into(), Json::from(c.char_filters)),
+        (
+            "char_widths".into(),
+            Json::Arr(c.char_widths.iter().map(|&w| Json::from(w)).collect()),
+        ),
+        ("hidden".into(), Json::from(c.hidden)),
+        ("phi_dim".into(), Json::from(c.phi_dim)),
+        ("slot_ctx_dim".into(), Json::from(c.slot_ctx_dim)),
+        ("conditioning".into(), Json::from(conditioning)),
+        ("encoder".into(), Json::from(encoder)),
+        ("dropout".into(), Json::from(c.dropout)),
+        ("use_char_cnn".into(), Json::from(c.use_char_cnn)),
+        (
+            "head".into(),
+            Json::Obj(vec![
+                ("kind".into(), Json::from(kind)),
+                ("a".into(), Json::from(a)),
+                ("b".into(), Json::from(b)),
+            ]),
+        ),
+    ])
+}
+
+/// Reads what [`backbone_to_json`] writes.
+fn backbone_from_json(json: &Json) -> Result<BackboneConfig> {
+    let conditioning = match json.field("conditioning")?.as_str()? {
+        "none" => Conditioning::None,
+        "film" => Conditioning::Film,
+        "concat" => Conditioning::ConcatInput,
+        other => return Err(Error::Serde(format!("unknown conditioning `{other}`"))),
+    };
+    let encoder = match json.field("encoder")?.as_str()? {
+        "bigru" => EncoderKind::BiGru,
+        "bilstm" => EncoderKind::BiLstm,
+        other => return Err(Error::Serde(format!("unknown encoder `{other}`"))),
+    };
+    let head = json.field("head")?;
+    let (a, b) = (head.field("a")?.as_usize()?, head.field("b")?.as_usize()?);
+    let head = match head.field("kind")?.as_str()? {
+        "dense" => HeadKind::Dense { n_ways: a },
+        "slot_shared" => HeadKind::SlotShared {
+            slot_dim: a,
+            max_slots: b,
+        },
+        other => return Err(Error::Serde(format!("unknown head `{other}`"))),
+    };
+    Ok(BackboneConfig {
+        word_dim: json.field("word_dim")?.as_usize()?,
+        char_dim: json.field("char_dim")?.as_usize()?,
+        char_filters: json.field("char_filters")?.as_usize()?,
+        char_widths: json
+            .field("char_widths")?
+            .as_arr()?
+            .iter()
+            .map(Json::as_usize)
+            .collect::<Result<Vec<_>>>()?,
+        hidden: json.field("hidden")?.as_usize()?,
+        phi_dim: json.field("phi_dim")?.as_usize()?,
+        slot_ctx_dim: json.field("slot_ctx_dim")?.as_usize()?,
+        conditioning,
+        dropout: json.field("dropout")?.as_f32()?,
+        use_char_cnn: json.field("use_char_cnn")?.as_bool()?,
+        encoder,
+        head,
+    })
 }
 
 #[cfg(test)]
@@ -365,67 +242,6 @@ mod tests {
         let restored = loaded.restore(&enc).unwrap();
         assert_eq!(learner.theta.snapshot(), restored.theta.snapshot());
         std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn quantized_file_round_trip_is_stable() {
-        let (enc, learner) = setup();
-        let dir = std::env::temp_dir().join(format!("fewner-ckpt-quant-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let ckpt = Checkpoint::capture(&learner);
-        for format in [WeightFormat::F16, WeightFormat::I8] {
-            let path = dir.join(format!("model.{}.json", format.name()));
-            ckpt.save_with_weights(&path, format).unwrap();
-            let loaded = Checkpoint::load(&path).unwrap();
-            assert_eq!(loaded.weights, format);
-            let restored = loaded.restore(&enc).unwrap();
-            // Quantized θ differs from the original but only boundedly so.
-            let orig = learner.theta.to_saved();
-            for ((n1, a), (n2, b)) in orig.entries.iter().zip(&loaded.theta.entries) {
-                assert_eq!(n1, n2);
-                let worst = a
-                    .data()
-                    .iter()
-                    .zip(b.data())
-                    .map(|(x, y)| (x - y).abs())
-                    .fold(0.0f32, f32::max);
-                assert!(
-                    worst < 0.05,
-                    "`{n1}` drifted {worst} under {}",
-                    format.name()
-                );
-            }
-            // Re-saving the loaded checkpoint is lossless (idempotence).
-            let path2 = dir.join(format!("model2.{}.json", format.name()));
-            loaded.save(&path2).unwrap();
-            let again = Checkpoint::load(&path2).unwrap();
-            assert_eq!(
-                again.theta.to_json().to_string(),
-                loaded.theta.to_json().to_string()
-            );
-            // Loading + restoring equals in-memory quantize_all.
-            let mut in_mem = learner.theta.clone();
-            in_mem.quantize_all(format);
-            assert_eq!(in_mem.snapshot(), restored.theta.snapshot());
-        }
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn quantized_payload_is_smaller_than_f32() {
-        let (_, learner) = setup();
-        let ckpt = Checkpoint::capture(&learner);
-        let f32_len = ckpt.to_json().to_string().len();
-        for format in [WeightFormat::F16, WeightFormat::I8] {
-            let mut q = ckpt.clone();
-            q.quantize_weights(format);
-            let q_len = q.to_json().to_string().len();
-            assert!(
-                q_len < f32_len / 2,
-                "{}: {q_len} bytes vs {f32_len} f32 bytes",
-                format.name()
-            );
-        }
     }
 
     #[test]
@@ -484,17 +300,26 @@ mod tests {
                     max_slots: 16,
                 },
             ] {
-                let cfg = BackboneConfig {
-                    conditioning: cond,
-                    head,
-                    phi_dim: if cond == Conditioning::None { 0 } else { 8 },
-                    slot_ctx_dim: if cond == Conditioning::None { 0 } else { 4 },
-                    ..BackboneConfig::default_for(5)
-                };
-                let saved = SavedBackboneConfig::from(&cfg);
-                let back = saved.to_config().unwrap();
-                assert_eq!(back.conditioning, cond);
-                assert_eq!(back.head, head);
+                for (encoder, use_char_cnn) in
+                    [(EncoderKind::BiGru, true), (EncoderKind::BiLstm, false)]
+                {
+                    let cfg = BackboneConfig {
+                        conditioning: cond,
+                        head,
+                        encoder,
+                        use_char_cnn,
+                        phi_dim: if cond == Conditioning::None { 0 } else { 8 },
+                        slot_ctx_dim: if cond == Conditioning::None { 0 } else { 4 },
+                        ..BackboneConfig::default_for(5)
+                    };
+                    let json = backbone_to_json(&cfg);
+                    let back = backbone_from_json(&json).unwrap();
+                    assert_eq!(back.conditioning, cond);
+                    assert_eq!(back.head, head);
+                    assert_eq!(back.encoder, encoder);
+                    assert_eq!(back.use_char_cnn, use_char_cnn);
+                    assert_eq!(backbone_to_json(&back), json);
+                }
             }
         }
     }
@@ -502,11 +327,18 @@ mod tests {
     #[test]
     fn malformed_strings_are_rejected() {
         let (_, learner) = setup();
-        let mut saved = SavedBackboneConfig::from(learner.backbone.config());
-        saved.conditioning = "quantum".into();
-        assert!(saved.to_config().is_err());
-        let mut saved = SavedBackboneConfig::from(learner.backbone.config());
-        saved.head.0 = "hydra".into();
-        assert!(saved.to_config().is_err());
+        let text = backbone_to_json(learner.backbone.config()).to_string();
+        for (good, bad) in [
+            ("\"film\"", "\"quantum\""),
+            ("\"bigru\"", "\"transformer\""),
+            ("\"dense\"", "\"hydra\""),
+        ] {
+            assert!(text.contains(good), "{text}");
+            let json = Json::parse(&text.replace(good, bad)).unwrap();
+            assert!(
+                matches!(backbone_from_json(&json), Err(Error::Serde(_))),
+                "{bad} must be refused"
+            );
+        }
     }
 }

@@ -143,12 +143,7 @@ impl FromJson for MetaConfig {
             decay_every_tasks: json.field("decay_every_tasks")?.as_usize()?,
             second_order: SecondOrder::from_json(json.field("second_order")?)?,
             seed: json.field("seed")?.as_u64()?,
-            // Absent in pre-divergence-guard checkpoints; default rather
-            // than reject so old files keep loading.
-            max_consecutive_skips: match json.get("max_consecutive_skips") {
-                Some(v) => v.as_usize()?,
-                None => MetaConfig::default().max_consecutive_skips,
-            },
+            max_consecutive_skips: json.field("max_consecutive_skips")?.as_usize()?,
         })
     }
 }
@@ -207,23 +202,6 @@ mod tests {
             ..MetaConfig::default()
         };
         assert!(bad_decay.validate().is_err());
-    }
-
-    #[test]
-    fn old_checkpoints_without_skip_guard_still_load() {
-        let c = MetaConfig {
-            max_consecutive_skips: 7,
-            ..MetaConfig::default()
-        };
-        let Json::Obj(mut fields) = c.to_json() else {
-            panic!("MetaConfig must serialise to an object");
-        };
-        fields.retain(|(k, _)| k != "max_consecutive_skips");
-        let back = MetaConfig::from_json(&Json::Obj(fields)).unwrap();
-        assert_eq!(
-            back.max_consecutive_skips,
-            MetaConfig::default().max_consecutive_skips
-        );
     }
 
     #[test]

@@ -160,8 +160,8 @@ impl ServeOptions {
 
 /// Format version of persisted adapted contexts. Version 2 added the
 /// `revision` counter and the retained support set behind incremental
-/// [`Fewner::extend`]; version-1 files still load (empty retained support,
-/// revision 1).
+/// [`Fewner::extend`]; a file of any other version is refused, and the
+/// serving cache re-adapts its key as it does for a torn file.
 ///
 /// [`Fewner::extend`]: crate::Fewner::extend
 pub const ADAPTED_CTX_VERSION: u32 = 2;
@@ -222,9 +222,7 @@ impl AdaptedCtx {
     }
 
     /// The encoded support set the current φ was adapted on (merged across
-    /// every extension). Version-1 files reload with this empty — such a
-    /// context still predicts bitwise-identically, but an extension starts
-    /// its merged support from the new arrivals alone.
+    /// every extension).
     pub fn support(&self) -> &[LabeledSentence] {
         &self.support
     }
@@ -260,40 +258,34 @@ impl AdaptedCtx {
         ])
     }
 
-    /// Deserialises a context written by [`AdaptedCtx::to_json`]. The φ
-    /// values round-trip bitwise; shape compatibility with a particular
-    /// model is checked at [`Fewner::predict`](crate::Fewner::predict)
-    /// time, not here. Version-1 files (no revision, no retained support)
-    /// load as revision 1 with an empty support set.
+    /// Deserialises a context written by [`AdaptedCtx::to_json`]; every
+    /// field is required. The φ values round-trip bitwise; shape
+    /// compatibility with a particular model is checked at
+    /// [`Fewner::predict`](crate::Fewner::predict) time, not here.
     pub fn from_json(json: &Json) -> Result<AdaptedCtx> {
-        let version = json.field("version")?.as_u64()? as u32;
-        if version == 0 || version > ADAPTED_CTX_VERSION {
+        let version = json.field("version")?.as_u32()?;
+        if version != ADAPTED_CTX_VERSION {
             return Err(Error::Serde(format!(
-                "unsupported adapted-context version {version} (expected 1..={ADAPTED_CTX_VERSION})"
+                "unsupported adapted-context version {version} (expected {ADAPTED_CTX_VERSION})"
             )));
         }
         let n_ways = json.field("n_ways")?.as_usize()?;
         if n_ways == 0 {
             return Err(Error::Serde("adapted context with 0 ways".into()));
         }
+        let revision = json.field("revision")?.as_u32()?;
+        if revision == 0 {
+            return Err(Error::Serde("adapted context with revision 0".into()));
+        }
         let phi = Array::from_json(json.field("phi")?)?;
         let mut phi_store = ParamStore::new();
         let phi_id = phi_store.add("phi", phi);
-        let (revision, support) = if version >= 2 {
-            let revision = json.field("revision")?.as_u64()? as u32;
-            if revision == 0 {
-                return Err(Error::Serde("adapted context with revision 0".into()));
-            }
-            let support = json
-                .field("support")?
-                .as_arr()?
-                .iter()
-                .map(labeled_from_json)
-                .collect::<Result<Vec<_>>>()?;
-            (revision, support)
-        } else {
-            (1, Vec::new())
-        };
+        let support = json
+            .field("support")?
+            .as_arr()?
+            .iter()
+            .map(labeled_from_json)
+            .collect::<Result<Vec<_>>>()?;
         Ok(AdaptedCtx {
             n_ways,
             phi_store,
@@ -416,22 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn version_1_contexts_still_load() {
-        let mut store = ParamStore::new();
-        let id = store.add("phi", Array::from_vec(1, 3, vec![1.0, 2.0, 3.0]));
-        let v1 = Json::Obj(vec![
-            ("version".into(), Json::from(1u64)),
-            ("n_ways".into(), Json::from(2usize)),
-            ("phi".into(), store.value(id).to_json()),
-        ]);
-        let ctx = AdaptedCtx::from_json(&v1).unwrap();
-        assert_eq!(ctx.n_ways(), 2);
-        assert_eq!(ctx.phi_values(), &[1.0, 2.0, 3.0]);
-        assert_eq!(ctx.revision(), 1, "v1 contexts report revision 1");
-        assert!(ctx.support().is_empty(), "v1 retained no support");
-    }
-
-    #[test]
     fn malformed_retained_support_is_rejected() {
         let mut store = ParamStore::new();
         let id = store.add("phi", Array::zeros(1, 2));
@@ -481,11 +457,13 @@ mod tests {
         let mut store = ParamStore::new();
         let id = store.add("phi", Array::zeros(1, 2));
         let ctx = AdaptedCtx::new(1, store, id, Vec::new(), 1);
-        let mut json = ctx.to_json();
-        if let Json::Obj(fields) = &mut json {
-            fields[0].1 = Json::from(99u64);
+        for version in [1u64, 99] {
+            let mut json = ctx.to_json();
+            if let Json::Obj(fields) = &mut json {
+                fields[0].1 = Json::from(version);
+            }
+            assert!(AdaptedCtx::from_json(&json).is_err(), "version {version}");
         }
-        assert!(AdaptedCtx::from_json(&json).is_err());
 
         let mut json = ctx.to_json();
         if let Json::Obj(fields) = &mut json {

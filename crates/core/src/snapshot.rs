@@ -126,16 +126,10 @@ impl FromJson for RunFingerprint {
             seed: u64::from_str_radix(json.field("seed")?.as_str()?, 16)
                 .map_err(|_| Error::Serde("bad fingerprint seed".into()))?,
             meta_batch: json.field("meta_batch")?.as_usize()?,
-            // Absent in pre-sharding snapshots, which were all written by
-            // single-process runs.
-            shards: match json.field("shards") {
-                Ok(v) => v.as_usize()?,
-                Err(_) => 1,
-            },
-            // Absent in pre-streaming snapshots (all materialized-corpus).
-            stream: match json.field("stream") {
-                Ok(Json::Null) | Err(_) => None,
-                Ok(v) => Some(StreamFingerprint::from_json(v)?),
+            shards: json.field("shards")?.as_usize()?,
+            stream: match json.field("stream")? {
+                Json::Null => None,
+                v => Some(StreamFingerprint::from_json(v)?),
             },
         })
     }
@@ -222,7 +216,7 @@ impl ToJson for TrainingSnapshot {
 impl FromJson for TrainingSnapshot {
     fn from_json(json: &Json) -> Result<TrainingSnapshot> {
         Ok(TrainingSnapshot {
-            version: json.field("version")?.as_u64()? as u32,
+            version: json.field("version")?.as_u32()?,
             iteration: json.field("iteration")?.as_usize()?,
             sampler_rng: Rng::from_json(json.field("sampler_rng")?)?,
             losses: json
@@ -236,13 +230,13 @@ impl FromJson for TrainingSnapshot {
             consecutive_skips: json.field("consecutive_skips")?.as_usize()?,
             next_decay: json.field("next_decay")?.as_usize()?,
             wall_secs: json.field("wall_secs")?.as_f64()?,
-            shard: match json.field("shard") {
-                Ok(Json::Null) | Err(_) => None,
-                Ok(v) => Some(v.as_usize()?),
+            shard: match json.field("shard")? {
+                Json::Null => None,
+                v => Some(v.as_usize()?),
             },
-            stream_cursor: match json.field("stream_cursor") {
-                Ok(Json::Null) | Err(_) => None,
-                Ok(v) => Some(StreamCursor::from_json(v)?),
+            stream_cursor: match json.field("stream_cursor")? {
+                Json::Null => None,
+                v => Some(StreamCursor::from_json(v)?),
             },
             fingerprint: RunFingerprint::from_json(json.field("fingerprint")?)?,
             learner: json.field("learner")?.clone(),
@@ -590,32 +584,16 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_shard_topology_round_trips_and_defaults_to_one() {
+    fn fingerprint_shard_topology_round_trips() {
         let snap = sharded_sample(1, 4);
         let json = snap.to_json().to_string();
         let back = TrainingSnapshot::from_json(&Json::parse(&json).unwrap()).unwrap();
         assert_eq!(back.shard, Some(1));
         assert_eq!(back.fingerprint.shards, 2);
-
-        // Pre-sharding snapshots carry neither field.
-        let mut legacy = sample(4).to_json();
-        if let Json::Obj(fields) = &mut legacy {
-            fields.retain(|(k, _)| k != "shard");
-            for (k, v) in fields.iter_mut() {
-                if k == "fingerprint" {
-                    if let Json::Obj(fp) = v {
-                        fp.retain(|(k, _)| k != "shards");
-                    }
-                }
-            }
-        }
-        let back = TrainingSnapshot::from_json(&legacy).unwrap();
-        assert_eq!(back.shard, None);
-        assert_eq!(back.fingerprint.shards, 1);
     }
 
     #[test]
-    fn stream_cursor_and_geometry_round_trip_and_default_to_none() {
+    fn stream_cursor_and_geometry_round_trip() {
         let mut snap = sample(4);
         snap.stream_cursor = Some(StreamCursor { chunk: 17, pos: 3 });
         snap.fingerprint.stream = Some(StreamFingerprint {
@@ -629,21 +607,5 @@ mod tests {
         assert_eq!(back.stream_cursor, snap.stream_cursor);
         assert_eq!(back.fingerprint.stream, snap.fingerprint.stream);
         assert_ne!(back.fingerprint, sample(4).fingerprint);
-
-        // Pre-streaming snapshots carry neither field.
-        let mut legacy = sample(4).to_json();
-        if let Json::Obj(fields) = &mut legacy {
-            fields.retain(|(k, _)| k != "stream_cursor");
-            for (k, v) in fields.iter_mut() {
-                if k == "fingerprint" {
-                    if let Json::Obj(fp) = v {
-                        fp.retain(|(k, _)| k != "stream");
-                    }
-                }
-            }
-        }
-        let back = TrainingSnapshot::from_json(&legacy).unwrap();
-        assert_eq!(back.stream_cursor, None);
-        assert_eq!(back.fingerprint.stream, None);
     }
 }

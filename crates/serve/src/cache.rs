@@ -595,9 +595,11 @@ mod tests {
             Array::from_vec(1, 3, vec![seed, seed + 1.0, seed + 2.0]),
         );
         let json = fewner_util::Json::Obj(vec![
-            ("version".into(), fewner_util::Json::from(1u64)),
+            ("version".into(), fewner_util::Json::from(2u64)),
             ("n_ways".into(), fewner_util::Json::from(2usize)),
+            ("revision".into(), fewner_util::Json::from(1u64)),
             ("phi".into(), store.value(id).to_json()),
+            ("support".into(), fewner_util::Json::Arr(Vec::new())),
         ]);
         AdaptedCtx::from_json(&json).unwrap()
     }

@@ -25,9 +25,11 @@ fn ctx(seed: f32) -> AdaptedCtx {
         fewner_tensor::Array::from_vec(1, 4, vec![seed, seed * 0.5, -seed, seed + 1.0]),
     );
     let json = Json::Obj(vec![
-        ("version".into(), Json::from(1u64)),
+        ("version".into(), Json::from(2u64)),
         ("n_ways".into(), Json::from(2usize)),
+        ("revision".into(), Json::from(1u64)),
         ("phi".into(), store.value(id).to_json()),
+        ("support".into(), Json::Arr(Vec::new())),
     ]);
     AdaptedCtx::from_json(&json).expect("ctx")
 }

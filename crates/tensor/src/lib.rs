@@ -68,6 +68,5 @@ pub use graph::{Gradients, Graph};
 pub use infer::{global_stats as infer_global_stats, Infer, InferStats};
 pub use optim::{Adam, SavedAdam, Sgd};
 pub use params::{
-    f16_bits_to_f32, f32_to_f16_bits, ParamGrads, ParamId, ParamStore, QuantArray, QuantizedParams,
-    SavedParams, WeightFormat,
+    f16_bits_to_f32, f32_to_f16_bits, ParamGrads, ParamId, ParamStore, SavedParams, WeightFormat,
 };

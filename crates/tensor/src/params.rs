@@ -211,11 +211,9 @@ impl ParamStore {
 
     /// Rounds every tensor through `format` in place (encode → decode).
     ///
-    /// This is the serve-time entry point for `--weights f16|i8`: the store
-    /// afterwards holds exactly the values a quantized checkpoint would
-    /// decode to, so in-memory quantization and loading a quantized file
-    /// are interchangeable. `F32` is the identity and leaves the store
-    /// untouched.
+    /// This is the serve-time entry point for `--weights f16|i8`: a loaded
+    /// f32 checkpoint is rounded in memory, and no quantized form is ever
+    /// written. `F32` is the identity and leaves the store untouched.
     pub fn quantize_all(&mut self, format: WeightFormat) {
         if format == WeightFormat::F32 {
             return;
@@ -305,10 +303,10 @@ impl FromJson for SavedParams {
 /// Serve-time weight format for the frozen θ (the `--weights` flag).
 ///
 /// `F32` is the identity; `F16` rounds every value to IEEE half precision
-/// (round-to-nearest-even); `I8` stores one signed byte per value with a
-/// per-row absmax scale. Quantized θ trades a bounded F1 delta for a 2–4×
-/// smaller checkpoint; the bounds are pinned by the end-to-end tolerance
-/// suite (see DESIGN.md §5h).
+/// (round-to-nearest-even); `I8` rounds to one signed byte per value with a
+/// per-row absmax scale. [`ParamStore::quantize_all`] applies the rounding
+/// to a loaded θ in memory; the F1 cost is bounded by the end-to-end
+/// tolerance suite (see DESIGN.md §5h).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WeightFormat {
     /// Full precision — bitwise identical to the trained checkpoint.
@@ -435,9 +433,10 @@ fn pow2_at_least(t: f32) -> f32 {
     }
 }
 
-/// One quantized tensor: shape plus encoded payload.
-#[derive(Debug, Clone, PartialEq)]
-pub enum QuantArray {
+/// One quantized tensor: shape plus encoded payload. Only
+/// [`ParamStore::quantize_all`] encodes one, and decodes it at once.
+#[derive(Debug, PartialEq)]
+enum QuantArray {
     /// Half-precision bits, row-major.
     F16 {
         /// Number of rows.
@@ -467,7 +466,7 @@ impl QuantArray {
     /// Panics on [`WeightFormat::F32`] (the identity format has no encoded
     /// form) and on weight magnitudes beyond any sane trained model
     /// (≥ 1e38, where int8 dequantisation could overflow).
-    pub fn quantize(a: &Array, format: WeightFormat) -> QuantArray {
+    fn quantize(a: &Array, format: WeightFormat) -> QuantArray {
         let (rows, cols) = a.shape();
         match format {
             WeightFormat::F32 => panic!("QuantArray::quantize: F32 is the identity format"),
@@ -508,27 +507,10 @@ impl QuantArray {
         }
     }
 
-    /// The format this payload is encoded in.
-    pub fn format(&self) -> WeightFormat {
-        match self {
-            QuantArray::F16 { .. } => WeightFormat::F16,
-            QuantArray::I8 { .. } => WeightFormat::I8,
-        }
-    }
-
-    /// The tensor shape.
-    pub fn shape(&self) -> (usize, usize) {
-        match self {
-            QuantArray::F16 { rows, cols, .. } | QuantArray::I8 { rows, cols, .. } => {
-                (*rows, *cols)
-            }
-        }
-    }
-
     /// Decodes back to full precision. For `I8` this is exact arithmetic
     /// (integer × power of two), so decode introduces no error beyond what
     /// encoding already rounded away.
-    pub fn dequantize(&self) -> Array {
+    fn dequantize(&self) -> Array {
         match self {
             QuantArray::F16 { rows, cols, bits } => Array::from_vec(
                 *rows,
@@ -554,191 +536,6 @@ impl QuantArray {
                 Array::from_vec(*rows, *cols, data)
             }
         }
-    }
-}
-
-impl ToJson for QuantArray {
-    fn to_json(&self) -> Json {
-        match self {
-            QuantArray::F16 { rows, cols, bits } => Json::Obj(vec![
-                ("kind".into(), Json::from("f16")),
-                ("rows".into(), Json::from(*rows)),
-                ("cols".into(), Json::from(*cols)),
-                (
-                    "bits".into(),
-                    Json::Arr(bits.iter().map(|&b| Json::from(b as u64)).collect()),
-                ),
-            ]),
-            QuantArray::I8 {
-                rows,
-                cols,
-                scales,
-                values,
-            } => Json::Obj(vec![
-                ("kind".into(), Json::from("i8")),
-                ("rows".into(), Json::from(*rows)),
-                ("cols".into(), Json::from(*cols)),
-                (
-                    "scales".into(),
-                    Json::Arr(scales.iter().map(|&s| Json::from(s)).collect()),
-                ),
-                (
-                    "values".into(),
-                    Json::Arr(values.iter().map(|&q| Json::from(q as i64)).collect()),
-                ),
-            ]),
-        }
-    }
-}
-
-impl FromJson for QuantArray {
-    fn from_json(json: &Json) -> Result<QuantArray> {
-        let rows = json.field("rows")?.as_usize()?;
-        let cols = json.field("cols")?.as_usize()?;
-        let check = |n: usize, what: &str| -> Result<()> {
-            if n != rows * cols {
-                return Err(Error::Serde(format!(
-                    "QuantArray holds {n} {what} for shape [{rows}, {cols}]"
-                )));
-            }
-            Ok(())
-        };
-        match json.field("kind")?.as_str()? {
-            "f16" => {
-                let bits = json
-                    .field("bits")?
-                    .as_arr()?
-                    .iter()
-                    .map(|b| Ok(b.as_u64()? as u16))
-                    .collect::<Result<Vec<u16>>>()?;
-                check(bits.len(), "f16 words")?;
-                Ok(QuantArray::F16 { rows, cols, bits })
-            }
-            "i8" => {
-                let scales = json
-                    .field("scales")?
-                    .as_arr()?
-                    .iter()
-                    .map(Json::as_f32)
-                    .collect::<Result<Vec<f32>>>()?;
-                if scales.len() != rows {
-                    return Err(Error::Serde(format!(
-                        "QuantArray holds {} scales for {rows} rows",
-                        scales.len()
-                    )));
-                }
-                let values = json
-                    .field("values")?
-                    .as_arr()?
-                    .iter()
-                    .map(|q| {
-                        let v = q.as_f32()?;
-                        if !(-127.0..=127.0).contains(&v) || v.fract() != 0.0 {
-                            return Err(Error::Serde(format!("bad i8 quant value {v}")));
-                        }
-                        Ok(v as i8)
-                    })
-                    .collect::<Result<Vec<i8>>>()?;
-                check(values.len(), "i8 values")?;
-                Ok(QuantArray::I8 {
-                    rows,
-                    cols,
-                    scales,
-                    values,
-                })
-            }
-            other => Err(Error::Serde(format!("unknown QuantArray kind `{other}`"))),
-        }
-    }
-}
-
-/// A quantized [`SavedParams`]: the serialisable form of a compressed θ.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantizedParams {
-    /// The format every entry is encoded in (never `F32`).
-    pub format: WeightFormat,
-    /// `(name, payload)` in registration order.
-    pub entries: Vec<(String, QuantArray)>,
-}
-
-impl QuantizedParams {
-    /// Encodes every tensor of `saved` in `format` (not `F32`).
-    pub fn quantize(saved: &SavedParams, format: WeightFormat) -> QuantizedParams {
-        assert_ne!(format, WeightFormat::F32, "F32 is the identity format");
-        QuantizedParams {
-            format,
-            entries: saved
-                .entries
-                .iter()
-                .map(|(n, v)| (n.clone(), QuantArray::quantize(v, format)))
-                .collect(),
-        }
-    }
-
-    /// Decodes back to full-precision saved parameters.
-    pub fn dequantize(&self) -> SavedParams {
-        SavedParams {
-            entries: self
-                .entries
-                .iter()
-                .map(|(n, q)| (n.clone(), q.dequantize()))
-                .collect(),
-        }
-    }
-}
-
-impl ToJson for QuantizedParams {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("format".into(), Json::from(self.format.name())),
-            (
-                "entries".into(),
-                Json::Arr(
-                    self.entries
-                        .iter()
-                        .map(|(name, q)| {
-                            Json::Obj(vec![
-                                ("name".into(), Json::from(name.as_str())),
-                                ("value".into(), q.to_json()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-impl FromJson for QuantizedParams {
-    fn from_json(json: &Json) -> Result<QuantizedParams> {
-        let format: WeightFormat = json
-            .field("format")?
-            .as_str()?
-            .parse()
-            .map_err(Error::Serde)?;
-        if format == WeightFormat::F32 {
-            return Err(Error::Serde(
-                "QuantizedParams cannot carry format f32".into(),
-            ));
-        }
-        let entries = json
-            .field("entries")?
-            .as_arr()?
-            .iter()
-            .map(|entry| {
-                let name = entry.field("name")?.as_str()?.to_string();
-                let q = QuantArray::from_json(entry.field("value")?)?;
-                if q.format() != format {
-                    return Err(Error::Serde(format!(
-                        "entry `{name}` is {} inside a {} payload",
-                        q.format().name(),
-                        format.name()
-                    )));
-                }
-                Ok((name, q))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(QuantizedParams { format, entries })
     }
 }
 
@@ -1492,73 +1289,26 @@ mod tests {
     }
 
     #[test]
-    fn quantized_params_json_roundtrip_is_bitwise() {
-        let mut rng = fewner_util::Rng::new(3);
-        let saved = SavedParams {
-            entries: vec![
-                ("enc.w".into(), random_array(&mut rng, 6, 4)),
-                (
-                    "crf.trans".into(),
-                    awkward_array().map(|x| if x.is_finite() { x } else { 0.0 }),
-                ),
-                ("zeros".into(), Array::zeros(2, 3)),
-            ],
-        };
-        for format in [WeightFormat::F16, WeightFormat::I8] {
-            let q = QuantizedParams::quantize(&saved, format);
-            let text = q.to_json().to_string();
-            let back = QuantizedParams::from_json(&Json::parse(&text).unwrap()).unwrap();
-            assert_eq!(back, q, "{} JSON round-trip", format.name());
-        }
-    }
-
-    #[test]
-    fn quantized_params_survive_the_durable_layer() {
-        let mut rng = fewner_util::Rng::new(11);
-        let saved = SavedParams {
-            entries: vec![("w".into(), random_array(&mut rng, 8, 8))],
-        };
-        let q = QuantizedParams::quantize(&saved, WeightFormat::I8);
-        let dir = std::env::temp_dir().join(format!("fewner-quant-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("theta.i8.json");
-        fewner_util::durable::write_atomic(&path, q.to_json().to_string().as_bytes()).unwrap();
-        let text = fewner_util::durable::read_verified_string(&path).unwrap();
-        let back = QuantizedParams::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, q, "FEWNERD1 round-trip must be lossless");
-        let bits = |s: &SavedParams| {
-            s.entries[0]
-                .1
-                .data()
-                .iter()
-                .map(|x| x.to_bits())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(bits(&back.dequantize()), bits(&q.dequantize()));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn quantize_all_matches_checkpoint_decode() {
+    fn quantize_all_rounds_each_tensor_and_f32_is_identity() {
         let mut rng = fewner_util::Rng::new(5);
         let mut store = ParamStore::new();
         store.add("a", random_array(&mut rng, 4, 6));
         store.add("b", random_array(&mut rng, 1, 9));
-        let via_file = QuantizedParams::quantize(&store.to_saved(), WeightFormat::F16).dequantize();
-        store.quantize_all(WeightFormat::F16);
-        let in_mem = store.to_saved();
-        for ((n1, v1), (n2, v2)) in via_file.entries.iter().zip(&in_mem.entries) {
-            assert_eq!(n1, n2);
-            let bits = |a: &Array| a.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(v1), bits(v2), "in-memory and file paths must agree");
-        }
-        // F32 is the identity.
+        let bits = |a: &Array| a.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let before = store.to_saved();
         store.quantize_all(WeightFormat::F32);
-        assert_eq!(
-            before.to_json().to_string(),
-            store.to_saved().to_json().to_string()
-        );
+        for ((n1, v1), (n2, v2)) in before.entries.iter().zip(&store.to_saved().entries) {
+            assert_eq!(n1, n2);
+            assert_eq!(bits(v1), bits(v2), "F32 is the identity");
+        }
+        for format in [WeightFormat::F16, WeightFormat::I8] {
+            let mut rounded = store.clone();
+            rounded.quantize_all(format);
+            for (v, r) in before.entries.iter().zip(&rounded.to_saved().entries) {
+                let want = QuantArray::quantize(&v.1, format).dequantize();
+                assert_eq!(bits(&r.1), bits(&want), "{} `{}`", format.name(), v.0);
+            }
+        }
     }
 
     #[test]

@@ -158,26 +158,27 @@ impl FaultPlan {
     /// shard_frame_corrupt | shard_frame_torn`).
     pub fn parse(spec: &str) -> Result<FaultPlan> {
         let mut arms = Vec::new();
-        for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
-            let (kind, count) = part.trim().split_once(':').ok_or_else(|| {
-                Error::InvalidConfig(format!("fault spec `{part}` is not `kind:count`"))
-            })?;
+        for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+            let bad = |why: String| Error::InvalidConfig(format!("fault arm `{part}`: {why}"));
+            let (kind, count) = part
+                .split_once(':')
+                .ok_or_else(|| bad("not `kind:count`".into()))?;
             let (count, scope) = match count.split_once('@') {
                 Some((count, shard)) => {
-                    let shard: u64 = shard.trim().parse().map_err(|_| {
-                        Error::InvalidConfig(format!("fault scope `@{shard}` is not a shard id"))
-                    })?;
+                    let shard: u64 = shard
+                        .trim()
+                        .parse()
+                        .map_err(|_| bad(format!("scope `@{shard}` is not a shard id")))?;
                     (count, Some(shard))
                 }
                 None => (count, None),
             };
-            let at: u64 = count.trim().parse().map_err(|_| {
-                Error::InvalidConfig(format!("fault count `{count}` is not an integer"))
-            })?;
+            let at: u64 = count
+                .trim()
+                .parse()
+                .map_err(|_| bad(format!("count `{count}` is not an integer")))?;
             if at == 0 {
-                return Err(Error::InvalidConfig(
-                    "fault counts are 1-based; 0 never fires".into(),
-                ));
+                return Err(bad("counts are 1-based; 0 never fires".into()));
             }
             let kind = match kind.trim() {
                 "task_grad_err" => Kind::TaskGradError,
@@ -192,11 +193,7 @@ impl FaultPlan {
                 "shard_conn_drop" => Kind::ShardConnDrop,
                 "shard_frame_corrupt" => Kind::ShardFrameCorrupt,
                 "shard_frame_torn" => Kind::ShardFrameTorn,
-                other => {
-                    return Err(Error::InvalidConfig(format!(
-                        "unknown fault kind `{other}`"
-                    )));
-                }
+                other => return Err(bad(format!("unknown fault kind `{other}`"))),
             };
             arms.push(Arm {
                 kind,
@@ -208,10 +205,21 @@ impl FaultPlan {
         Ok(FaultPlan { arms })
     }
 
-    /// Parses the `FEWNER_FAULTS` environment variable, if set and valid.
-    pub fn from_env() -> Option<FaultPlan> {
-        let spec = std::env::var("FEWNER_FAULTS").ok()?;
-        FaultPlan::parse(&spec).ok().filter(|p| !p.arms.is_empty())
+    /// Parses the `FEWNER_FAULTS` environment variable: `Ok(None)` when it
+    /// is unset or arms nothing, an error naming the variable and the bad
+    /// arm when it does not parse (a misspelled plan must not run as no
+    /// plan at all).
+    pub fn from_env() -> Result<Option<FaultPlan>> {
+        let spec = match std::env::var("FEWNER_FAULTS") {
+            Ok(spec) => spec,
+            Err(std::env::VarError::NotPresent) => return Ok(None),
+            Err(e) => return Err(Error::InvalidConfig(format!("FEWNER_FAULTS: {e}"))),
+        };
+        let plan = FaultPlan::parse(&spec).map_err(|e| match e {
+            Error::InvalidConfig(msg) => Error::InvalidConfig(format!("FEWNER_FAULTS: {msg}")),
+            other => other,
+        })?;
+        Ok(Some(plan).filter(|p| !p.arms.is_empty()))
     }
 
     /// Counts one `task_grad` call; returns a fault if one fires now.
@@ -333,10 +341,11 @@ pub fn install(plan: Option<Arc<FaultPlan>>) {
     ENABLED.store(enabled, Ordering::Release);
 }
 
-/// The active plan, if any. First use probes `FEWNER_FAULTS`.
+/// The active plan, if any. First use probes `FEWNER_FAULTS`, and panics
+/// with [`FaultPlan::from_env`]'s message if the variable does not parse.
 pub fn active() -> Option<Arc<FaultPlan>> {
     ENV_INIT.call_once(|| {
-        if let Some(plan) = FaultPlan::from_env() {
+        if let Some(plan) = FaultPlan::from_env().unwrap_or_else(|e| panic!("{e}")) {
             *lock_slot() = Some(Arc::new(plan));
             ENABLED.store(true, Ordering::Release);
         }
@@ -407,6 +416,10 @@ mod tests {
         assert!(FaultPlan::parse("task_grad_err:0").is_err());
         assert!(FaultPlan::parse("explode:1").is_err());
         assert!(FaultPlan::parse("").unwrap().arms.is_empty());
+        for spec in ["task_grad_err:1, task_grad_pnic:2", "task_grad_pnic:2"] {
+            let err = FaultPlan::parse(spec).unwrap_err().to_string();
+            assert!(err.contains("`task_grad_pnic:2`"), "{err}");
+        }
     }
 
     #[test]

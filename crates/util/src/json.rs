@@ -103,6 +103,13 @@ impl Json {
         Ok(self.as_usize()? as u64)
     }
 
+    /// The value as a `u32` (format versions, revisions). An integer past
+    /// `u32::MAX` is refused, not truncated.
+    pub fn as_u32(&self) -> Result<u32> {
+        let n = self.as_u64()?;
+        u32::try_from(n).map_err(|_| Error::Serde(format!("expected u32, got {n}")))
+    }
+
     /// The value as a string slice.
     pub fn as_str(&self) -> Result<&str> {
         match self {

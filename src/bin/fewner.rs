@@ -33,8 +33,13 @@ use fewner::core::Checkpoint;
 use fewner::corpus::CorpusSource;
 use fewner::prelude::*;
 use fewner::tensor::WeightFormat;
+use fewner::util::fault::FaultPlan;
 
 fn main() -> ExitCode {
+    if let Err(e) = FaultPlan::from_env() {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     // `trace` takes positional arguments (`fewner trace summarize <path>`),
     // unlike the flag-driven commands.
@@ -83,9 +88,7 @@ fn tracer_for(flags: &HashMap<String, String>) -> Tracer {
 }
 
 /// Loads the checkpoint named by the unified `--model` flag, then applies
-/// the `--weights` precision. Quantized checkpoint *files* are detected
-/// transparently; the flag additionally lets a full-precision checkpoint be
-/// served rounded (`--weights i8` ≡ loading an i8-saved file).
+/// the `--weights` precision: `f16`/`i8` round the loaded f32 θ in memory.
 fn load_model(
     flags: &HashMap<String, String>,
     enc: &TokenEncoder,
@@ -96,11 +99,7 @@ fn load_model(
             "{what} requires --model <checkpoint>"
         )));
     };
-    let ckpt = Checkpoint::load(path)?;
-    if ckpt.weights != WeightFormat::F32 {
-        println!("loaded {} θ from {path}", ckpt.weights.name());
-    }
-    let mut learner = ckpt.restore(enc)?;
+    let mut learner = Checkpoint::load(path)?.restore(enc)?;
     let format = weights(flags)?;
     if format != WeightFormat::F32 {
         learner.theta.quantize_all(format);

@@ -137,3 +137,34 @@ fn a_sharded_run_whose_workers_all_exit_ends_at_once() {
         "took {took:?}: {err}"
     );
 }
+
+#[test]
+fn a_fault_plan_that_does_not_parse_fails_before_any_work() {
+    // A misspelled kind or a bad count must not run as no plan at all.
+    let dir = std::env::temp_dir().join(format!("fewner-cli-faults-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt = dir.join("model.json");
+    let args = format!(
+        "train --profile bionlp13cg --scale 0.05 --ways 3 --shots 1 --iterations 4 --out {}",
+        ckpt.display()
+    );
+    for (spec, arm) in [
+        ("task_grad_pnic:2", "task_grad_pnic"),
+        ("task_grad_panic:x", "task_grad_panic:x"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fewner"))
+            .args(args.split_whitespace())
+            .env("FEWNER_FAULTS", spec)
+            .output()
+            .expect("the fewner binary runs");
+        assert!(!out.status.success(), "`{spec}` must fail");
+        let err = stderr(&out);
+        assert!(
+            err.contains("FEWNER_FAULTS") && err.contains(arm),
+            "`{spec}`: {err}"
+        );
+        assert!(out.stdout.is_empty(), "`{spec}` started work");
+        assert!(!ckpt.exists(), "`{spec}` wrote a checkpoint");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

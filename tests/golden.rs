@@ -12,6 +12,8 @@
 //!   with ConcatInput conditioning and one with FiLM over a BiLSTM and a
 //!   slot-shared head — the inner loop under the other conditioning site,
 //!   encoder and head;
+//! * the checkpoint JSON of each of those two learners — the checkpoint
+//!   layout of the other conditioning, encoder and head;
 //! * one task gradient of each of those two learners on a training tape
 //!   (dropout and the char-CNN on) — θ's gradient through the recurrent
 //!   layer ConcatInput runs in its head, and through the BiLSTM;
@@ -34,7 +36,7 @@ use fewner::core::Checkpoint;
 use fewner::corpus::TypeSplit;
 use fewner::prelude::*;
 use fewner::tensor::{Exec, Infer, WeightFormat};
-use fewner::util::crc32;
+use fewner::util::{crc32, ToJson};
 
 const CHECKPOINT_CRC: u32 = 0x62e8_83e6;
 const PHI_CRC: u32 = 0x4440_0377;
@@ -46,6 +48,8 @@ const CONCAT_PHI_CRC: u32 = 0x0512_968d;
 const SLOT_LSTM_PHI_CRC: u32 = 0x3c49_884b;
 const CONCAT_THETA_GRAD_CRC: u32 = 0xf104_64b0;
 const SLOT_LSTM_THETA_GRAD_CRC: u32 = 0x06b3_89a8;
+const CONCAT_CHECKPOINT_CRC: u32 = 0x326e_53e4;
+const SLOT_LSTM_CHECKPOINT_CRC: u32 = 0x0619_56ee;
 
 fn file_crc(path: &Path) -> u32 {
     crc32(&std::fs::read(path).unwrap())
@@ -251,12 +255,13 @@ fn untrained_concat_and_slot_lstm_phi_match_the_pinned_crcs() {
     // through the BiLSTM.
     assert!(bb.use_char_cnn && bb.dropout > 0.0);
     let mut actual = Vec::new();
-    for (cfg, [phi, grads]) in [
+    for (cfg, [phi, grads, ckpt]) in [
         (
             concat,
             [
                 ("concat phi", CONCAT_PHI_CRC),
                 ("concat theta grads", CONCAT_THETA_GRAD_CRC),
+                ("concat checkpoint", CONCAT_CHECKPOINT_CRC),
             ],
         ),
         (
@@ -264,10 +269,13 @@ fn untrained_concat_and_slot_lstm_phi_match_the_pinned_crcs() {
             [
                 ("slot-shared bilstm phi", SLOT_LSTM_PHI_CRC),
                 ("slot-shared bilstm theta grads", SLOT_LSTM_THETA_GRAD_CRC),
+                ("slot-shared bilstm checkpoint", SLOT_LSTM_CHECKPOINT_CRC),
             ],
         ),
     ] {
         let learner = Fewner::new(cfg, &enc, meta.clone()).unwrap();
+        let json = Checkpoint::capture(&learner).to_json().to_string();
+        actual.push((ckpt.0, crc32(json.as_bytes()), ckpt.1));
         let ctx = learner.adapt(&task, &enc, &ServeOptions::new()).unwrap();
         actual.push((phi.0, phi_crc(&ctx, &dir.join("phi.json")), phi.1));
         let outcome = learner.task_grad(&task, &enc, &mut Rng::new(9)).unwrap();

@@ -8,7 +8,6 @@
 //! episodes. The budgets here (and the bitwise tier) are documented in
 //! DESIGN.md §5h.
 
-use fewner::core::Checkpoint;
 use fewner::prelude::*;
 use fewner::tensor::WeightFormat;
 
@@ -99,34 +98,4 @@ fn quantized_theta_stays_within_the_f1_budget() {
     // Restoring really undid the rounding: the baseline reproduces exactly.
     let again = evaluate(&t.learner, &t.tasks, &t.enc).unwrap();
     assert_eq!(again.mean, baseline.mean);
-}
-
-/// Serving a quantized checkpoint *file* and quantizing in memory
-/// (`--weights`) are the same thing: identical θ, identical scores.
-#[test]
-fn quantized_checkpoint_file_equals_in_memory_quantization() {
-    let mut t = train_small();
-    let dir = std::env::temp_dir().join(format!("fewner-quant-e2e-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    for format in [WeightFormat::F16, WeightFormat::I8] {
-        let path = dir.join(format!("model.{}.json", format.name()));
-        Checkpoint::capture(&t.learner)
-            .save_with_weights(&path, format)
-            .unwrap();
-        let from_file = Checkpoint::load(&path).unwrap().restore(&t.enc).unwrap();
-
-        let pristine = t.learner.theta.snapshot();
-        t.learner.theta.quantize_all(format);
-        assert_eq!(
-            t.learner.theta.snapshot(),
-            from_file.theta.snapshot(),
-            "{}: file path and in-memory path must agree bitwise",
-            format.name()
-        );
-        let a = evaluate(&t.learner, &t.tasks, &t.enc).unwrap();
-        let b = evaluate(&from_file, &t.tasks, &t.enc).unwrap();
-        assert_eq!(a.mean, b.mean, "{}", format.name());
-        t.learner.theta.restore(&pristine).unwrap();
-    }
-    std::fs::remove_dir_all(dir).ok();
 }
