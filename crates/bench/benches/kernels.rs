@@ -37,6 +37,32 @@ fn bench_matmul(c: &mut Criterion) {
     }
 }
 
+/// A tape backward through 30 steps of the BiGRU's step matmuls: 6
+/// sentences, input 48, hidden 24, three gates. Every step reads the same
+/// two weights, so the sweep's `grad · Wᵀ` runs at `[6×72]·[48×72]ᵀ` and
+/// `[6×72]·[24×72]ᵀ` over transposes it makes once.
+fn bench_matmul_backward(c: &mut Criterion) {
+    let mut rng = Rng::new(7);
+    let mut store = ParamStore::new();
+    let wx = store.add("wx", Array::uniform(48, 72, -0.2, 0.2, &mut rng));
+    let wh = store.add("wh", Array::uniform(24, 72, -0.2, 0.2, &mut rng));
+    let x = store.add("x", Array::uniform(6, 48, -1.0, 1.0, &mut rng));
+    let h0 = Array::uniform(6, 24, -1.0, 1.0, &mut rng);
+    c.bench_function("matmul_backward_30_steps_6x48x24x72", |bench| {
+        bench.iter(|| {
+            let g = Graph::new();
+            let (wx, wh, x) = (g.param(&store, wx), g.param(&store, wh), g.param(&store, x));
+            let mut h = g.constant(h0.clone());
+            for _ in 0..30 {
+                let z = g.add(g.matmul(x, wx), g.matmul(h, wh));
+                h = g.slice_cols(g.tanh(z), 0, 24);
+            }
+            let loss = g.sum_all(h);
+            black_box(g.backward(loss).unwrap().for_store(&store));
+        });
+    });
+}
+
 fn bench_pointwise_kernels(c: &mut Criterion) {
     let mut rng = Rng::new(6);
     let scores = Array::uniform(128, 32, -4.0, 4.0, &mut rng);
@@ -123,6 +149,6 @@ fn bench_inner_loop(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20);
-    targets = bench_matmul, bench_pointwise_kernels, bench_bigru, bench_crf, bench_inner_loop
+    targets = bench_matmul, bench_matmul_backward, bench_pointwise_kernels, bench_bigru, bench_crf, bench_inner_loop
 }
 criterion_main!(kernels);

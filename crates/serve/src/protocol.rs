@@ -570,7 +570,7 @@ impl Response {
                 source: json.field("source")?.as_str()?.to_string(),
             }),
             "extend" => Ok(Response::Extended {
-                revision: json.field("revision")?.as_u64()? as u32,
+                revision: json.field("revision")?.as_u32()?,
                 source: json.field("source")?.as_str()?.to_string(),
             }),
             "predict" => Ok(Response::Predictions {
@@ -771,6 +771,15 @@ mod tests {
             other => panic!("expected TooLarge, got {other:?}"),
         }
         assert!(buf.is_empty(), "oversized prefix must be discarded");
+    }
+
+    /// A revision past `u32::MAX` is refused, not wrapped: 2³²+1 would
+    /// otherwise read as revision 1.
+    #[test]
+    fn an_out_of_range_revision_is_refused() {
+        let line = r#"{"ok":true,"op":"extend","revision":4294967297,"source":"extended"}"#;
+        let err = Response::from_json(&Json::parse(line).unwrap()).unwrap_err();
+        assert!(matches!(err, Error::Serde(_)), "{err}");
     }
 
     #[test]

@@ -1,14 +1,23 @@
-//! Dense 2-D `f32` arrays.
+//! Dense 2-D `f32` arrays and the matmul kernels.
 //!
-//! Every tensor in the reproduction is a row-major matrix. Sequence models
-//! process one sentence at a time, so the shapes that occur are small:
-//! `[L, D]` token features, `[V, D]` embedding tables, `[T, T]` CRF
-//! transitions, `[1, 1]` losses. Restricting to two dimensions keeps the
-//! autodiff engine simple and auditable without losing any expressiveness the
-//! paper's models need.
+//! Every tensor in the reproduction is a row-major matrix. The shapes that
+//! occur are small: `[L, D]` token features (the tokens of one call's
+//! sentences), `[V, D]` embedding tables, `[T, T]` CRF transitions, `[1, 1]`
+//! losses. Restricting to two dimensions keeps the autodiff engine simple
+//! and auditable without losing any expressiveness the paper's models need.
 //!
 //! [`Array`] is the *value* type; the computation graph in
 //! [`crate::graph`] wraps it with gradient bookkeeping.
+//!
+//! The three matmuls live here. [`matmul_into`] (`a · b`, the forward of
+//! both executors) and `matmul_a_bt` (`grad · Wᵀ`, the tape backward's
+//! data gradient, given `Wᵀ`) share one blocked body that runs across
+//! output columns at vector width; they differ only in whether a zero
+//! coefficient is skipped. `matmul_at_b` (the parameter gradient
+//! `xᵀ · grad`) stays a plain loop over rows, which the tape's segmented
+//! replay calls on row ranges. Each gives every output element the f32
+//! sequence of its scalar loop, so the bits do not depend on the vector
+//! width.
 
 use std::ops::Range;
 
@@ -289,23 +298,53 @@ const J_TILE: usize = 128;
 /// `out += a · b` (`out = a · b` when `accumulate` is false).
 ///
 /// The one matmul behind [`Array::matmul`], the tape and the inference
-/// executor. It is i–k–j ordered, so the inner loop streams contiguously
-/// over `b` and `out`, and it is blocked three ways: row pairs share each
-/// streamed b-row, k is unrolled by 4 (pairs) or 8 (odd last row), and j
-/// is tiled by `J_TILE` columns. There is no `unsafe`: the lanes are
-/// pre-sliced so the compiler proves the bounds and auto-vectorises.
-///
-/// Every output element still sees the plain scalar loop's exact f32
-/// sequence, `((o + a₀b₀) + a₁b₁) + …` over ascending k, and an
-/// `a[i][k] == 0.0` coefficient is skipped, not added as `0.0 · b` (the two
-/// differ on a `-0.0` accumulator). `crates/tensor/tests/kernel_props.rs`
-/// checks it bitwise against that scalar loop.
+/// executor, and an `a[i][k] == 0.0` coefficient is skipped, not added as
+/// `0.0 · b` (the two differ on a `-0.0` accumulator and on a non-finite
+/// `b`). Every output element sees the plain scalar loop's exact f32
+/// sequence, `((o + a₀b₀) + a₁b₁) + …` over ascending k:
+/// `crates/tensor/tests/kernel_props.rs` checks it bitwise against that
+/// loop.
 pub fn matmul_into(a: &Array, b: &Array, out: &mut Array, accumulate: bool) {
     debug_assert_eq!(a.cols, b.rows);
     debug_assert_eq!((out.rows, out.cols), (a.rows, b.cols));
     if !accumulate {
         out.fill_zero();
     }
+    mac_blocked::<true>(a, b, out);
+}
+
+/// `out += a · bᵀ`, given `bt` = `bᵀ`: the tape backward's data gradient
+/// `grad · Wᵀ`, which [`crate::Graph::backward`] calls with each right
+/// operand transposed once per sweep.
+///
+/// Each output element is one dot product over ascending k that starts at
+/// `0.0` and includes every term, zeros too, and is then added to `out`
+/// once: `o + (((0 + a₀b₀) + a₁b₁) + …)`. Running it across the output
+/// columns over `bᵀ`'s rows, with the blocked body of [`matmul_into`] into
+/// a zeroed buffer, keeps that sequence for every element, so the bits are
+/// those of the scalar dot-product loop that `kernel_oracles.rs` keeps as
+/// its oracle.
+pub(crate) fn matmul_a_bt(a: &Array, bt: &Array, out: &mut Array) {
+    debug_assert_eq!(a.cols, bt.rows);
+    debug_assert_eq!((out.rows, out.cols), (a.rows, bt.cols));
+    let mut dots = Array::zeros(out.rows, out.cols);
+    mac_blocked::<false>(a, bt, &mut dots);
+    for (o, &d) in out.data.iter_mut().zip(&dots.data) {
+        *o += d;
+    }
+}
+
+/// `out += a · b`, i–k–j ordered so the inner loop streams contiguously
+/// over `b` and `out`, and blocked three ways: row pairs share each
+/// streamed b-row, k is unrolled by 4 (pairs) or 8 (odd last row), and j
+/// is tiled by `J_TILE` columns. There is no `unsafe`: the lanes are
+/// pre-sliced so the compiler proves the bounds and auto-vectorises.
+///
+/// With `SKIP_ZEROS` an `a[i][k] == 0.0` coefficient adds nothing;
+/// without, every term is added. Either way each output element's
+/// k-chain stays one left-associated sequence of `+=`s over ascending k,
+/// however the k range is cut into groups.
+fn mac_blocked<const SKIP_ZEROS: bool>(a: &Array, b: &Array, out: &mut Array) {
     let n = b.cols;
     let bd = &b.data;
     let rows = a.rows;
@@ -316,7 +355,7 @@ pub fn matmul_into(a: &Array, b: &Array, out: &mut Array, accumulate: bool) {
     while i + 2 <= rows {
         let (row0, row1) = od[i * n..(i + 2) * n].split_at_mut(n);
         let (ar0, ar1) = (a.row(i), a.row(i + 1));
-        let dense_pair = !ar0.iter().chain(ar1).any(|&v| v == 0.0);
+        let dense_pair = !SKIP_ZEROS || !ar0.iter().chain(ar1).any(|&v| v == 0.0);
         let mut j0 = 0;
         while j0 < n {
             let j1 = (j0 + J_TILE).min(n);
@@ -326,9 +365,9 @@ pub fn matmul_into(a: &Array, b: &Array, out: &mut Array, accumulate: bool) {
             let mut c1 = ar1.chunks_exact(4);
             let mut k = 0;
             if dense_pair {
-                // No zero anywhere in either a-row (the common case for
-                // trained dense weights): the per-group zero test is dead,
-                // so run the fused tile back-to-back.
+                // No zero to skip in either a-row (the common case for
+                // trained dense weights, and every case without
+                // `SKIP_ZEROS`): run the fused tile back-to-back.
                 for (q0, q1) in c0.by_ref().zip(c1.by_ref()) {
                     mac_tile4_x2(ot0, ot1, q0, q1, bd, k, n, j0);
                     k += 4;
@@ -336,16 +375,16 @@ pub fn matmul_into(a: &Array, b: &Array, out: &mut Array, accumulate: bool) {
             } else {
                 for (q0, q1) in c0.by_ref().zip(c1.by_ref()) {
                     if q0.iter().chain(q1).any(|&v| v == 0.0) {
-                        mac_tile_skip(ot0, q0, bd, k, n, j0);
-                        mac_tile_skip(ot1, q1, bd, k, n, j0);
+                        mac_tile::<true>(ot0, q0, bd, k, n, j0);
+                        mac_tile::<true>(ot1, q1, bd, k, n, j0);
                     } else {
                         mac_tile4_x2(ot0, ot1, q0, q1, bd, k, n, j0);
                     }
                     k += 4;
                 }
             }
-            mac_tile_skip(ot0, c0.remainder(), bd, k, n, j0);
-            mac_tile_skip(ot1, c1.remainder(), bd, k, n, j0);
+            mac_tile::<SKIP_ZEROS>(ot0, c0.remainder(), bd, k, n, j0);
+            mac_tile::<SKIP_ZEROS>(ot1, c1.remainder(), bd, k, n, j0);
             j0 = j1;
         }
         i += 2;
@@ -362,26 +401,34 @@ pub fn matmul_into(a: &Array, b: &Array, out: &mut Array, accumulate: bool) {
             for q in chunks.by_ref() {
                 // `contains` compares with `==`, so `-0.0` also takes the
                 // skip path, as in the scalar loop.
-                if q.contains(&0.0) {
-                    mac_tile_skip(ot, q, bd, k, n, j0);
+                if SKIP_ZEROS && q.contains(&0.0) {
+                    mac_tile::<true>(ot, q, bd, k, n, j0);
                 } else {
                     mac_tile8(ot, q, bd, k, n, j0);
                 }
                 k += 8;
             }
-            mac_tile_skip(ot, chunks.remainder(), bd, k, n, j0);
+            mac_tile::<SKIP_ZEROS>(ot, chunks.remainder(), bd, k, n, j0);
             j0 = j1;
         }
     }
 }
 
-/// One k-group of coefficients against one output tile, one k at a time,
-/// skipping zero coefficients (a skipped k contributes *nothing*, which is
-/// not the same as `+= 0.0 * b` when the running value is `-0.0`).
-fn mac_tile_skip(ot: &mut [f32], q: &[f32], bd: &[f32], k: usize, n: usize, j0: usize) {
+/// One k-group of coefficients against one output tile, one k at a time.
+/// With `SKIP_ZEROS` a zero coefficient contributes *nothing*, which is
+/// not the same as `+= 0.0 * b` when the running value is `-0.0` or `b`
+/// is not finite.
+fn mac_tile<const SKIP_ZEROS: bool>(
+    ot: &mut [f32],
+    q: &[f32],
+    bd: &[f32],
+    k: usize,
+    n: usize,
+    j0: usize,
+) {
     let len = ot.len();
     for (dk, &aik) in q.iter().enumerate() {
-        if aik == 0.0 {
+        if SKIP_ZEROS && aik == 0.0 {
             continue;
         }
         let br = &bd[(k + dk) * n + j0..][..len];
@@ -391,10 +438,10 @@ fn mac_tile_skip(ot: &mut [f32], q: &[f32], bd: &[f32], k: usize, n: usize, j0: 
     }
 }
 
-/// One zero-free k-group of exactly 8 coefficients against one output
-/// tile, left-associated: the same bracketing as eight successive `+=`
-/// passes over ascending k. Every operand is pre-sliced to `len`, so the
-/// inner loop is provably in bounds and vectorises.
+/// A k-group of exactly 8 coefficients against one output tile, every
+/// term added, left-associated: the same bracketing as eight successive
+/// `+=` passes over ascending k. Every operand is pre-sliced to `len`, so
+/// the inner loop is provably in bounds and vectorises.
 #[allow(clippy::needless_range_loop)]
 fn mac_tile8(ot: &mut [f32], q: &[f32], bd: &[f32], k: usize, n: usize, j0: usize) {
     let len = ot.len();
@@ -417,13 +464,14 @@ fn mac_tile8(ot: &mut [f32], q: &[f32], bd: &[f32], k: usize, n: usize, j0: usiz
     }
 }
 
-/// A zero-free k-group of exactly 4 coefficients fused over two output
-/// rows. The two accumulation chains are independent, which doubles the
-/// instruction-level parallelism of the dependent-add chain, and the four
-/// b-rows are loaded once for both. The group is 4 wide so the working set
-/// (8 coefficient splats, 4 b vectors, 2 accumulators) fits the 16 AVX
-/// registers. Each row's k-chain stays one left-associated sequence of
-/// `+=`s however it is cut, so the grouping does not change the result.
+/// A k-group of exactly 4 coefficients fused over two output rows, every
+/// term added. The two accumulation chains are independent, which doubles
+/// the instruction-level parallelism of the dependent-add chain, and the
+/// four b-rows are loaded once for both. The group is 4 wide so the
+/// working set (8 coefficient splats, 4 b vectors, 2 accumulators) fits
+/// the 16 AVX registers. Each row's k-chain stays one left-associated
+/// sequence of `+=`s however it is cut, so the grouping does not change
+/// the result.
 #[inline(always)]
 #[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
 fn mac_tile4_x2(
@@ -469,24 +517,6 @@ pub(crate) fn matmul_at_b(a: &Array, b: &Array, rows: Range<usize>, out: &mut Ar
             for (o, &bv) in out_row.iter_mut().zip(b_row) {
                 *o += av * bv;
             }
-        }
-    }
-}
-
-/// `out += a · bᵀ` without materialising the transpose.
-pub(crate) fn matmul_a_bt(a: &Array, b: &Array, out: &mut Array) {
-    debug_assert_eq!(a.cols, b.cols);
-    debug_assert_eq!((out.rows, out.cols), (a.rows, b.rows));
-    for i in 0..a.rows {
-        let a_row = a.row(i);
-        let out_row = out.row_mut(i);
-        for (j, o) in out_row.iter_mut().enumerate() {
-            let b_row = b.row(j);
-            let mut acc = 0.0f32;
-            for (&av, &bv) in a_row.iter().zip(b_row) {
-                acc += av * bv;
-            }
-            *o += acc;
         }
     }
 }
@@ -537,7 +567,7 @@ mod tests {
         let c = Array::uniform(4, 3, -1.0, 1.0, &mut rng);
         let d = Array::uniform(5, 3, -1.0, 1.0, &mut rng);
         let mut out2 = Array::zeros(4, 5);
-        matmul_a_bt(&c, &d, &mut out2);
+        matmul_a_bt(&c, &d.transpose(), &mut out2);
         let expected2 = c.matmul(&d.transpose()).unwrap();
         for (x, y) in out2.data().iter().zip(expected2.data()) {
             assert!((x - y).abs() < 1e-5);

@@ -31,6 +31,16 @@
 //! on the same rows. Each parameter then receives the bits one op per
 //! sequence gives it.
 //!
+//! # The data gradient of a matmul
+//!
+//! The gradient of `x · W` with respect to `x` is `grad · Wᵀ`. The sweep
+//! transposes each right operand once, when the first matmul reading it
+//! needs that product, and reuses the transpose for every other matmul
+//! reading the same node (a BiGRU reads `W_x` and `W_h` at every step).
+//! `matmul_a_bt` then runs across output columns over `Wᵀ`'s rows at
+//! vector width, with each element's dot product summed as the scalar
+//! loop sums it.
+//!
 //! # Shape errors
 //!
 //! Ops panic on incompatible shapes with a descriptive message. Model
@@ -429,6 +439,7 @@ impl Graph {
             .flat_map(|g| g.ops.iter().map(|op| op.node))
             .collect();
         let (mut next_group, mut next_held) = (groups.len(), held.len());
+        let mut transposed = HashMap::new();
         for i in (0..ops.len()).rev() {
             while next_group > 0 && groups[next_group - 1].start > i {
                 next_group -= 1;
@@ -453,10 +464,10 @@ impl Graph {
                 // The parameter parents wait for their group's replay.
                 let params = ops[i].param_parents(&ops);
                 params.iter().flatten().for_each(|&p| needs[p] = false);
-                Self::backprop_op(&ops, &slots, i, &grad, &needs, &mut grads);
+                Self::backprop_op(&ops, &slots, i, &grad, &needs, &mut grads, &mut transposed);
                 params.iter().flatten().for_each(|&p| needs[p] = true);
             } else {
-                Self::backprop_op(&ops, &slots, i, &grad, &needs, &mut grads);
+                Self::backprop_op(&ops, &slots, i, &grad, &needs, &mut grads, &mut transposed);
             }
             grads[i] = Some(grad);
         }
@@ -508,6 +519,8 @@ impl Graph {
     }
 
     /// Applies node `i`'s vector-Jacobian product, accumulating into parents.
+    /// `transposed` holds the sweep's transposed right operands of matmuls,
+    /// by node, each made the first time a matmul reading it needs it.
     #[allow(clippy::too_many_lines)]
     fn backprop_op(
         ops: &[Op],
@@ -516,6 +529,7 @@ impl Graph {
         grad: &Array,
         needs: &[bool],
         grads: &mut [Option<Array>],
+        transposed: &mut HashMap<usize, Array>,
     ) {
         let val = |n: usize| slots[n].array();
         let ensure = |grads: &mut [Option<Array>], idx: usize, shape: (usize, usize)| {
@@ -569,7 +583,8 @@ impl Graph {
             Op::MatMul(a, b) => {
                 if needs[*a] {
                     ensure(grads, *a, val(*a).shape());
-                    matmul_a_bt(grad, val(*b), grads[*a].as_mut().unwrap());
+                    let bt = transposed.entry(*b).or_insert_with(|| val(*b).transpose());
+                    matmul_a_bt(grad, bt, grads[*a].as_mut().unwrap());
                 }
                 if needs[*b] {
                     ensure(grads, *b, val(*b).shape());

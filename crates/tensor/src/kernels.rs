@@ -5,6 +5,14 @@
 //! The one forward body of each [`crate::Exec`] op calls them, and the
 //! tape's backward sweep in [`crate::graph`] adds the backward halves.
 //! (The matmul kernels live in [`crate::array`].)
+//!
+//! The broadcast kernels, [`bcast_zip_into`] (the forward `add`, `sub` and
+//! `mul`) and [`reduce_rows_into`], [`reduce_into`] and [`reduce_mul_into`]
+//! (their backward), run one loop over contiguous slices per broadcast
+//! case, which the compiler vectorises. Each element still gets the
+//! operations of a per-element loop, on the same operands and in the same
+//! order, so the bits do not depend on the vector width; the crate's unit
+//! tests hold each kernel to that loop.
 
 use std::ops::Range;
 
@@ -33,25 +41,52 @@ pub fn broadcast_shape(a: (usize, usize), b: (usize, usize), op: &str) -> (usize
 
 /// Elementwise binary op with broadcasting, written into a caller-provided
 /// output of the broadcast shape ([`broadcast_shape`]). Every output
-/// element is overwritten.
+/// element is overwritten with `f(a, b)`.
+///
+/// A side broadcast along rows (one row) is read at that row for every
+/// output row; within a row, a side that is one column wide is read as
+/// one value. Each case runs as one loop over contiguous slices, which the
+/// compiler vectorises; every element is still the one `f(a, b)`.
 pub fn bcast_zip_into(a: &Array, b: &Array, out: &mut Array, f: impl Fn(f32, f32) -> f32) {
     let (r, c) = out.shape();
     debug_assert_eq!(
         (r, c),
         broadcast_shape(a.shape(), b.shape(), "bcast_zip_into")
     );
-    let (ar, ac) = a.shape();
-    let (br, bc) = b.shape();
+    if a.shape() == (r, c) && b.shape() == (r, c) {
+        for ((o, &x), &y) in out.data_mut().iter_mut().zip(a.data()).zip(b.data()) {
+            *o = f(x, y);
+        }
+        return;
+    }
     for i in 0..r {
-        let ai = if ar == 1 { 0 } else { i };
-        let bi = if br == 1 { 0 } else { i };
-        let arow = a.row(ai);
-        let brow = b.row(bi);
+        let arow = a.row(if a.rows() == 1 { 0 } else { i });
+        let brow = b.row(if b.rows() == 1 { 0 } else { i });
         let orow = out.row_mut(i);
-        for (j, o) in orow.iter_mut().enumerate() {
-            let av = arow[if ac == 1 { 0 } else { j }];
-            let bv = brow[if bc == 1 { 0 } else { j }];
-            *o = f(av, bv);
+        match (arow.len() == c, brow.len() == c) {
+            (true, true) => {
+                for ((o, &x), &y) in orow.iter_mut().zip(arow).zip(brow) {
+                    *o = f(x, y);
+                }
+            }
+            (true, false) => {
+                let y = brow[0];
+                for (o, &x) in orow.iter_mut().zip(arow) {
+                    *o = f(x, y);
+                }
+            }
+            (false, true) => {
+                let x = arow[0];
+                for (o, &y) in orow.iter_mut().zip(brow) {
+                    *o = f(x, y);
+                }
+            }
+            (false, false) => {
+                let (x, y) = (arow[0], brow[0]);
+                for o in orow {
+                    *o = f(x, y);
+                }
+            }
         }
     }
 }
@@ -65,6 +100,11 @@ pub fn reduce_into(grad: &Array, into: &mut Array) {
 /// [`reduce_into`] of `grad`'s rows `rows` only. Rows are added one after
 /// another, so consecutive row ranges add up exactly as one call over
 /// their union.
+///
+/// A target one row high takes every row's add in ascending row order,
+/// one target one column wide takes a row's elements in ascending column
+/// order: the sequence of `+=`s of a per-element loop, run per case over
+/// contiguous slices.
 pub fn reduce_rows_into(grad: &Array, rows: Range<usize>, into: &mut Array) {
     let (gr, gc) = grad.shape();
     let (tr, tc) = into.shape();
@@ -75,30 +115,57 @@ pub fn reduce_rows_into(grad: &Array, rows: Range<usize>, into: &mut Array) {
         into.shape()
     );
     for i in rows {
-        let ti = if tr == 1 { 0 } else { i };
         let grow = grad.row(i);
-        for (j, &g) in grow.iter().enumerate() {
-            let tj = if tc == 1 { 0 } else { j };
-            *into.at_mut(ti, tj) += g;
+        let trow = into.row_mut(if tr == 1 { 0 } else { i });
+        if tc == gc {
+            for (t, &g) in trow.iter_mut().zip(grow) {
+                *t += g;
+            }
+        } else {
+            let t = &mut trow[0];
+            for &g in grow {
+                *t += g;
+            }
         }
     }
 }
 
 /// Accumulates `grad ⊙ broadcast(other)` into `into` (shape of `into` may be
 /// a broadcast source). Used by the backward pass of broadcast multiply.
+///
+/// Each term is `g * o`, added in the order of [`reduce_rows_into`], with
+/// `other` read as [`bcast_zip_into`] reads a side.
 pub fn reduce_mul_into(grad: &Array, other: &Array, into: &mut Array) {
-    let (gr, _) = grad.shape();
-    let (or_, oc) = other.shape();
+    let (gr, gc) = grad.shape();
     let (tr, tc) = into.shape();
     for i in 0..gr {
-        let oi = if or_ == 1 { 0 } else { i };
-        let ti = if tr == 1 { 0 } else { i };
         let grow = grad.row(i);
-        let orow = other.row(oi);
-        for (j, &g) in grow.iter().enumerate() {
-            let ov = orow[if oc == 1 { 0 } else { j }];
-            let tj = if tc == 1 { 0 } else { j };
-            *into.at_mut(ti, tj) += g * ov;
+        let orow = other.row(if other.rows() == 1 { 0 } else { i });
+        let trow = into.row_mut(if tr == 1 { 0 } else { i });
+        match (tc == gc, orow.len() == gc) {
+            (true, true) => {
+                for ((t, &g), &o) in trow.iter_mut().zip(grow).zip(orow) {
+                    *t += g * o;
+                }
+            }
+            (true, false) => {
+                let o = orow[0];
+                for (t, &g) in trow.iter_mut().zip(grow) {
+                    *t += g * o;
+                }
+            }
+            (false, true) => {
+                let t = &mut trow[0];
+                for (&g, &o) in grow.iter().zip(orow) {
+                    *t += g * o;
+                }
+            }
+            (false, false) => {
+                let (t, o) = (&mut trow[0], orow[0]);
+                for &g in grow {
+                    *t += g * o;
+                }
+            }
         }
     }
 }

@@ -57,6 +57,8 @@ pub mod array;
 pub mod exec;
 pub mod graph;
 pub mod infer;
+#[cfg(test)]
+mod kernel_oracles;
 pub mod kernels;
 pub mod nn;
 pub mod optim;

@@ -152,10 +152,14 @@ impl Adam {
                 context: "Adam gradients".to_string(),
             });
         }
-        let mut grads = grads.clone();
-        if self.clip_norm.is_finite() {
-            grads.clip_global_norm(self.clip_norm);
-        }
+        // The clip factor multiplies each gradient as it is read: the same
+        // `g * s` that `ParamGrads::clip_global_norm` applies, without a
+        // copy of the store. Unclipped, `s` is 1.0, and `g * 1.0 == g` for
+        // every finite `g`.
+        let s = Some(self.clip_norm)
+            .filter(|clip| clip.is_finite())
+            .and_then(|clip| grads.clip_factor(clip))
+            .unwrap_or(1.0);
         if self.m.len() != params.len() {
             self.m = vec![None; params.len()];
             self.v = vec![None; params.len()];
@@ -173,24 +177,21 @@ impl Adam {
                 .zip(v.data_mut().iter_mut())
                 .zip(g.data())
             {
+                let gv = gv * s;
                 *mv = self.beta1 * *mv + (1.0 - self.beta1) * gv;
                 *vv = self.beta2 * *vv + (1.0 - self.beta2) * gv * gv;
             }
+            let target = params.value_mut(i);
             if self.weight_decay > 0.0 {
-                let decay = self.weight_decay;
-                let current = params.value_at(i).clone();
-                params.value_mut(i).axpy(-self.lr * decay, &current);
+                // Decoupled decay in place: `p + α·p`, as `Array::axpy`
+                // computes it against a copy of `p`.
+                let alpha = -self.lr * self.weight_decay;
+                for p in target.data_mut() {
+                    *p += alpha * *p;
+                }
             }
             let (lr, eps) = (self.lr, self.eps);
-            let m_snapshot = self.m[i].as_ref().unwrap().clone();
-            let v_snapshot = self.v[i].as_ref().unwrap().clone();
-            let target = params.value_mut(i);
-            for ((t, &mv), &vv) in target
-                .data_mut()
-                .iter_mut()
-                .zip(m_snapshot.data())
-                .zip(v_snapshot.data())
-            {
+            for ((t, &mv), &vv) in target.data_mut().iter_mut().zip(m.data()).zip(v.data()) {
                 let m_hat = mv / bc1;
                 let v_hat = vv / bc2;
                 *t -= lr * m_hat / (v_hat.sqrt() + eps);

@@ -627,10 +627,16 @@ impl ParamGrads {
 
     /// Rescales so the global norm does not exceed `max_norm`.
     pub fn clip_global_norm(&mut self, max_norm: f32) {
-        let norm = self.global_norm();
-        if norm > max_norm && norm > 0.0 {
-            self.scale(max_norm / norm);
+        if let Some(s) = self.clip_factor(max_norm) {
+            self.scale(s);
         }
+    }
+
+    /// The factor [`ParamGrads::clip_global_norm`] scales by, `None` when
+    /// the global norm is within `max_norm`.
+    pub(crate) fn clip_factor(&self, max_norm: f32) -> Option<f32> {
+        let norm = self.global_norm();
+        (norm > max_norm && norm > 0.0).then(|| max_norm / norm)
     }
 
     /// True when every present gradient is finite.

@@ -8,10 +8,13 @@
 //!    brute force, first-max-wins ties in `max_cols`, and segmented
 //!    `unfold`/`max_cols` against one call per segment — values, and the
 //!    input gradient of the tape's segmented ops.
-//! 2. **The blocked matmul against the scalar loop** — `matmul_into` is
-//!    the one kernel with a cache-blocked body, and it must produce
-//!    *bitwise identical* results to the plain i–k–j loop kept below as
-//!    the test oracle, zero-skip included.
+//! 2. **The blocked matmul against the scalar loop** — `matmul_into` must
+//!    produce *bitwise identical* results to the plain i–k–j loop kept
+//!    below as the test oracle, zero-skip included. The tape's data
+//!    gradient `grad · Wᵀ`, which runs the same blocked body over a
+//!    transpose the sweep makes once per right operand, must give each
+//!    input the bits of the scalar dot-product loop. (The crate-private
+//!    kernels are held to their scalar loops in `src/kernel_oracles.rs`.)
 //!
 //! The tolerance tiers (bitwise / F1-bounded) are documented in DESIGN.md
 //! §5h.
@@ -395,6 +398,74 @@ fn matmul_into_preserves_the_zero_skip() {
         matmul_into(&a, &b, &mut out, true);
         for v in out.data() {
             assert_eq!(v.to_bits(), (-0.0f32).to_bits());
+        }
+    }
+}
+
+/// The tape's data gradient `grad · Wᵀ` runs over each right operand
+/// transposed once per sweep. Two weights of one shape are each the right
+/// operand of two matmuls, and each input is the left operand of two, so
+/// the sweep reuses a transpose for a second matmul and adds a second
+/// product into an existing gradient. Each input's gradient must be the
+/// bits of the scalar dot-product loop run in the sweep's order.
+#[test]
+fn matmul_input_gradients_reuse_each_transpose_bit_for_bit() {
+    /// `out += g · wᵀ`, one scalar dot product per element: the loop the
+    /// tape ran before its operands were transposed.
+    fn a_bt_oracle(g: &Array, w: &Array, out: &mut Array) {
+        for i in 0..g.rows() {
+            for j in 0..w.rows() {
+                let mut acc = 0.0f32;
+                for (&gv, &wv) in g.row(i).iter().zip(w.row(j)) {
+                    acc += gv * wv;
+                }
+                *out.at_mut(i, j) += acc;
+            }
+        }
+    }
+    let mut rng = Rng::new(31);
+    for (m, k, n) in [
+        (1, 1, 1),
+        (3, 5, 7),
+        (6, 24, 72),
+        (6, 48, 72),
+        (9, 19, 96),
+        (2, 72, 11),
+    ] {
+        let x = [0, 1].map(|_| rand_array_with_zeros(m, k, rng.next_u64()));
+        let w = [0, 1].map(|_| rand_array_with_zeros(k, n, rng.next_u64()));
+        // (input, weight) per matmul, in tape order.
+        let products = [(0, 0), (1, 0), (0, 1), (1, 1)];
+        let c: Vec<Array> = products
+            .iter()
+            .map(|_| rand_array_with_zeros(m, n, rng.next_u64()))
+            .collect();
+
+        let mut store = ParamStore::new();
+        let xid = [store.add("x0", x[0].clone()), store.add("x1", x[1].clone())];
+        let wid = [store.add("w0", w[0].clone()), store.add("w1", w[1].clone())];
+        let g = Graph::new();
+        let xv = xid.map(|id| g.param(&store, id));
+        let wv = wid.map(|id| g.param(&store, id));
+        let terms: Vec<Var> = products
+            .iter()
+            .zip(&c)
+            .map(|(&(xi, wi), c)| g.sum_all(g.mul(g.matmul(xv[xi], wv[wi]), g.constant(c.clone()))))
+            .collect();
+        let loss = terms[1..].iter().fold(terms[0], |acc, &t| g.add(acc, t));
+        let grads = g.backward(loss).unwrap();
+
+        for (xi, &var) in xv.iter().enumerate() {
+            let mut want = Array::zeros(m, k);
+            for (&(pxi, wi), c) in products.iter().zip(&c).rev() {
+                if pxi == xi {
+                    // The product's gradient as the tape forms it: the
+                    // ones from `sum_all` times `c`, added to zeros.
+                    a_bt_oracle(&c.map(|v| 0.0 + 1.0 * v), &w[wi], &mut want);
+                }
+            }
+            let what = format!("input {xi} of [{m}x{k}] · [{k}x{n}]");
+            assert_bitwise(grads.wrt(var).unwrap(), &want, &what);
         }
     }
 }
