@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use fewner_bench::{embedding_spec, run_cell, Cell, Method, Scale};
+use fewner_bench::{embedding_spec, run_method, Cell, Method, Scale};
 use fewner_corpus::{
     full_view, holdout_target, split_sentences, split_types, AceDomain, DatasetProfile,
 };
@@ -36,7 +36,7 @@ fn table2_smoke(c: &mut Criterion) {
                 n_ways: 5,
                 k_shots: 1,
             };
-            black_box(run_cell(Method::FewNer, &cell, &scale).unwrap());
+            black_box(run_method(Method::FewNer, &cell, &scale).unwrap());
         });
     });
 }
@@ -61,7 +61,7 @@ fn table3_smoke(c: &mut Criterion) {
                 n_ways: 5,
                 k_shots: 1,
             };
-            black_box(run_cell(Method::FewNer, &cell, &scale).unwrap());
+            black_box(run_method(Method::FewNer, &cell, &scale).unwrap());
         });
     });
 }
@@ -82,7 +82,7 @@ fn table4_smoke(c: &mut Criterion) {
                 n_ways: 5,
                 k_shots: 1,
             };
-            black_box(run_cell(Method::FewNer, &cell, &scale).unwrap());
+            black_box(run_method(Method::FewNer, &cell, &scale).unwrap());
         });
     });
 }
@@ -110,7 +110,7 @@ fn table5_smoke(c: &mut Criterion) {
                     k_shots: 1,
                 };
                 fewner_bench::train_learner(&mut learner, &cell, &scale, &meta).unwrap();
-                black_box(fewner_bench::evaluate_learner(&learner, &cell, &scale).unwrap());
+                black_box(fewner_bench::score_learner(&learner, &cell, &scale).unwrap());
             });
         });
     }

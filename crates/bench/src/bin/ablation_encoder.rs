@@ -6,16 +6,16 @@
 use std::time::Instant;
 
 use fewner_bench::{
-    backbone_config, embedding_spec, evaluate_learner, meta_config, train_learner, write_report,
-    Cell, Scale,
+    backbone_config, embedding_spec, meta_config, score_learner, train_learner, write_report, Cell,
+    Scale,
 };
 use fewner_core::Fewner;
 use fewner_corpus::{split_types, DatasetProfile};
 use fewner_models::{BackboneConfig, Conditioning, EncoderKind, TokenEncoder};
+use fewner_util::ci95;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = Scale::from_args(&args);
+    let scale = Scale::from_env();
     let d = DatasetProfile::genia()
         .generate(scale.corpus)
         .expect("GENIA");
@@ -44,7 +44,7 @@ fn main() {
             let t0 = Instant::now();
             train_learner(&mut learner, &cell, &scale, &meta).expect("train");
             let train_secs = t0.elapsed().as_secs_f64();
-            let f1 = evaluate_learner(&learner, &cell, &scale).expect("eval");
+            let f1 = ci95(&score_learner(&learner, &cell, &scale).expect("eval"));
             let line = format!(
                 "  {name:<6} {k}-shot: F1 {}  (train {train_secs:.0}s)",
                 f1.as_percent()

@@ -2,13 +2,13 @@
 //! all methods, small scale — prints F1 per method to sanity-check the
 //! reproduction shape before running the full tables.
 
-use fewner_bench::{embedding_spec, run_cell, Cell, Method, Scale};
+use fewner_bench::{embedding_spec, run_method, Cell, Method, Scale};
 use fewner_corpus::{split_types, DatasetProfile};
 use fewner_models::TokenEncoder;
+use fewner_util::ci95;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = Scale::from_args(&args);
+    let scale = Scale::from_env();
     let d = DatasetProfile::genia().generate(scale.corpus).unwrap();
     let split = split_types(&d, (18, 8, 10), 42).unwrap();
     eprintln!(
@@ -35,7 +35,7 @@ fn main() {
             Method::Lm(fewner_models::LmFlavor::Bert),
         ] {
             let t0 = std::time::Instant::now();
-            let f1 = run_cell(m, &cell, &scale).unwrap();
+            let f1 = ci95(&run_method(m, &cell, &scale).unwrap());
             println!(
                 "{}-shot {:>9}: {}  ({:.1}s)",
                 k,

@@ -40,32 +40,102 @@ use fewner_episode::{EpisodeSampler, Task};
 use fewner_serve::{Client, RetryPolicy, SupportSentence};
 use fewner_util::Error;
 
+const USAGE: &str = "usage: serve_load --addr <ip:port> [--clients N] [--requests N] \
+                     [--tasks N] [--rate RPS] [--scale F] [--seed N] [--shutdown true] \
+                     [--deadline-ms MS] [--retries N] [--backoff-ms MS] [--arrivals W]";
+
+/// Every flag `serve_load` takes (each takes one value).
+const FLAGS: &[&str] = &[
+    "addr",
+    "clients",
+    "requests",
+    "tasks",
+    "rate",
+    "scale",
+    "seed",
+    "shutdown",
+    "deadline-ms",
+    "retries",
+    "backoff-ms",
+    "arrivals",
+];
+
 struct Flags(HashMap<String, String>);
 
 impl Flags {
-    fn parse() -> Flags {
-        let args: Vec<String> = std::env::args().skip(1).collect();
+    /// Parses `--key value` pairs (without the program name). A flag
+    /// `serve_load` does not take, a flag given twice and a flag without a
+    /// value are errors naming the flag.
+    fn parse(args: &[String]) -> Result<Flags, Error> {
         let mut map = HashMap::new();
         let mut it = args.iter();
-        while let Some(key) = it.next() {
-            let (Some(key), Some(value)) = (key.strip_prefix("--"), it.next()) else {
-                eprintln!(
-                    "usage: serve_load --addr <ip:port> [--clients N] [--requests N] \
-                           [--tasks N] [--rate RPS] [--scale F] [--seed N] [--shutdown true] \
-                           [--deadline-ms MS] [--retries N] [--backoff-ms MS] [--arrivals W]"
-                );
-                std::process::exit(2);
+        while let Some(arg) = it.next() {
+            let Some(key) = arg.strip_prefix("--").filter(|k| FLAGS.contains(k)) else {
+                return Err(Error::InvalidConfig(format!(
+                    "serve_load does not take `{arg}`"
+                )));
             };
-            map.insert(key.to_string(), value.clone());
+            let Some(value) = it.next() else {
+                return Err(Error::InvalidConfig(format!("--{key} needs a value")));
+            };
+            if map.insert(key.to_string(), value.clone()).is_some() {
+                return Err(Error::InvalidConfig(format!("--{key} is given twice")));
+            }
         }
-        Flags(map)
+        Ok(Flags(map))
     }
 
-    fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.0
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    /// A typed flag with a default. A value that does not parse is an
+    /// error naming the flag and the value, never the default.
+    fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, Error> {
+        match self.0.get(key) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| {
+                Error::InvalidConfig(format!(
+                    "--{key} `{v}` is not a valid {}",
+                    std::any::type_name::<T>()
+                ))
+            }),
+        }
+    }
+}
+
+/// Everything `serve_load` reads from its flags, checked before any work.
+struct Args {
+    addr: String,
+    clients: usize,
+    requests: usize,
+    n_tasks: usize,
+    rate: f64,
+    scale: f64,
+    seed: u64,
+    shutdown: bool,
+    deadline_ms: u64,
+    retries: u32,
+    backoff_ms: u64,
+    arrivals: usize,
+}
+
+impl Args {
+    fn parse(args: &[String]) -> Result<Args, Error> {
+        let flags = Flags::parse(args)?;
+        let Some(addr) = flags.0.get("addr").cloned() else {
+            return Err(Error::InvalidConfig("--addr <ip:port> is required".into()));
+        };
+        Ok(Args {
+            addr,
+            clients: flags.get("clients", 4usize)?.max(1),
+            requests: flags.get("requests", 50usize)?,
+            n_tasks: flags.get("tasks", 4usize)?.max(1),
+            rate: flags.get("rate", 0.0f64)?,
+            scale: flags.get("scale", 0.05f64)?,
+            seed: flags.get("seed", 42u64)?,
+            shutdown: flags.get("shutdown", false)?,
+            deadline_ms: flags.get("deadline-ms", 0u64)?,
+            retries: flags.get("retries", 0u32)?,
+            backoff_ms: flags.get("backoff-ms", 10u64)?,
+            arrivals: flags.get("arrivals", 0usize)?,
+        })
     }
 }
 
@@ -292,20 +362,24 @@ fn percentile(sorted_us: &[u64], p: f64) -> f64 {
 }
 
 fn main() {
-    let flags = Flags::parse();
-    let Some(addr) = flags.0.get("addr").cloned() else {
-        eprintln!("serve_load: --addr <ip:port> is required");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        addr,
+        clients,
+        requests,
+        n_tasks,
+        rate,
+        scale,
+        seed,
+        shutdown,
+        deadline_ms,
+        retries,
+        backoff_ms,
+        arrivals,
+    } = Args::parse(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
         std::process::exit(2);
-    };
-    let clients = flags.get("clients", 4usize).max(1);
-    let requests = flags.get("requests", 50usize);
-    let n_tasks = flags.get("tasks", 4usize).max(1);
-    let rate = flags.get("rate", 0.0f64);
-    let scale = flags.get("scale", 0.05f64);
-    let seed = flags.get("seed", 42u64);
-    let deadline_ms = flags.get("deadline-ms", 0u64);
-    let retries = flags.get("retries", 0u32);
-    let backoff_ms = flags.get("backoff-ms", 10u64);
+    });
     let mut policy = RetryPolicy::new()
         .max_retries(retries)
         .backoff_ms(backoff_ms, backoff_ms * 50)
@@ -321,10 +395,9 @@ fn main() {
     let sampler = EpisodeSampler::new(&split.test, 5, 1, 6).expect("sampler");
     let tasks = sampler.eval_set(0xE7A1, n_tasks).expect("tasks");
 
-    let arrivals = flags.get("arrivals", 0usize);
     if arrivals > 0 {
         let failed = run_arrivals(&addr, &tasks, arrivals);
-        if flags.get("shutdown", false) {
+        if shutdown {
             match Client::connect(&addr).and_then(|mut c| c.shutdown()) {
                 Ok(()) => println!("  sent shutdown"),
                 Err(e) => eprintln!("  shutdown failed: {e}"),
@@ -409,7 +482,7 @@ fn main() {
         Err(e) => eprintln!("  (stats unavailable: {e})"),
     }
 
-    if flags.get("shutdown", false) {
+    if shutdown {
         match Client::connect(&addr).and_then(|mut c| c.shutdown()) {
             Ok(()) => println!("  sent shutdown"),
             Err(e) => eprintln!("  shutdown failed: {e}"),
@@ -418,5 +491,51 @@ fn main() {
 
     if failed > 0 {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn every_ci_invocation_parses() {
+        let a = Args::parse(&args(
+            "--addr 127.0.0.1:1 --clients 3 --requests 20 --tasks 3 --scale 0.05 \
+             --shutdown true --retries 3 --deadline-ms 2000 --backoff-ms 10",
+        ))
+        .unwrap();
+        assert_eq!((a.clients, a.requests, a.n_tasks, a.retries), (3, 20, 3, 3));
+        assert_eq!((a.deadline_ms, a.backoff_ms, a.scale), (2000, 10, 0.05));
+        assert!(a.shutdown);
+        let a = Args::parse(&args(
+            "--addr 127.0.0.1:1 --tasks 2 --scale 0.05 --arrivals 3 --shutdown true",
+        ))
+        .unwrap();
+        assert_eq!((a.n_tasks, a.arrivals, a.clients, a.rate), (2, 3, 4, 0.0));
+    }
+
+    #[test]
+    fn bad_flags_are_refused_by_name() {
+        for (line, needle) in [
+            ("--addr a:1 --client 3", "does not take `--client`"),
+            ("--addr a:1 stray", "does not take `stray`"),
+            ("--addr a:1 --clients x", "--clients `x`"),
+            ("--addr a:1 --rate fast", "--rate `fast`"),
+            ("--addr a:1 --shutdown yes", "--shutdown `yes`"),
+            ("--addr a:1 --tasks", "--tasks needs a value"),
+            ("--addr a:1 --addr b:2", "--addr is given twice"),
+            ("--clients 3", "--addr <ip:port> is required"),
+        ] {
+            match Args::parse(&args(line)) {
+                Err(Error::InvalidConfig(msg)) => assert!(msg.contains(needle), "{line}: {msg}"),
+                Err(other) => panic!("{line}: expected InvalidConfig, got {other:?}"),
+                Ok(_) => panic!("{line}: expected an error naming `{needle}`"),
+            }
+        }
     }
 }

@@ -10,8 +10,7 @@ use fewner_corpus::{AceDomain, DatasetProfile};
 use fewner_util::{json, Json};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = Scale::from_args(&args);
+    let scale = Scale::from_env();
     println!(
         "Table 1: dataset statistics (corpus scale {})\n",
         scale.corpus

@@ -5,16 +5,14 @@
 //! Type splits follow §4.2.1: 52/10/15 (NNE), 163/15/20 (FG-NER),
 //! 18/8/10 (GENIA); test types never appear during training.
 
-use fewner_bench::{embedding_spec, run_cell_scores, write_report, Cell, Method, Scale};
+use fewner_bench::{cell_stat, embedding_spec, run_method, write_report, Cell, Method, Scale};
 use fewner_corpus::{split_types, DatasetProfile};
 use fewner_eval::paired_compare;
 use fewner_eval::Table;
 use fewner_models::TokenEncoder;
-use fewner_util::ci95;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = Scale::from_args(&args);
+    let scale = Scale::from_env();
     // Corpus multipliers keep every dataset's *test split* big enough for
     // 5-shot episode construction at reduced scales (FG-NER has only ~20
     // sentences per test type at 4 % scale otherwise).
@@ -57,8 +55,8 @@ fn main() {
             };
             for (method, cells, scores) in per_method.iter_mut() {
                 let t0 = std::time::Instant::now();
-                let episode_scores = run_cell_scores(*method, &cell, &scale);
-                let f1 = ci95(&episode_scores);
+                let outcome = run_method(*method, &cell, &scale);
+                let f1 = cell_stat(&outcome);
                 eprintln!(
                     "{} {}-shot {:>9}: {}  ({:.0}s)",
                     profile.name,
@@ -68,7 +66,8 @@ fn main() {
                     t0.elapsed().as_secs_f64()
                 );
                 cells.push(f1.into());
-                scores.push(episode_scores);
+                // A skipped cell has no scores, so its significance is n/a.
+                scores.push(outcome.unwrap_or_default());
             }
         }
     }

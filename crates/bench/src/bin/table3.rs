@@ -3,14 +3,13 @@
 //! flattened to the innermost span). Three adaptations: BC → UN,
 //! BN → CTS, NW → WL; 8/1/1 sentence splits per domain (§4.3.1).
 
-use fewner_bench::{embedding_spec, run_cell_or_nan, write_report, Cell, Method, Scale};
+use fewner_bench::{cell_stat, embedding_spec, run_method, write_report, Cell, Method, Scale};
 use fewner_corpus::{split_sentences, AceDomain, DatasetProfile};
 use fewner_eval::Table;
 use fewner_models::TokenEncoder;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = Scale::from_args(&args);
+    let scale = Scale::from_env();
     let pairs = [
         (AceDomain::Bc, AceDomain::Un, "BC→UN"),
         (AceDomain::Bn, AceDomain::Cts, "BN→CTS"),
@@ -55,7 +54,7 @@ fn main() {
             };
             for (method, cells) in per_method.iter_mut() {
                 let t0 = std::time::Instant::now();
-                let f1 = run_cell_or_nan(*method, &cell, &scale);
+                let f1 = cell_stat(&run_method(*method, &cell, &scale));
                 eprintln!(
                     "{name} {}-shot {:>9}: {}  ({:.0}s)",
                     k,

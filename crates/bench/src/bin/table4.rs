@@ -4,14 +4,13 @@
 //! target is held out for validation and the remaining 80 % is the test
 //! pool (§4.4.1).
 
-use fewner_bench::{embedding_spec, run_cell_or_nan, write_report, Cell, Method, Scale};
+use fewner_bench::{cell_stat, embedding_spec, run_method, write_report, Cell, Method, Scale};
 use fewner_corpus::{full_view, holdout_target, DatasetProfile};
 use fewner_eval::Table;
 use fewner_models::TokenEncoder;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = Scale::from_args(&args);
+    let scale = Scale::from_env();
     // (source, target, label, target corpus multiplier) — the small target
     // corpora need a boost at reduced scales for 5-shot construction.
     let pairs = [
@@ -65,7 +64,7 @@ fn main() {
             };
             for (method, cells) in per_method.iter_mut() {
                 let t0 = std::time::Instant::now();
-                let f1 = run_cell_or_nan(*method, &cell, &scale);
+                let f1 = cell_stat(&run_method(*method, &cell, &scale));
                 eprintln!(
                     "{name} {}-shot {:>9}: {}  ({:.0}s)",
                     k,

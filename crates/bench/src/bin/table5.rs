@@ -11,13 +11,14 @@
 //!   included as their reference point).
 
 use fewner_bench::{
-    backbone_config, embedding_spec, evaluate_learner, meta_config, train_learner, write_report,
-    Cell, Scale,
+    backbone_config, embedding_spec, meta_config, score_learner, train_learner, write_report, Cell,
+    Scale,
 };
 use fewner_core::{Fewner, MetaConfig};
 use fewner_corpus::{split_types, DatasetProfile};
 use fewner_eval::Table;
 use fewner_models::{BackboneConfig, Conditioning, HeadKind, TokenEncoder};
+use fewner_util::ci95;
 
 struct Variant {
     name: &'static str,
@@ -27,8 +28,7 @@ struct Variant {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = Scale::from_args(&args);
+    let scale = Scale::from_env();
     let d = DatasetProfile::nne().generate(scale.corpus).expect("NNE");
     let split = split_types(&d, (52, 10, 15), 42).expect("split");
     let enc = TokenEncoder::build(&[&d], &embedding_spec(), 4);
@@ -144,7 +144,7 @@ fn main() {
             };
             let mut learner = Fewner::new(v.bb.clone(), &enc, v.meta.clone()).expect("build");
             train_learner(&mut learner, &train_cell, &scale, &v.meta).expect("train");
-            let f1 = evaluate_learner(&learner, &eval_cell, &scale).expect("eval");
+            let f1 = ci95(&score_learner(&learner, &eval_cell, &scale).expect("eval"));
             eprintln!("{} {k}-shot: {}", v.name, f1.as_percent());
             cells.push(f1.into());
         }

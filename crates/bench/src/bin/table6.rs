@@ -12,8 +12,7 @@ use fewner_models::{Conditioning, TokenEncoder};
 use fewner_text::Tag;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = Scale::from_args(&args);
+    let scale = Scale::from_env();
     let mut report = Vec::new();
 
     // Scenario 1: intra-domain cross-type (GENIA → GENIA novel types).

@@ -256,8 +256,7 @@ struct Shots {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = Scale::from_args(&args);
+    let scale = Scale::from_env();
     let d = DatasetProfile::nne().generate(scale.corpus).expect("NNE");
     let split = split_types(&d, (52, 10, 15), 42).expect("split");
     let enc = TokenEncoder::build(&[&d], &embedding_spec(), 4);

@@ -1,10 +1,12 @@
 //! The experiment harness shared by every table binary and bench.
 //!
 //! One paper table cell = (method, training split, test split, N, K):
-//! meta-train the method on episodes from the training split, then score it
-//! on the seed-fixed evaluation episodes from the test split. [`Scale`]
-//! shrinks corpus size / iteration count / episode count uniformly so the
-//! same code runs as a smoke test, a laptop run, or a paper-scale run.
+//! meta-train the method on episodes from the training split
+//! ([`train_learner`]), then score it on the seed-fixed evaluation episodes
+//! from the test split ([`score_learner`]); [`run_method`] does both.
+//! [`Scale`] shrinks corpus size / iteration count / episode count
+//! uniformly so the same code runs as a smoke test, a laptop run, or a
+//! paper-scale run.
 
 use fewner_core::{
     EpisodicLearner, Fewner, FineTuneLearner, FrozenLmLearner, Maml, MetaConfig, ProtoLearner,
@@ -13,7 +15,7 @@ use fewner_core::{
 use fewner_corpus::SplitView;
 use fewner_episode::EpisodeSampler;
 use fewner_models::{BackboneConfig, Conditioning, HeadKind, LmFlavor, SnailConfig, TokenEncoder};
-use fewner_util::{MeanCi, Result};
+use fewner_util::{Error, MeanCi, Result};
 
 /// Evaluation seed fixed across methods (paper §4.2.1).
 pub const EVAL_SEED: u64 = 0xE7A1;
@@ -62,36 +64,68 @@ impl Scale {
         }
     }
 
-    /// Parses `--scale smoke|small|paper` plus `--episodes N` /
-    /// `--iterations N` overrides from CLI arguments.
-    pub fn from_args(args: &[String]) -> Scale {
+    /// Parses `--scale smoke|small|paper` (or `--paper-scale`) plus
+    /// `--episodes N` / `--iterations N` overrides from CLI arguments
+    /// (without the program name); an override holds wherever it stands
+    /// relative to the scale. Any other argument, a scale it does not know,
+    /// and a count that is missing or does not parse are errors that name
+    /// the argument: a typo never runs the default scale.
+    pub fn from_args(args: &[String]) -> Result<Scale> {
         let mut scale = Scale::small();
+        let (mut episodes, mut iterations) = (None, None);
         let mut it = args.iter();
         while let Some(a) = it.next() {
+            let mut value = || {
+                it.next()
+                    .ok_or_else(|| Error::InvalidConfig(format!("{a} needs a value")))
+            };
             match a.as_str() {
-                "--scale" => match it.next().map(String::as_str) {
-                    Some("smoke") => scale = Scale::smoke(),
-                    Some("small") => scale = Scale::small(),
-                    Some("paper") | Some("paper-scale") => scale = Scale::paper(),
-                    other => panic!("unknown scale {other:?}"),
-                },
+                "--scale" => {
+                    scale = match value()?.as_str() {
+                        "smoke" => Scale::smoke(),
+                        "small" => Scale::small(),
+                        "paper" | "paper-scale" => Scale::paper(),
+                        other => {
+                            return Err(Error::InvalidConfig(format!(
+                                "--scale `{other}` is not one of smoke, small, paper"
+                            )))
+                        }
+                    }
+                }
                 "--paper-scale" => scale = Scale::paper(),
-                "--episodes" => {
-                    scale.episodes = it
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--episodes N");
+                "--episodes" | "--iterations" => {
+                    let v = value()?;
+                    let n = v.parse().map_err(|_| {
+                        Error::InvalidConfig(format!("{a} `{v}` is not a valid count"))
+                    })?;
+                    if a == "--episodes" {
+                        episodes = Some(n);
+                    } else {
+                        iterations = Some(n);
+                    }
                 }
-                "--iterations" => {
-                    scale.iterations = it
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--iterations N");
+                other => {
+                    return Err(Error::InvalidConfig(format!(
+                        "unknown argument `{other}`; this binary takes --scale smoke|small|paper, \
+                         --paper-scale, --episodes N and --iterations N"
+                    )))
                 }
-                _ => {}
             }
         }
-        scale
+        scale.episodes = episodes.unwrap_or(scale.episodes);
+        scale.iterations = iterations.unwrap_or(scale.iterations);
+        Ok(scale)
+    }
+
+    /// [`Scale::from_args`] over this process's arguments. An argument it
+    /// refuses ends the process with exit code 2, naming the argument,
+    /// before any work.
+    pub fn from_env() -> Scale {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Scale::from_args(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
     }
 }
 
@@ -238,29 +272,13 @@ pub struct Cell<'a> {
     pub k_shots: usize,
 }
 
-/// Like [`run_cell`] but degrades gracefully: an unconstructible cell
-/// (e.g. a split too starved for K-shot tasks at a tiny scale) yields an
-/// empty `NaN` statistic instead of aborting a multi-hour table run.
-pub fn run_cell_or_nan(method: Method, cell: &Cell<'_>, scale: &Scale) -> MeanCi {
-    match run_cell(method, cell, scale) {
-        Ok(score) => score,
-        Err(e) => {
-            eprintln!("    [cell skipped: {e}]");
-            MeanCi {
-                mean: f64::NAN,
-                ci95: 0.0,
-                n: 0,
-            }
-        }
-    }
-}
-
-/// Trains `method` and returns its mean episode F1 ± CI on the cell.
-pub fn run_cell(method: Method, cell: &Cell<'_>, scale: &Scale) -> Result<MeanCi> {
+/// Builds `method`, meta-trains it on the cell's training split and scores
+/// it with [`score_learner`].
+pub fn run_method(method: Method, cell: &Cell<'_>, scale: &Scale) -> Result<Vec<f64>> {
     let meta = meta_config();
     let mut learner = build_method(method, cell.enc, cell.n_ways, &meta)?;
     train_learner(learner.as_mut(), cell, scale, &meta)?;
-    evaluate_learner(learner.as_ref(), cell, scale)
+    score_learner(learner.as_ref(), cell, scale)
 }
 
 /// Meta-trains an already-built learner on the cell's training split.
@@ -282,46 +300,35 @@ pub fn train_learner(
     Ok(())
 }
 
-/// Scores a trained learner on the cell's fixed evaluation episodes.
-pub fn evaluate_learner(
-    learner: &(dyn EpisodicLearner + Sync),
-    cell: &Cell<'_>,
-    scale: &Scale,
-) -> Result<MeanCi> {
-    let scores = evaluate_learner_scores(learner, cell, scale)?;
-    Ok(fewner_util::ci95(&scores))
-}
-
-/// Like [`evaluate_learner`] but returns the raw per-episode F1 scores —
-/// the input to paired significance testing (episodes are seed-fixed, so
-/// scores of different methods align by index).
-pub fn evaluate_learner_scores(
+/// Scores a trained learner on the cell's seed-fixed evaluation episodes,
+/// on all cores: one entity F1 per episode, in episode order, so the
+/// scores of different methods align by index (the input to paired
+/// significance testing).
+pub fn score_learner(
     learner: &(dyn EpisodicLearner + Sync),
     cell: &Cell<'_>,
     scale: &Scale,
 ) -> Result<Vec<f64>> {
     let sampler = EpisodeSampler::new(cell.test, cell.n_ways, cell.k_shots, scale.query_size)?;
     let tasks = sampler.eval_set(EVAL_SEED, scale.episodes)?;
-    tasks
-        .iter()
-        .map(|task| fewner_eval::score_task(learner, task, cell.enc))
-        .collect()
+    fewner_eval::score_tasks(learner, &tasks, cell.enc)
 }
 
-/// [`run_cell`] variant returning per-episode scores; failures degrade to
-/// an empty score list.
-pub fn run_cell_scores(method: Method, cell: &Cell<'_>, scale: &Scale) -> Vec<f64> {
-    let meta = meta_config();
-    let run = || -> Result<Vec<f64>> {
-        let mut learner = build_method(method, cell.enc, cell.n_ways, &meta)?;
-        train_learner(learner.as_mut(), cell, scale, &meta)?;
-        evaluate_learner_scores(learner.as_ref(), cell, scale)
-    };
-    match run() {
-        Ok(scores) => scores,
+/// A runner's outcome as a table cell: mean ± CI over the episode scores.
+/// A cell that could not run (e.g. a split too starved for K-shot tasks at
+/// a tiny scale) is reported on stderr and becomes a NaN mean with `n` 0,
+/// which renders as NaN and is written as `null` — never as a zero F1 — so
+/// a multi-hour table run carries on past it.
+pub fn cell_stat(outcome: &Result<Vec<f64>>) -> MeanCi {
+    match outcome {
+        Ok(scores) => fewner_util::ci95(scores),
         Err(e) => {
             eprintln!("    [cell skipped: {e}]");
-            Vec::new()
+            MeanCi {
+                mean: f64::NAN,
+                ci95: 0.0,
+                n: 0,
+            }
         }
     }
 }
@@ -345,14 +352,19 @@ mod tests {
         };
         let scale = Scale::smoke();
         for method in Method::all() {
-            let f1 = run_cell(method, &cell, &scale).unwrap();
-            assert!((0.0..=1.0).contains(&f1.mean), "{}: {f1}", method.name());
-            assert_eq!(f1.n, scale.episodes);
+            let scores = run_method(method, &cell, &scale).unwrap();
+            assert_eq!(scores.len(), scale.episodes, "{}", method.name());
+            assert!(
+                scores.iter().all(|s| (0.0..=1.0).contains(s)),
+                "{}: {scores:?}",
+                method.name()
+            );
+            assert_eq!(cell_stat(&Ok(scores)).n, scale.episodes);
         }
     }
 
     #[test]
-    fn per_episode_scores_align_with_summary() {
+    fn a_cell_too_starved_for_its_shots_is_a_skip_not_a_zero() {
         let d = DatasetProfile::bionlp13cg().generate(0.03).unwrap();
         let split = split_types(&d, (8, 3, 5), 1).unwrap();
         let enc = TokenEncoder::build(&[&d], &embedding_spec(), 4);
@@ -361,14 +373,16 @@ mod tests {
             test: &split.test,
             enc: &enc,
             n_ways: 3,
-            k_shots: 1,
+            k_shots: 500,
         };
-        let scale = Scale::smoke();
-        let scores = run_cell_scores(Method::ProtoNet, &cell, &scale);
-        assert_eq!(scores.len(), scale.episodes);
-        assert!(scores.iter().all(|s| (0.0..=1.0).contains(s)));
-        let summary = fewner_util::ci95(&scores);
-        assert_eq!(summary.n, scale.episodes);
+        let outcome = run_method(Method::ProtoNet, &cell, &Scale::smoke());
+        assert!(outcome.is_err(), "{outcome:?}");
+        let stat = cell_stat(&outcome);
+        assert!(
+            stat.mean.is_nan(),
+            "a skipped cell must not read as F1 {stat}"
+        );
+        assert_eq!(stat.n, 0);
     }
 
     #[test]
@@ -382,17 +396,37 @@ mod tests {
         assert_eq!(meta.inner_steps_test, 10);
     }
 
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
     #[test]
     fn scale_parsing() {
-        let args: Vec<String> = ["--scale", "paper", "--episodes", "7"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let s = Scale::from_args(&args);
+        let s = Scale::from_args(&args("--scale paper --episodes 7")).unwrap();
         assert_eq!(s.corpus, 1.0);
         assert_eq!(s.episodes, 7);
-        let none = Scale::from_args(&[]);
+        let none = Scale::from_args(&[]).unwrap();
         assert_eq!(none.episodes, Scale::small().episodes);
+        let s = Scale::from_args(&args("--iterations 9 --episodes 7 --paper-scale")).unwrap();
+        assert_eq!((s.corpus, s.iterations, s.episodes), (1.0, 9, 7));
+    }
+
+    #[test]
+    fn arguments_the_tables_do_not_take_are_refused_by_name() {
+        for (line, needle) in [
+            ("--episode 1000", "unknown argument `--episode`"),
+            ("--scale small extra", "unknown argument `extra`"),
+            ("--scale huge", "--scale `huge`"),
+            ("--scale", "--scale needs a value"),
+            ("--episodes", "--episodes needs a value"),
+            ("--episodes ten", "--episodes `ten`"),
+            ("--iterations -3", "--iterations `-3`"),
+        ] {
+            match Scale::from_args(&args(line)) {
+                Err(Error::InvalidConfig(msg)) => assert!(msg.contains(needle), "{line}: {msg}"),
+                other => panic!("{line}: expected an error naming `{needle}`, got {other:?}"),
+            }
+        }
     }
 
     #[test]

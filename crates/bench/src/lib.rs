@@ -13,17 +13,28 @@
 //! | `table6` | qualitative analysis |
 //! | `timing` | §4.5.2 time-consumption analysis |
 //!
-//! All binaries accept `--scale smoke|small|paper`, `--episodes N` and
-//! `--iterations N`; results are printed and written to `reports/*.json`.
+//! The table binaries accept `--scale smoke|small|paper`, `--episodes N`
+//! and `--iterations N` ([`Scale::from_env`]) and refuse any other
+//! argument, naming it, before any work; results are printed and written
+//! to `reports/*.json`. `serve_load`, the load generator for `fewner
+//! serve`, likewise refuses a flag it does not take or a value that does
+//! not parse.
+//!
+//! Every scored cell goes through one of two runners, both returning
+//! per-episode F1 scores in episode order: [`run_method`] builds,
+//! meta-trains and scores a method; [`score_learner`] scores an
+//! already-trained learner (Table 5's variants, the encoder ablation).
+//! Episodes are scored on all cores, as training runs. [`cell_stat`] turns
+//! a runner's outcome into a table cell, a skipped cell into a NaN mean
+//! with `n` 0.
 
 #![warn(missing_docs)]
 
 pub mod harness;
 
 pub use harness::{
-    backbone_config, build_method, embedding_spec, evaluate_learner, evaluate_learner_scores,
-    meta_config, run_cell, run_cell_or_nan, run_cell_scores, train_learner, Cell, Method, Scale,
-    EVAL_SEED,
+    backbone_config, build_method, cell_stat, embedding_spec, meta_config, run_method,
+    score_learner, train_learner, Cell, Method, Scale, EVAL_SEED,
 };
 
 /// Writes a report JSON file under `reports/`, creating the directory.

@@ -45,7 +45,7 @@ use fewner_corpus::{SplitView, StreamCursor, StreamingCorpus, TypePartition};
 use fewner_episode::{EpisodeSampler, StreamSampler, Task};
 use fewner_models::TokenEncoder;
 use fewner_obs::Tracer;
-use fewner_util::{fault, Error, Json, Result, Rng};
+use fewner_util::{fault, par, Error, Json, Result, Rng};
 
 use crate::config::MetaConfig;
 use crate::learner::{task_rng, EpisodicLearner, TaskOutcome};
@@ -55,18 +55,6 @@ use crate::snapshot::{
 
 /// How many trailing finite losses [`Error::Diverged`] carries.
 const DIVERGED_TAIL: usize = 8;
-
-/// A requested worker count with `0` resolved to the machine's available
-/// parallelism.
-fn resolve_threads(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        requested
-    }
-}
 
 /// Outer-loop training schedule.
 #[derive(Debug, Clone)]
@@ -93,11 +81,6 @@ pub struct TrainConfig {
     /// Directory for rolling training snapshots (the newest
     /// [`snapshot::SNAPSHOTS_KEPT`] are kept).
     pub checkpoint_dir: Option<PathBuf>,
-    /// Write a structured trace (spans, events, metric snapshots) to this
-    /// JSONL file. `None` (the default) traces nothing and costs nothing.
-    /// Tracing never changes the numbers: checkpoints are bitwise
-    /// identical with tracing on or off, at any thread count.
-    pub trace_path: Option<PathBuf>,
     /// Total worker processes of a sharded run (`1`, the default, trains
     /// in-process; `0` is refused). With `shards > 1` this process computes
     /// only its subtree of each meta-batch and exchanges gradients through
@@ -125,7 +108,6 @@ impl TrainConfig {
             threads: 1,
             checkpoint_every: 0,
             checkpoint_dir: None,
-            trace_path: None,
             shards: 1,
             shard_id: 0,
             coordinator: None,
@@ -168,13 +150,6 @@ impl TrainConfig {
         self
     }
 
-    /// Enables structured tracing to a durable JSONL file (see the
-    /// `trace_path` field).
-    pub fn trace(mut self, path: impl Into<PathBuf>) -> TrainConfig {
-        self.trace_path = Some(path.into());
-        self
-    }
-
     /// Sets the shard topology (total worker processes; `1` = unsharded).
     pub fn shards(mut self, shards: usize) -> TrainConfig {
         self.shards = shards;
@@ -191,15 +166,6 @@ impl TrainConfig {
     pub fn coordinator(mut self, addr: impl Into<String>) -> TrainConfig {
         self.coordinator = Some(addr.into());
         self
-    }
-
-    /// The tracer this schedule asks for: a JSONL tracer when
-    /// `trace_path` is set, the free no-op tracer otherwise.
-    pub fn tracer(&self) -> Tracer {
-        match &self.trace_path {
-            Some(path) => Tracer::jsonl(path),
-            None => Tracer::disabled(),
-        }
     }
 
     /// Refuses shard fields that the topology would otherwise silently
@@ -270,10 +236,10 @@ fn check_task_fault() -> Result<()> {
 
 /// Fans [`EpisodicLearner::task_grad`] over scoped worker threads.
 ///
-/// Work is split into contiguous per-thread chunks of task indices; every
-/// worker returns its outcomes keyed by those indices, and the reduction
-/// ([`TaskOutcome::reduce`]) runs on the calling thread in task-index
-/// order. The result is bitwise-identical to
+/// The task indices run through [`par::map_ordered`], which returns their
+/// outcomes in task-index order, and the reduction
+/// ([`TaskOutcome::reduce`]) runs on the calling thread in that order. The
+/// result is bitwise-identical to
 /// [`serial_meta_step`](crate::serial_meta_step) for any thread count.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelTrainer {
@@ -283,14 +249,7 @@ pub struct ParallelTrainer {
 impl ParallelTrainer {
     /// A trainer over `threads` workers (`0` = available parallelism).
     pub fn new(threads: usize) -> ParallelTrainer {
-        ParallelTrainer {
-            threads: resolve_threads(threads),
-        }
-    }
-
-    /// The resolved worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
+        ParallelTrainer { threads }
     }
 
     /// One meta-iteration: [`EpisodicLearner::step_seed`], the batch's task
@@ -382,52 +341,16 @@ impl ParallelTrainer {
         if indexed.is_empty() {
             return Err(Error::InvalidConfig("empty task range set".into()));
         }
-        if self.threads <= 1 || indexed.len() < 2 {
-            return indexed
-                .into_iter()
-                .map(|(index, task)| {
-                    check_task_fault()?;
-                    let mut rng = task_rng(step_seed, index);
-                    Ok((index, learner.task_grad(task, enc, &mut rng)?))
-                })
-                .collect();
-        }
-        let chunk = indexed.len().div_ceil(self.threads);
-        let per_worker: Vec<Result<Vec<(usize, TaskOutcome)>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = indexed
-                .chunks(chunk)
-                .map(|pairs| {
-                    scope.spawn(move || {
-                        pairs
-                            .iter()
-                            .map(|&(index, task)| {
-                                check_task_fault()?;
-                                let mut rng = task_rng(step_seed, index);
-                                Ok((index, learner.task_grad(task, enc, &mut rng)?))
-                            })
-                            .collect::<Result<Vec<(usize, TaskOutcome)>>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(Error::WorkerPanic {
-                            context: "parallel meta step".into(),
-                        })
-                    })
-                })
-                .collect()
-        });
-        // Workers hold contiguous chunks of the ascending index list, so
-        // flattening in worker order restores index order independent of
-        // thread timing.
-        let mut outcomes = Vec::with_capacity(indexed.len());
-        for worker_outcomes in per_worker {
-            outcomes.extend(worker_outcomes?);
-        }
-        Ok(outcomes)
+        par::map_ordered(
+            &indexed,
+            self.threads,
+            "parallel meta step",
+            |&(index, task)| {
+                check_task_fault()?;
+                let mut rng = task_rng(step_seed, index);
+                Ok((index, learner.task_grad(task, enc, &mut rng)?))
+            },
+        )
     }
 }
 
@@ -667,32 +590,30 @@ impl Engine {
 /// local or sharded, traced or silent, over a materialized split
 /// ([`Trainer::train`]) or a corpus stream ([`Trainer::train_stream`]).
 ///
-/// A default `Trainer` derives its tracer from the schedule
-/// ([`TrainConfig::trace_path`]); [`Trainer::with_tracer`] overrides that
-/// with an explicit instrument (tests inject a manual clock and an
-/// in-memory sink this way). The tracer is flushed when a run ends —
-/// normally *or* with an error such as [`Error::Diverged`] — so traces
-/// survive failed runs. Tracing never changes the numbers.
-/// [`Trainer::resume_from`] starts the run from a snapshot instead of
-/// iteration 0.
+/// [`Trainer::new`] traces nothing; [`Trainer::with_tracer`] records the
+/// run's spans, events and metrics into a tracer — [`Tracer::jsonl`] for a
+/// durable JSONL file, or a manual clock and an in-memory sink in tests.
+/// The tracer is flushed when a run ends — normally *or* with an error such
+/// as [`Error::Diverged`] — so traces survive failed runs. Tracing never
+/// changes the numbers: checkpoints are bitwise identical with tracing on
+/// or off, at any thread count. [`Trainer::resume_from`] starts the run
+/// from a snapshot instead of iteration 0.
 #[derive(Clone, Default)]
 pub struct Trainer {
-    tracer: Option<Tracer>,
+    tracer: Tracer,
     resume: Option<PathBuf>,
 }
 
 impl Trainer {
-    /// A trainer that traces wherever [`TrainConfig::trace_path`] points
-    /// (or nowhere).
+    /// A trainer that traces nothing.
     pub fn new() -> Trainer {
         Trainer::default()
     }
 
-    /// A trainer bound to an explicit tracer, overriding
-    /// [`TrainConfig::trace_path`].
+    /// A trainer that records its runs into `tracer`.
     pub fn with_tracer(tracer: &Tracer) -> Trainer {
         Trainer {
-            tracer: Some(tracer.clone()),
+            tracer: tracer.clone(),
             ..Trainer::default()
         }
     }
@@ -721,14 +642,6 @@ impl Trainer {
         Trainer {
             resume: Some(dir.as_ref().to_path_buf()),
             ..self
-        }
-    }
-
-    /// The tracer a run will use under schedule `cfg`.
-    fn resolve_tracer(&self, cfg: &TrainConfig) -> Tracer {
-        match &self.tracer {
-            Some(tracer) => tracer.clone(),
-            None => cfg.tracer(),
         }
     }
 
@@ -793,11 +706,11 @@ impl Trainer {
     {
         meta.validate()?;
         cfg.check_topology()?;
-        let tracer = self.resolve_tracer(cfg);
+        let tracer = &self.tracer;
         let fingerprint = fingerprint_of(learner.name(), meta, cfg, feed.geometry());
         let result = match &self.resume {
             None => Ok(LoopState::fresh(meta, cfg)),
-            Some(dir) => resume_state(dir, learner, &mut feed, &fingerprint, cfg, &tracer),
+            Some(dir) => resume_state(dir, learner, &mut feed, &fingerprint, cfg, tracer),
         }
         .and_then(|state| {
             // A resume at the schedule's end runs zero iterations: the log
@@ -812,11 +725,11 @@ impl Trainer {
                 meta,
                 cfg,
                 state,
-                &tracer,
+                tracer,
                 &mut engine,
             )
         });
-        finish_trace(result, &tracer)
+        finish_trace(result, tracer)
     }
 }
 

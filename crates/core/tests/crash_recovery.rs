@@ -387,15 +387,9 @@ fn resume_at_the_schedule_end_reports_the_snapshot_and_past_it_is_refused() {
         // Exactly at the end: the snapshot's state and log, nothing trained.
         let trace = dir.join("at-end.jsonl");
         let mut at_end = learner(&enc);
-        let log = Trainer::new()
+        let log = Trainer::with_tracer(&Tracer::jsonl(&trace))
             .resume_from(&dir)
-            .train(
-                &mut at_end,
-                &split.train,
-                &enc,
-                &m,
-                &cfg(1).iterations(6).trace(&trace),
-            )
+            .train(&mut at_end, &split.train, &enc, &m, &cfg(1).iterations(6))
             .unwrap();
         assert_eq!(state_of(&at_end), snap.learner.to_string());
         assert_eq!(log.losses, snap.losses);

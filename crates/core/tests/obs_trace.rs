@@ -109,13 +109,13 @@ fn traced_training_is_bitwise_identical_to_untraced() {
 
             let trace_path = dir.join("train.jsonl");
             let mut traced = learner(&enc);
-            Trainer::new()
+            Trainer::with_tracer(&Tracer::jsonl(&trace_path))
                 .train(
                     &mut traced,
                     &split.train,
                     &enc,
                     &m,
-                    &cfg(threads).iterations(6).trace(&trace_path),
+                    &cfg(threads).iterations(6),
                 )
                 .unwrap();
 
@@ -175,9 +175,8 @@ fn traced_kill_and_resume_matches_untraced_straight_run() {
         let ck = cfg(2)
             .iterations(7)
             .checkpoint_every(3)
-            .checkpoint_dir(&dir)
-            .trace(dir.join("killed.jsonl"));
-        Trainer::new()
+            .checkpoint_dir(&dir);
+        Trainer::with_tracer(&Tracer::jsonl(dir.join("killed.jsonl")))
             .train(&mut killed, &split.train, &enc, &m, &ck)
             .unwrap();
         drop(killed);
@@ -188,9 +187,8 @@ fn traced_kill_and_resume_matches_untraced_straight_run() {
         let rk = cfg(2)
             .iterations(12)
             .checkpoint_every(3)
-            .checkpoint_dir(&dir)
-            .trace(&resumed_trace);
-        Trainer::new()
+            .checkpoint_dir(&dir);
+        Trainer::with_tracer(&Tracer::jsonl(&resumed_trace))
             .resume_from(&dir)
             .train(&mut resumed, &split.train, &enc, &m, &rk)
             .unwrap();

@@ -311,10 +311,10 @@ fn streaming_resume_at_the_schedule_end_reports_the_snapshot_and_past_it_is_refu
         let snap = TrainingSnapshot::load(dir.join("snap-00000006.fsnap")).unwrap();
 
         let trace = dir.join("at-end.jsonl");
-        let at_end_cfg = cfg(6).trace(&trace);
+        let at_end_cfg = cfg(6);
         let mut at_end = learner(&enc);
         let mut src = source(&corpus, &train, &at_end_cfg);
-        let log = Trainer::new()
+        let log = Trainer::with_tracer(&Tracer::jsonl(&trace))
             .resume_from(&dir)
             .train_stream(&mut at_end, &mut src, &enc, &m, &at_end_cfg)
             .unwrap();

@@ -4,12 +4,17 @@
 //! score entity-level F1 (§4.1.1); report mean ± 1.96·σ/√n over episodes.
 //! All methods are scored on the same seed-fixed task list, exactly as the
 //! paper fixes the evaluation seed (§4.2.1).
+//!
+//! Episodes are independent and adaptation never mutates the learner, so
+//! [`score_tasks`] scores them on every core through [`par::map_ordered`];
+//! the scores come back in episode order, so [`evaluate`]'s summary is
+//! bitwise the one a serial loop over the episodes computes.
 
 use fewner_core::EpisodicLearner;
 use fewner_episode::Task;
 use fewner_models::TokenEncoder;
 use fewner_text::Tag;
-use fewner_util::{MeanCi, OnlineStats, Result};
+use fewner_util::{ci95, par, MeanCi, Result};
 
 use crate::f1::F1Counts;
 
@@ -25,68 +30,29 @@ pub fn score_task(learner: &dyn EpisodicLearner, task: &Task, enc: &TokenEncoder
     Ok(counts.f1())
 }
 
-/// Evaluates a learner over an episode set serially.
+/// Scores every task on all cores: one entity F1 per task, in task order
+/// (the input to paired significance testing, since the episode set is
+/// seed-fixed and scores of different methods align by index). The error
+/// returned is the first task's in task order; a panicking worker
+/// surfaces as [`fewner_util::Error::WorkerPanic`].
+pub fn score_tasks(
+    learner: &(dyn EpisodicLearner + Sync),
+    tasks: &[Task],
+    enc: &TokenEncoder,
+) -> Result<Vec<f64>> {
+    par::map_ordered(tasks, 0, "episode evaluation", |task| {
+        score_task(learner, task, enc)
+    })
+}
+
+/// Evaluates a learner over an episode set: [`score_tasks`] summarised
+/// with [`ci95`].
 pub fn evaluate(
-    learner: &dyn EpisodicLearner,
+    learner: &(dyn EpisodicLearner + Sync),
     tasks: &[Task],
     enc: &TokenEncoder,
 ) -> Result<MeanCi> {
-    let mut stats = OnlineStats::new();
-    for task in tasks {
-        stats.push(score_task(learner, task, enc)?);
-    }
-    Ok(stats.summary())
-}
-
-/// Evaluates in parallel over `threads` worker threads (std scoped
-/// threads; adaptation never mutates the learner, so sharing is safe).
-///
-/// Falls back to the serial path for a single thread. A panicking worker
-/// surfaces as [`fewner_util::Error::WorkerPanic`] rather than poisoning
-/// the whole harness.
-pub fn evaluate_parallel<L>(
-    learner: &L,
-    tasks: &[Task],
-    enc: &TokenEncoder,
-    threads: usize,
-) -> Result<MeanCi>
-where
-    L: EpisodicLearner + Sync,
-{
-    if threads <= 1 || tasks.len() < 2 {
-        return evaluate(learner, tasks, enc);
-    }
-    let chunk = tasks.len().div_ceil(threads);
-    let results: Vec<Result<OnlineStats>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = tasks
-            .chunks(chunk)
-            .map(|chunk_tasks| {
-                scope.spawn(move || -> Result<OnlineStats> {
-                    let mut stats = OnlineStats::new();
-                    for task in chunk_tasks {
-                        stats.push(score_task(learner, task, enc)?);
-                    }
-                    Ok(stats)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|_| {
-                    Err(fewner_util::Error::WorkerPanic {
-                        context: "episode evaluation".into(),
-                    })
-                })
-            })
-            .collect()
-    });
-
-    let mut total = OnlineStats::new();
-    for r in results {
-        total.merge(&r?);
-    }
-    Ok(total.summary())
+    Ok(ci95(&score_tasks(learner, tasks, enc)?))
 }
 
 #[cfg(test)]
@@ -187,14 +153,50 @@ mod tests {
         assert_eq!(s.mean, 0.0, "{s}");
     }
 
+    /// Gold tags on every other query sentence, all-O on the rest, so the
+    /// F1 differs from task to task.
+    struct HalfOracle;
+    impl EpisodicLearner for HalfOracle {
+        fn name(&self) -> &'static str {
+            "half-oracle"
+        }
+        fn task_grad(
+            &self,
+            _t: &Task,
+            _e: &TokenEncoder,
+            _rng: &mut fewner_util::Rng,
+        ) -> Result<TaskOutcome> {
+            Ok(zero_outcome())
+        }
+        fn apply_meta_grads(&mut self, _grads: ParamGrads, _n: usize) -> Result<()> {
+            Ok(())
+        }
+        fn adapt_and_predict(&self, task: &Task, e: &TokenEncoder) -> Result<Vec<Vec<usize>>> {
+            let mut preds = Oracle.adapt_and_predict(task, e)?;
+            for pred in preds.iter_mut().skip(1).step_by(2) {
+                pred.fill(0);
+            }
+            Ok(preds)
+        }
+    }
+
     #[test]
-    fn parallel_matches_serial() {
+    fn evaluate_is_a_serial_score_loop_bit_for_bit() {
         let (tasks, enc) = fixture();
-        let serial = evaluate(&Oracle, &tasks, &enc).unwrap();
-        let parallel = evaluate_parallel(&Oracle, &tasks, &enc, 3).unwrap();
-        assert!((serial.mean - parallel.mean).abs() < 1e-12);
-        assert!((serial.ci95 - parallel.ci95).abs() < 1e-9);
-        assert_eq!(serial.n, parallel.n);
+        let serial: Vec<f64> = tasks
+            .iter()
+            .map(|task| score_task(&HalfOracle, task, &enc).unwrap())
+            .collect();
+        assert!(
+            serial.iter().any(|&f1| f1 != serial[0]),
+            "the fixture must give differing scores: {serial:?}"
+        );
+        assert_eq!(score_tasks(&HalfOracle, &tasks, &enc).unwrap(), serial);
+        let expected = ci95(&serial);
+        let got = evaluate(&HalfOracle, &tasks, &enc).unwrap();
+        assert_eq!(got.mean.to_bits(), expected.mean.to_bits());
+        assert_eq!(got.ci95.to_bits(), expected.ci95.to_bits());
+        assert_eq!(got.n, tasks.len());
     }
 
     #[test]

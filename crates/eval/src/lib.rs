@@ -2,7 +2,7 @@
 //!
 //! * [`f1`] — the paper's exact-match entity F1 (§4.1.1).
 //! * [`episode_eval`] — adapt-and-score over the seed-fixed evaluation
-//!   episode set, serial or parallel.
+//!   episode set, on every core.
 //! * [`report`] — paper-style table rendering + JSON reports and the
 //!   qualitative-analysis line format (Table 6).
 //! * [`breakdown`] — span-level error classification (boundary vs slot vs
@@ -22,7 +22,7 @@ pub mod significance;
 pub mod throughput;
 
 pub use breakdown::{DetectionVsTyping, ErrorBreakdown};
-pub use episode_eval::{evaluate, evaluate_parallel, score_task};
+pub use episode_eval::{evaluate, score_task, score_tasks};
 pub use f1::F1Counts;
 pub use report::{qualitative_line, Cell, Table};
 pub use significance::{paired_compare, PairedComparison};

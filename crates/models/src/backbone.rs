@@ -403,8 +403,9 @@ impl Backbone {
         &self.cfg
     }
 
-    /// Creates a fresh context-parameter store holding φ (initialised to
-    /// **0**, re-zeroed per task via `ParamStore::zero_all` — Algorithm 1).
+    /// Creates a fresh context-parameter store holding φ, initialised to
+    /// **0** (Algorithm 1). Every adaptation builds its own, so each task
+    /// starts from φ = 0; an extend instead seeds one from the incoming φ.
     pub fn new_context(&self) -> (ParamStore, ParamId) {
         let mut store = ParamStore::new();
         let id = store.add("phi", fewner_tensor::Array::zeros(1, self.cfg.phi_total()));

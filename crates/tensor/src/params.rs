@@ -148,14 +148,6 @@ impl ParamStore {
         self.values[id.index] = Arc::new(value);
     }
 
-    /// Resets every parameter to zero, keeping shapes — used for the context
-    /// parameters φ, which the paper re-initialises to **0** for every task.
-    pub fn zero_all(&mut self) {
-        for v in &mut self.values {
-            Arc::make_mut(v).fill_zero();
-        }
-    }
-
     /// Snapshot of all values (used to verify θ is untouched by adaptation).
     pub fn snapshot(&self) -> Vec<Array> {
         self.values.iter().map(|v| (**v).clone()).collect()
@@ -1018,14 +1010,6 @@ mod tests {
         let b = ParamStore::new();
         let id = a.add("w", Array::zeros(1, 1));
         let _ = b.value(id);
-    }
-
-    #[test]
-    fn zero_all_matches_paper_phi_reset() {
-        let mut store = ParamStore::new();
-        let id = store.add("phi", Array::from_vec(1, 3, vec![1.0, -2.0, 3.0]));
-        store.zero_all();
-        assert_eq!(store.value(id).data(), &[0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //!   environment variable, for crash-recovery and chaos testing.
 //! * [`deadline`] — per-request wall-clock budgets, enforced as typed
 //!   [`Error::DeadlineExceeded`] at every serving checkpoint.
+//! * [`par`] — the ordered parallel map behind meta-training's per-task
+//!   fan-out and episode evaluation.
 
 pub mod crc32;
 pub mod deadline;
@@ -28,6 +30,7 @@ pub mod durable;
 pub mod error;
 pub mod fault;
 pub mod json;
+pub mod par;
 pub mod rng;
 pub mod stats;
 

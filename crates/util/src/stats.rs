@@ -3,8 +3,8 @@
 //! Every table cell in the evaluation is "the average of the F1 scores over
 //! all the episodes … mean ± 1.96 × standard deviation / √(sample size)".
 //! [`MeanCi`] is exactly that summary; [`OnlineStats`] accumulates it in one
-//! pass (Welford's algorithm) so harnesses never need to buffer per-episode
-//! scores.
+//! pass (Welford's algorithm), and [`ci95`] runs that pass over a slice of
+//! per-episode scores in order.
 
 /// Mean with a 95 % normal-approximation confidence half-width.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -110,24 +110,6 @@ impl OnlineStats {
             n: self.n,
         }
     }
-
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-    }
 }
 
 #[cfg(test)]
@@ -171,21 +153,6 @@ mod tests {
         let o = online.summary();
         assert!((batch.mean - o.mean).abs() < 1e-12);
         assert!((batch.ci95 - o.ci95).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..500).map(|i| (i as f64).sin()).collect();
-        let (a, b) = xs.split_at(123);
-        let mut s1 = OnlineStats::new();
-        a.iter().for_each(|&x| s1.push(x));
-        let mut s2 = OnlineStats::new();
-        b.iter().for_each(|&x| s2.push(x));
-        s1.merge(&s2);
-        let full = ci95(&xs);
-        let merged = s1.summary();
-        assert!((full.mean - merged.mean).abs() < 1e-10);
-        assert!((full.ci95 - merged.ci95).abs() < 1e-10);
     }
 
     #[test]

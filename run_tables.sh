@@ -2,7 +2,9 @@
 # Regenerates every paper table. Usage: ./run_tables.sh [scale] [extra flags...]
 #   ./run_tables.sh small
 #   ./run_tables.sh paper --episodes 1000
-set -u
+# Any binary that fails (a crash, or an argument it refuses) stops the run:
+# pipefail keeps its exit status through the `tee`.
+set -euo pipefail
 cd "$(dirname "$0")"
 SCALE="${1:-small}"
 shift || true

@@ -168,7 +168,6 @@ fn cmd_train(flags: &HashMap<String, String>) -> fewner::Result<()> {
         println!("rolling snapshots every {checkpoint_every} iterations in {ckpt_dir}/");
     }
     if let Some(path) = flags.get("trace") {
-        schedule = schedule.trace(path);
         println!("tracing to {path}");
     }
     if let Some(coordinator) = coordinator {
@@ -252,15 +251,17 @@ fn train_streaming(
     Ok((learner, log))
 }
 
-/// The trainer `fewner train` runs: one that starts from the newest valid
-/// snapshot in the `--resume` directory, or from iteration 0.
+/// The trainer `fewner train` runs: traced to the `--trace` file (if any),
+/// starting from the newest valid snapshot in the `--resume` directory, or
+/// from iteration 0.
 fn trainer(flags: &HashMap<String, String>) -> Trainer {
+    let trainer = Trainer::with_tracer(&tracer_for(flags));
     match flags.get("resume") {
         Some(dir) => {
             println!("resuming from the newest valid snapshot in {dir}/…");
-            Trainer::new().resume_from(dir)
+            trainer.resume_from(dir)
         }
-        None => Trainer::new(),
+        None => trainer,
     }
 }
 

@@ -96,9 +96,7 @@ pub mod prelude {
         full_view, holdout_target, split_sentences, split_types, AceDomain, DatasetProfile, Genre,
     };
     pub use fewner_episode::{EpisodeSampler, Task};
-    pub use fewner_eval::{
-        evaluate, evaluate_parallel, measure_predictions, qualitative_line, F1Counts, Throughput,
-    };
+    pub use fewner_eval::{evaluate, measure_predictions, qualitative_line, F1Counts, Throughput};
     pub use fewner_models::{
         Backbone, BackboneConfig, Conditioning, EncoderKind, HeadKind, LmFlavor, SnailConfig,
         TokenEncoder,

@@ -163,9 +163,17 @@ fn parallel_evaluation_matches_serial_on_trained_model() {
         .unwrap();
     let sampler = EpisodeSampler::new(&split.test, 3, 1, 4).unwrap();
     let tasks = sampler.eval_set(5, 6).unwrap();
-    let serial = evaluate(&learner, &tasks, &enc).unwrap();
-    let parallel = evaluate_parallel(&learner, &tasks, &enc, 2).unwrap();
-    assert!((serial.mean - parallel.mean).abs() < 1e-12);
+    // `evaluate` fans the episodes out over every core; the serial loop is
+    // the reference, bit for bit.
+    let serial: Vec<f64> = tasks
+        .iter()
+        .map(|task| fewner::eval::score_task(&learner, task, &enc).unwrap())
+        .collect();
+    let expected = fewner::util::ci95(&serial);
+    let got = evaluate(&learner, &tasks, &enc).unwrap();
+    assert_eq!(got.mean.to_bits(), expected.mean.to_bits());
+    assert_eq!(got.ci95.to_bits(), expected.ci95.to_bits());
+    assert_eq!(got.n, tasks.len());
 }
 
 #[test]

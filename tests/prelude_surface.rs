@@ -40,7 +40,6 @@ fn surface_pins(
     // keep them out of fn-pointer position, so wrap the mentions).
     let _ = Trainer::new;
     let _ = evaluate;
-    let _ = evaluate_parallel::<Fewner>;
     let _ = |f: fn() -> fewner::Result<Vec<Vec<usize>>>| measure_predictions(f);
     let _ = |tokens: &[String], gold: &[Tag], pred: &[Tag]| {
         qualitative_line(tokens, gold, pred, |slot| slot.to_string())
